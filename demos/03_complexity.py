@@ -5,11 +5,9 @@ from ruledpoly import (
     Polygon,
     annulus_polygon,
     comb_polygon,
-    cone_of,
     max_cone_coverage,
     parallel_reeb_complexity,
     reeb_graph,
-    reflex_vertices,
 )
 
 
@@ -33,7 +31,7 @@ show(comb_polygon(4), "comb with 4 teeth")
 # degenerate flag records that an isolated direction would do better.
 A = annulus_polygon(10, 4)
 show(A, "annulus")
-cones = [cone_of(A, i) for i in sorted(reflex_vertices(A))]
+cones = [A.cone(i) for i in A.reflex_indices()]
 best, w = max_cone_coverage(cones)
 print(f"  pointwise cone maximum (boundaries allowed): {best} "
       f"at ({w.dx},{w.dy})")

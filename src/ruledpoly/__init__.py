@@ -6,13 +6,7 @@ rulings, generator families with known complexity, and a brute-force
 oracle for differential testing.
 """
 
-from .complexity import (
-    AngularEvent,
-    ComplexityResult,
-    cone_events,
-    max_cone_coverage,
-    parallel_reeb_complexity,
-)
+from .complexity import ComplexityResult, max_cone_coverage, parallel_reeb_complexity
 from .generators import FamilyParams, annulus_polygon, comb_polygon, lower_bound_polygon
 from .geometry import (
     Direction,
@@ -28,12 +22,9 @@ from .geometry import (
     SlitVertexError,
     TooFewVerticesError,
     as_fraction,
-    cone_contains,
-    cone_of,
     dump_polygon,
     is_reflex,
     load_polygon,
-    reflex_vertices,
 )
 from .oracle import (
     EventPartition,
@@ -58,7 +49,6 @@ from .rendering import RenderSpec, render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularEvent",
     "ComplexityResult",
     "Direction",
     "DoubleCone",
@@ -87,9 +77,6 @@ __all__ = [
     "brute_force_complexity",
     "build_event_partition",
     "comb_polygon",
-    "cone_contains",
-    "cone_events",
-    "cone_of",
     "dump_polygon",
     "is_generic",
     "is_reflex",
@@ -100,7 +87,6 @@ __all__ = [
     "random_simple_polygon",
     "reeb_graph",
     "reeb_to_dict",
-    "reflex_vertices",
     "render_svg",
     "__version__",
 ]

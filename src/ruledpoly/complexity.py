@@ -22,13 +22,16 @@ A gap between the two maxima is reported as the degenerate flag, and
 max_cone_coverage (a pure stabbing query, no genericity constraint)
 reports the pointwise maximum.
 
-The sweep is implemented twice over the same core: max_cone_coverage
-takes materialized DoubleCone objects, while parallel_reeb_complexity
-builds the event arrays straight from polygon coordinate arrays, since
-constructing tens of thousands of exact cone objects would dominate the
-runtime budget. Angles are ordered by float keys with rigorous per-event
-error radii; only events whose radii overlap are re-ordered by exact
-cross product comparison.
+Both entry points share one front end that turns each cone's two
+apex-to-neighbor vectors into sweep events: max_cone_coverage reads them
+from materialized DoubleCone objects, parallel_reeb_complexity straight
+from the polygon's coordinate arrays, since constructing tens of
+thousands of exact cone objects would dominate the runtime budget.
+Angles are ordered by float keys with rigorous per-event error radii;
+only events whose radii overlap are re-ordered by exact cross product
+comparison, on vectors from the caller's one exact accessor: the cones'
+Fraction vectors, or integer edge vectors from the polygon's vertices
+held as integers over a per-vertex denominator.
 """
 
 from __future__ import annotations
@@ -41,29 +44,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactmath import U, diff_error_bound, overlap_runs, sign
-from .geometry import Direction, DoubleCone, Polygon
+from .exactmath import U, diff_error_bound, filtered_sign_array, overlap_runs, sign
+from .geometry import Direction, DoubleCone, Point, Polygon
 from .reeb import is_generic
 
 __all__ = [
-    "AngularEvent",
     "ComplexityResult",
-    "cone_events",
     "max_cone_coverage",
     "parallel_reeb_complexity",
 ]
 
 _V0 = (Fraction(0), Fraction(-1))      # angular sweep starts straight down
 _V0_END = (Fraction(0), Fraction(1))   # v0 rotated by 180 degrees
-
-
-@dataclass(frozen=True)
-class AngularEvent:
-    """One cone boundary crossing met by the rotating direction."""
-
-    angle: Direction
-    kind: str  # "entry" or "exit"
-    cone: DoubleCone
 
 
 @dataclass(frozen=True)
@@ -95,15 +87,6 @@ class ComplexityResult:
         }
 
 
-def cone_events(cones: Sequence[DoubleCone]) -> tuple[AngularEvent, ...]:
-    """The 2k boundary events: one entry and one exit per cone."""
-    out = []
-    for c in cones:
-        out.append(AngularEvent(c.arc_start, "entry", c))
-        out.append(AngularEvent(c.arc_end, "exit", c))
-    return tuple(out)
-
-
 # -- shared sweep core ------------------------------------------------------
 #
 # Directions are parametrized by the rotation s in [0, pi) taking v0
@@ -117,19 +100,18 @@ def cone_events(cones: Sequence[DoubleCone]) -> tuple[AngularEvent, ...]:
 
 
 class _EventSet:
-    """Non-seam events plus exact accessors for tie resolution."""
+    """Non-seam events plus the exact accessor for tie resolution."""
 
-    __slots__ = ("sf", "kind", "radius", "ids", "exact_vec", "int_pair",
+    __slots__ = ("sf", "kind", "radius", "ids", "exact_dir",
                  "init_count", "seam_exits", "seam_entries")
 
-    def __init__(self, sf, kind, radius, ids, exact_vec, int_pair,
+    def __init__(self, sf, kind, radius, ids, exact_dir,
                  init_count, seam_exits, seam_entries):
         self.sf = sf
         self.kind = kind
         self.radius = radius
         self.ids = ids
-        self.exact_vec = exact_vec          # original event id -> canonical (dx, dy)
-        self.int_pair = int_pair            # same direction, integer components
+        self.exact_dir = exact_dir  # original event id -> canonical (dx, dy), any scale
         self.init_count = init_count
         self.seam_exits = seam_exits
         self.seam_entries = seam_entries
@@ -138,10 +120,10 @@ class _EventSet:
 def _cmp_canonical(u, w) -> int:
     """Exact sweep order of two canonical non-seam direction vectors.
 
-    Components may be Fractions or denominator-cleared integers; tie
-    clusters use the integer form since symmetric polygons produce one
-    coincident event pair per cone and Fraction products are the
-    bottleneck at that volume.
+    Components may be Fractions or denominator-cleared integers; polygons
+    use the integer form since symmetric polygons produce one coincident
+    event pair per cone and Fraction products are the bottleneck at that
+    volume.
     """
     pu = 0 if u[0] < 0 else 1
     pw = 0 if w[0] < 0 else 1
@@ -189,7 +171,7 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     if runs:
         order = order.copy()
         for lo, hi in runs:
-            pair = {int(t): ev.int_pair(int(ev.ids[t])) for t in order[lo:hi]}
+            pair = {int(t): ev.exact_dir(int(ev.ids[t])) for t in order[lo:hi]}
             if hi - lo == 2:
                 # by far the common cluster shape: one comparison settles it
                 a, b = int(order[lo]), int(order[lo + 1])
@@ -222,7 +204,7 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     interior_max = max(init0, int(interval_cov.max()))
 
     def group_vec(g: int) -> tuple[Fraction, Fraction]:
-        return ev.exact_vec(int(ev.ids[int(order[starts[g]])]))
+        return ev.exact_dir(int(ev.ids[int(order[starts[g]])]))
 
     n_groups = len(starts)
 
@@ -260,6 +242,69 @@ def _angle_keys(xf, yf, ex, ey, phase):
     rho2 = np.maximum(rx * rx + ry_neg * ry_neg, np.finfo(float).tiny)
     radius = 4.0 * (ex * np.abs(ry_neg) + ey * rx) / rho2 + 1e-14
     return sf, radius
+
+
+def _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y,
+               exact_d: Callable[[int, int], tuple]) -> _EventSet:
+    """The 2k sweep events of k cones, one entry and one exit each.
+
+    Cone i is given by the float vectors d1, d2 from its apex to its ring
+    predecessor and successor, with absolute error bounds e*, and by
+    exact_d(i, 1) or exact_d(i, 2), the same vector exactly at any
+    positive scale. Signs and directions are scale-free, so this one
+    accessor serves the signs, the tie clusters and the arc endpoints.
+    Event id i is cone i's entry, at the normal of d1; k + i its exit.
+    """
+    k = len(d1x)
+    s1x = filtered_sign_array(d1x, e1x, lambda i: exact_d(i, 1)[0])
+    s1y = filtered_sign_array(d1y, e1y, lambda i: exact_d(i, 1)[1])
+    s2x = filtered_sign_array(d2x, e2x, lambda i: exact_d(i, 2)[0])
+    s2y = filtered_sign_array(d2y, e2y, lambda i: exact_d(i, 2)[1])
+
+    # v0 = (0,-1) lies in the cone iff sign(d1y) * sign(d2y) <= 0
+    init = int(np.count_nonzero(s1y * s2y <= 0))
+
+    # raw normals: entry (d1y, -d1x), exit (d2y, -d2x); canonical flip when
+    # the y component is negative, or zero with negative x component
+    def build(dy, dx, sy, sx, e_dx, e_dy):
+        # event direction raw = (dy, -dx): x error is e_dy, y error is e_dx
+        flip = (sx > 0) | ((sx == 0) & (sy < 0))
+        fsign = np.where(flip, -1.0, 1.0)
+        cx = fsign * dy
+        cy = fsign * (-dx)
+        seam = sy == 0
+        phase = np.where(flip, -sy, sy).astype(np.float64)
+        return cx, cy, e_dy, e_dx, phase, seam
+
+    en_cx, en_cy, en_xe, en_ye, en_ph, en_seam = build(d1y, d1x, s1y, s1x, e1x, e1y)
+    ex_cx, ex_cy, ex_xe, ex_ye, ex_ph, ex_seam = build(d2y, d2x, s2y, s2x, e2x, e2y)
+
+    seam_entries = int(np.count_nonzero(en_seam))
+    seam_exits = int(np.count_nonzero(ex_seam))
+
+    keep_en = ~en_seam
+    keep_ex = ~ex_seam
+    cx = np.concatenate([en_cx[keep_en], ex_cx[keep_ex]])
+    cy = np.concatenate([en_cy[keep_en], ex_cy[keep_ex]])
+    x_err = np.concatenate([en_xe[keep_en], ex_xe[keep_ex]])
+    y_err = np.concatenate([en_ye[keep_en], ex_ye[keep_ex]])
+    phase = np.concatenate([en_ph[keep_en], ex_ph[keep_ex]])
+    kind = np.concatenate([
+        np.ones(int(np.count_nonzero(keep_en)), dtype=np.int8),
+        -np.ones(int(np.count_nonzero(keep_ex)), dtype=np.int8),
+    ])
+    ids = np.concatenate([np.flatnonzero(keep_en), k + np.flatnonzero(keep_ex)])
+    sf, radius = _angle_keys(cx, cy, x_err, y_err, phase)
+
+    def exact_dir(event_id: int) -> tuple:
+        i, which = (event_id, 1) if event_id < k else (event_id - k, 2)
+        dx, dy = exact_d(i, which)
+        vx, vy = dy, -dx
+        if vy < 0 or (vy == 0 and vx < 0):
+            vx, vy = -vx, -vy
+        return (vx, vy)
+
+    return _EventSet(sf, kind, radius, ids, exact_dir, init, seam_exits, seam_entries)
 
 
 def _strictly_inside_arc(w: tuple[Fraction, Fraction],
@@ -328,7 +373,7 @@ def _generic_witness(P: Polygon, lo: tuple[Fraction, Fraction],
             return found
         tried += 1
         if tried >= budget:
-            raise RuntimeError(
+            raise ValueError(
                 "no generic direction found inside the optimal angular interval")
 
 
@@ -341,41 +386,12 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
     otherwise the isolated boundary direction itself. It is not
     genericity adjusted; that is the caller's concern.
     """
-    events = cone_events(cones)
-    if not events:
+    if not cones:
         return 0, Direction(1, 0)
-    v0 = Direction(0, -1)
-    init = sum(1 for c in cones if c.contains(v0))
-
-    keep_ids = []
-    seam_entries = seam_exits = 0
-    for j, evt in enumerate(events):
-        if evt.angle.dx == 0:
-            if evt.kind == "entry":
-                seam_entries += 1
-            else:
-                seam_exits += 1
-        else:
-            keep_ids.append(j)
-
-    ids = np.array(keep_ids, dtype=np.intp)
-    xf = np.array([events[j].angle.fdx for j in keep_ids])
-    yf = np.array([events[j].angle.fdy for j in keep_ids])
-    phase = np.array([-1.0 if events[j].angle.dx < 0 else 1.0 for j in keep_ids])
-    kind = np.array([1 if events[j].kind == "entry" else -1 for j in keep_ids],
-                    dtype=np.int8)
-    sf, radius = _angle_keys(xf, yf, U * np.abs(xf), U * np.abs(yf), phase)
-
-    def exact_vec(j: int) -> tuple[Fraction, Fraction]:
-        d = events[j].angle
-        return (d.dx, d.dy)
-
-    def int_pair(j: int) -> tuple[int, int]:
-        vx, vy = exact_vec(j)
-        return (vx.numerator * vy.denominator, vy.numerator * vx.denominator)
-
-    ev = _EventSet(sf, kind, radius, ids, exact_vec, int_pair,
-                   init, seam_exits, seam_entries)
+    # float() of a Fraction is correctly rounded, so one ulp bounds each mirror
+    d = np.array([c._d1 + c._d2 for c in cones], dtype=float)
+    ev = _event_set(*d.T, *(U * np.abs(d)).T,
+                    lambda i, which: cones[i]._d1 if which == 1 else cones[i]._d2)
     prof = _sweep_select(ev)
     skind, *data = prof.closed_sel
     if skind == "interval":
@@ -387,13 +403,33 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
     return prof.closed_max, witness
 
 
-def _filtered_sign_array(vals: np.ndarray, errs: np.ndarray,
-                         exact_at: Callable[[int], Fraction]) -> np.ndarray:
-    """Per-element exact signs, resolving uncertain lanes with Fractions."""
-    out = np.where(vals > errs, 1, np.where(vals < -errs, -1, 0)).astype(np.int64)
-    for i in np.flatnonzero(np.abs(vals) <= errs):
-        out[i] = sign(exact_at(int(i)))
-    return out
+def _homogeneous(p: Point) -> tuple[int, int, int]:
+    """Integers (X, Y, D) with p = (X/D, Y/D), D the lcm of p's denominators."""
+    xn, xd = p.x.as_integer_ratio()
+    yn, yd = p.y.as_integer_ratio()
+    d = math.lcm(xd, yd)
+    return xn * (d // xd), yn * (d // yd), d
+
+
+def _integer_edges(P: Polygon, r: np.ndarray) -> Callable[[int, int], tuple[int, int]]:
+    """exact_d for the cones at P's reflex vertices r, as integer pairs.
+
+    Symmetric polygons tie on nearly every event, so the clusters must
+    run on ints rather than Fractions. Each vertex keeps its own scale
+    D: one common denominator grows with n when denominators differ.
+    """
+    coords = [_homogeneous(p) for p in P._pts]
+    apex = r.tolist()
+    neighbor = (None, P._prev[r].tolist(), P._next[r].tolist())
+
+    def exact_d(i: int, which: int) -> tuple[int, int]:
+        xa, ya, da = coords[apex[i]]
+        xb, yb, db = coords[neighbor[which][i]]
+        if da == db:
+            return (xb - xa, yb - ya)
+        return (xb * da - xa * db, yb * da - ya * db)
+
+    return exact_d
 
 
 def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
@@ -426,92 +462,7 @@ def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     e1y = diff_error_bound(d1y, Y[rp], Y[r])
     e2x = diff_error_bound(d2x, X[rn], X[r])
     e2y = diff_error_bound(d2y, Y[rn], Y[r])
-
-    pts = P._pts
-    prev = P._prev
-    nxt = P._next
-
-    def exact_d(i: int, which: int) -> tuple[Fraction, Fraction]:
-        gid = int(r[i])
-        p = pts[gid]
-        q = pts[int(prev[gid])] if which == 1 else pts[int(nxt[gid])]
-        return (q.x - p.x, q.y - p.y)
-
-    s1x = _filtered_sign_array(d1x, e1x, lambda i: exact_d(i, 1)[0])
-    s1y = _filtered_sign_array(d1y, e1y, lambda i: exact_d(i, 1)[1])
-    s2x = _filtered_sign_array(d2x, e2x, lambda i: exact_d(i, 2)[0])
-    s2y = _filtered_sign_array(d2y, e2y, lambda i: exact_d(i, 2)[1])
-
-    # v0 = (0,-1) lies in the cone iff sign(d1y) * sign(d2y) <= 0
-    init = int(np.count_nonzero(s1y * s2y <= 0))
-
-    # raw normals: entry (d1y, -d1x), exit (d2y, -d2x); canonical flip when
-    # the y component is negative, or zero with negative x component
-    def build(dy, dx, sy, sx, e_dx, e_dy):
-        # event direction raw = (dy, -dx): x error is e_dy, y error is e_dx
-        flip = (sx > 0) | ((sx == 0) & (sy < 0))
-        fsign = np.where(flip, -1.0, 1.0)
-        cx = fsign * dy
-        cy = fsign * (-dx)
-        seam = sy == 0
-        phase = np.where(flip, -sy, sy).astype(np.float64)
-        return cx, cy, e_dy, e_dx, phase, seam
-
-    en_cx, en_cy, en_xe, en_ye, en_ph, en_seam = build(d1y, d1x, s1y, s1x, e1x, e1y)
-    ex_cx, ex_cy, ex_xe, ex_ye, ex_ph, ex_seam = build(d2y, d2x, s2y, s2x, e2x, e2y)
-
-    seam_entries = int(np.count_nonzero(en_seam))
-    seam_exits = int(np.count_nonzero(ex_seam))
-
-    keep_en = ~en_seam
-    keep_ex = ~ex_seam
-    cx = np.concatenate([en_cx[keep_en], ex_cx[keep_ex]])
-    cy = np.concatenate([en_cy[keep_en], ex_cy[keep_ex]])
-    x_err = np.concatenate([en_xe[keep_en], ex_xe[keep_ex]])
-    y_err = np.concatenate([en_ye[keep_en], ex_ye[keep_ex]])
-    phase = np.concatenate([en_ph[keep_en], ex_ph[keep_ex]])
-    kind = np.concatenate([
-        np.ones(int(np.count_nonzero(keep_en)), dtype=np.int8),
-        -np.ones(int(np.count_nonzero(keep_ex)), dtype=np.int8),
-    ])
-    ids = np.concatenate([np.flatnonzero(keep_en), k + np.flatnonzero(keep_ex)])
-    sf, radius = _angle_keys(cx, cy, x_err, y_err, phase)
-
-    def exact_vec(event_id: int) -> tuple[Fraction, Fraction]:
-        i, which = (event_id, 1) if event_id < k else (event_id - k, 2)
-        dx, dy = exact_d(i, which)
-        vx, vy = dy, -dx
-        if vy < 0 or (vy == 0 and vx < 0):
-            vx, vy = -vx, -vy
-        return (vx, vy)
-
-    # denominator-cleared vertex coordinates, built on the first angular
-    # tie; symmetric polygons tie on nearly every event, so the clusters
-    # must run on machine/big ints rather than Fractions
-    int_coords: dict = {}
-
-    def int_pair(event_id: int) -> tuple[int, int]:
-        if not int_coords:
-            dens = set()
-            for p_ in pts:
-                dens.add(p_.x.denominator)
-                dens.add(p_.y.denominator)
-            s = math.lcm(*dens)
-            int_coords["x"] = [p_.x.numerator * (s // p_.x.denominator) for p_ in pts]
-            int_coords["y"] = [p_.y.numerator * (s // p_.y.denominator) for p_ in pts]
-        ix = int_coords["x"]
-        iy = int_coords["y"]
-        i, which = (event_id, 1) if event_id < k else (event_id - k, 2)
-        gid = int(r[i])
-        nb = int(prev[gid]) if which == 1 else int(nxt[gid])
-        vx = iy[nb] - iy[gid]
-        vy = ix[gid] - ix[nb]
-        if vy < 0 or (vy == 0 and vx < 0):
-            vx, vy = -vx, -vy
-        return (vx, vy)
-
-    ev = _EventSet(sf, kind, radius, ids, exact_vec, int_pair,
-                   init, seam_exits, seam_entries)
+    ev = _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y, _integer_edges(P, r))
     prof = _sweep_select(ev)
     c_max = prof.interior_max
     witness = _generic_witness(P, *prof.interior_arc)

@@ -18,6 +18,7 @@ magnitude terms explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -73,6 +74,19 @@ def orient_sign(a, b, c) -> int:
     if det < -err:
         return -1
     return sign((a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x))
+
+
+def filtered_sign_array(vals: np.ndarray, errs: np.ndarray,
+                        exact_at: Callable[[int], object]) -> np.ndarray:
+    """Exact signs of float values with error bounds, lane by lane.
+
+    The float sign decides every lane whose value clears its bound;
+    exact_at(i) computes the exact value of each remaining lane i.
+    """
+    out = np.where(vals > errs, 1, np.where(vals < -errs, -1, 0)).astype(np.int64)
+    for i in np.flatnonzero(np.abs(vals) <= errs):
+        out[i] = sign(exact_at(int(i)))
+    return out
 
 
 def cross_error_bound(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y, t1, t2, cr):

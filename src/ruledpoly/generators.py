@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import U
+from .exactmath import U, filtered_sign_array
 from .geometry import Point, Polygon, PolygonError, as_fraction
 
 __all__ = [
@@ -77,11 +77,8 @@ def _certify_star_shaped(xs: list[Fraction], ys: list[Fraction]) -> None:
     t2 = yf * x2
     cr = t1 - t2
     err = U * (np.abs(t1) + np.abs(t2) + np.abs(cr)) * 4.0
-    signs = np.where(cr > err, 1, np.where(cr < -err, -1, 0))
-    for i in np.flatnonzero(signs == 0):
-        j = (int(i) + 1) % n
-        exact = xs[int(i)] * ys[j] - ys[int(i)] * xs[j]
-        signs[i] = 1 if exact > 0 else (-1 if exact < 0 else 0)
+    signs = filtered_sign_array(
+        cr, err, lambda i: xs[i] * ys[(i + 1) % n] - ys[i] * xs[(i + 1) % n])
     if np.any(signs == 0):
         raise PolygonError("star certificate failed: adjacent radial collinearity")
     if not (np.all(signs == 1) or np.all(signs == -1)):

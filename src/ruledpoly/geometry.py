@@ -8,9 +8,11 @@ The polygon file format is a UTF-8 JSON document
 
     {"outer": [[x, y], ...], "holes": [[[x, y], ...], ...]}
 
-with numbers given as decimal literals. Decimals parse to exact
-Fractions and are re-emitted as exact decimal strings, so a
-generate -> load -> emit cycle is byte identical.
+with numbers given as decimal literals, or as strings holding a decimal
+literal or a fraction "p/q". Both parse to exact Fractions. Emission
+writes a decimal number when the coordinate has a terminating decimal
+expansion and a "p/q" string otherwise, so every dump -> load cycle is
+exact and a generate -> load -> emit cycle is byte identical.
 
 Vertices are addressed by a single global index (the outer ring first,
 then each hole in order); edge i joins vertex i to the next vertex of
@@ -33,6 +35,7 @@ from .exactmath import (
     diff_error_bound,
     exact_cross,
     exact_dot,
+    filtered_sign_array,
     orient_sign,
     sign,
 )
@@ -53,9 +56,6 @@ __all__ = [
     "load_polygon",
     "dump_polygon",
     "is_reflex",
-    "reflex_vertices",
-    "cone_of",
-    "cone_contains",
     "as_fraction",
 ]
 
@@ -89,14 +89,14 @@ class HolePlacementError(PolygonError):
 
 
 class NonReflexVertexError(ValueError):
-    """cone_of was asked for the cone of a convex vertex."""
+    """A cone was asked for at a convex vertex."""
 
 
 def as_fraction(value) -> Fraction:
     """Coerce a coordinate-like value to an exact Fraction.
 
     Accepts int, Fraction, Decimal, finite float (converted exactly from
-    its binary value), and decimal literal strings.
+    its binary value), and strings: decimal literals or "p/q".
     """
     if isinstance(value, Fraction):
         return value
@@ -112,8 +112,8 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(decimal.Decimal(value))
-        except decimal.InvalidOperation as exc:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
             raise PolygonParseError(f"bad coordinate literal {value!r}") from exc
     raise PolygonParseError(f"unsupported coordinate type {type(value).__name__}")
 
@@ -177,14 +177,6 @@ class Direction:
             self._pair = (a // g, b // g)
         return self._pair
 
-    @property
-    def angle(self) -> float:
-        """Float angle in [0, pi); a sort key, never a decision value."""
-        return math.atan2(self.fdy, self.fdx)
-
-    def perpendicular(self) -> "Direction":
-        return Direction(-self.dy, self.dx)
-
     def __eq__(self, other):
         return isinstance(other, Direction) and self.canonical_pair() == other.canonical_pair()
 
@@ -193,11 +185,6 @@ class Direction:
 
     def __repr__(self):
         return f"Direction({self.dx}, {self.dy})"
-
-
-def direction_cross(u: Direction, v: Direction) -> Fraction:
-    """Exact cross product of two direction representatives."""
-    return u.dx * v.dy - u.dy * v.dx
 
 
 class DoubleCone:
@@ -230,11 +217,6 @@ class DoubleCone:
         self.arc_start = self.boundary1
         self.arc_end = self.boundary2
 
-    @property
-    def interval(self) -> tuple[Direction, Direction]:
-        """Closed angular interval (start, end), counterclockwise mod 180."""
-        return (self.arc_start, self.arc_end)
-
     def contains(self, v: Direction) -> bool:
         """Exact closed containment test."""
         s1 = sign(exact_dot(v.dx, v.dy, self._d1[0], self._d1[1]))
@@ -243,11 +225,6 @@ class DoubleCone:
 
     def __repr__(self):
         return f"DoubleCone(apex={self.apex!r}, {self.boundary1!r}..{self.boundary2!r})"
-
-
-def cone_contains(c: DoubleCone, v: Direction) -> bool:
-    """True iff direction v lies in the closed double cone c."""
-    return c.contains(v)
 
 
 class Ring:
@@ -286,6 +263,25 @@ def _coerce_points(ring_like) -> list[Point]:
     return pts
 
 
+def _corner_cross(xs: np.ndarray, ys: np.ndarray, prev: np.ndarray,
+                  nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float cross(p - prev, next - p) at every corner p of the mirrors
+    xs, ys, whose ring neighbors prev and nxt index, and its error bound."""
+    px, py = xs[prev], ys[prev]
+    nx, ny = xs[nxt], ys[nxt]
+    d1x, d1y = xs - px, ys - py
+    d2x, d2y = nx - xs, ny - ys
+    t1 = d1x * d2y
+    t2 = d1y * d2x
+    cr = t1 - t2
+    err = cross_error_bound(
+        d1x, d1y, d2x, d2y,
+        diff_error_bound(d1x, xs, px), diff_error_bound(d1y, ys, py),
+        diff_error_bound(d2x, nx, xs), diff_error_bound(d2y, ny, ys),
+        t1, t2, cr)
+    return cr, err
+
+
 def _no_merge_candidates(pts: list[Point]) -> bool:
     """Vectorized proof that a ring has no duplicate or collinear corners.
 
@@ -297,22 +293,8 @@ def _no_merge_candidates(pts: list[Point]) -> bool:
     n = len(pts)
     xs = np.fromiter((p.xf for p in pts), dtype=float, count=n)
     ys = np.fromiter((p.yf for p in pts), dtype=float, count=n)
-    xp = np.roll(xs, 1)
-    yp = np.roll(ys, 1)
-    xn = np.roll(xs, -1)
-    yn = np.roll(ys, -1)
-    d1x = xs - xp
-    d1y = ys - yp
-    d2x = xn - xs
-    d2y = yn - ys
-    e1x = diff_error_bound(d1x, xs, xp)
-    e1y = diff_error_bound(d1y, ys, yp)
-    e2x = diff_error_bound(d2x, xn, xs)
-    e2y = diff_error_bound(d2y, yn, ys)
-    t1 = d1x * d2y
-    t2 = d1y * d2x
-    cr = t1 - t2
-    err = cross_error_bound(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y, t1, t2, cr)
+    idx = np.arange(n)
+    cr, err = _corner_cross(xs, ys, np.roll(idx, 1), np.roll(idx, -1))
     return bool(np.all(np.abs(cr) > err))
 
 
@@ -516,8 +498,8 @@ class Polygon:
     exists for generators that certify simplicity structurally.
     """
 
-    __slots__ = ("outer", "holes", "n", "h", "_pts", "_ring_start", "_ring_id",
-                 "_prev", "_next", "_coords", "_reflex", "_cones")
+    __slots__ = ("outer", "holes", "n", "h", "_pts", "_ring_start", "_prev",
+                 "_next", "_coords", "_reflex", "_cones")
 
     def __init__(self, outer, holes: Iterable = (), *, validate: bool = True):
         rings = [_merge_ring(_coerce_points(outer))]
@@ -548,16 +530,13 @@ class Polygon:
 
         prev = np.empty(self.n, dtype=np.intp)
         nxt = np.empty(self.n, dtype=np.intp)
-        ring_id = np.empty(self.n, dtype=np.intp)
         for r in range(len(rings)):
             lo, hi = ring_start[r], ring_start[r + 1]
             idx = np.arange(lo, hi)
             nxt[idx] = np.roll(idx, -1)
             prev[idx] = np.roll(idx, 1)
-            ring_id[idx] = r
         self._prev = prev
         self._next = nxt
-        self._ring_id = ring_id
         coords = np.empty((self.n, 2), dtype=float)
         for i, p in enumerate(flat):
             coords[i, 0] = p.xf
@@ -571,12 +550,6 @@ class Polygon:
     def vertex(self, i: int) -> Point:
         """Point at global vertex index i."""
         return self._pts[i]
-
-    def ring_index(self, i: int) -> int:
-        """Which ring (0 = outer, g+1 = hole g) vertex i belongs to."""
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return int(self._ring_id[i])
 
     def neighbors(self, i: int) -> tuple[int, int]:
         """Global indices of the ring-previous and ring-next vertices."""
@@ -600,31 +573,22 @@ class Polygon:
         """Boolean mask over global indices; filtered, exact on demand."""
         if self._reflex is not None:
             return self._reflex
-        xs = self._coords[:, 0]
-        ys = self._coords[:, 1]
-        px, py = xs[self._prev], ys[self._prev]
-        nx, ny = xs[self._next], ys[self._next]
-        d1x, d1y = xs - px, ys - py
-        d2x, d2y = nx - xs, ny - ys
-        t1 = d1x * d2y
-        t2 = d1y * d2x
-        cr = t1 - t2
-        err = cross_error_bound(
-            d1x, d1y, d2x, d2y,
-            diff_error_bound(d1x, xs, px), diff_error_bound(d1y, ys, py),
-            diff_error_bound(d2x, nx, xs), diff_error_bound(d2y, ny, ys),
-            t1, t2, cr)
-        mask = cr < -err
-        for i in np.flatnonzero(np.abs(cr) <= err):
+        cr, err = _corner_cross(self._coords[:, 0], self._coords[:, 1],
+                                self._prev, self._next)
+
+        def exact_at(i: int) -> Fraction:
             p = self._pts[i]
             a = self._pts[int(self._prev[i])]
             b = self._pts[int(self._next[i])]
-            s = sign(exact_cross(p.x - a.x, p.y - a.y, b.x - p.x, b.y - p.y))
-            if s == 0:
-                raise PolygonError(f"collinear corner at {p!r} in unvalidated ring data")
-            mask[i] = s < 0
-        self._reflex = mask
-        return mask
+            return exact_cross(p.x - a.x, p.y - a.y, b.x - p.x, b.y - p.y)
+
+        signs = filtered_sign_array(cr, err, exact_at)
+        collinear = np.flatnonzero(signs == 0)
+        if len(collinear):
+            p = self._pts[int(collinear[0])]
+            raise PolygonError(f"collinear corner at {p!r} in unvalidated ring data")
+        self._reflex = signs < 0
+        return self._reflex
 
     def reflex_indices(self) -> tuple[int, ...]:
         """Sorted global indices of reflex vertices."""
@@ -651,16 +615,6 @@ def is_reflex(P: Polygon, i: int) -> bool:
     if not 0 <= i < P.n:
         raise IndexError(i)
     return bool(P._reflex_mask()[i])
-
-
-def reflex_vertices(P: Polygon) -> frozenset[int]:
-    """Global indices of all reflex vertices of P; k = len(result)."""
-    return frozenset(P.reflex_indices())
-
-
-def cone_of(P: Polygon, i: int) -> DoubleCone:
-    """The closed double cone of directions eliminating reflex vertex i."""
-    return P.cone(i)
 
 
 # -- file format ----------------------------------------------------------
@@ -716,7 +670,8 @@ def _parse_ring_spec(spec, label: str) -> list[Point]:
 
 
 def _format_coordinate(x: Fraction) -> str:
-    """Exact decimal rendering when the denominator is 2^a * 5^b; float repr otherwise."""
+    """Exact JSON rendering: a decimal number when the denominator is
+    2^a * 5^b, the string "p/q" otherwise."""
     den = x.denominator
     if den == 1:
         return str(x.numerator)
@@ -730,7 +685,7 @@ def _format_coordinate(x: Fraction) -> str:
         d //= 5
         exp5 += 1
     if d != 1:
-        return repr(float(x))
+        return f'"{x}"'
     exp = max(exp2, exp5)
     scaled = abs(x.numerator) * (10 ** exp) // den
     whole, frac = divmod(scaled, 10 ** exp)

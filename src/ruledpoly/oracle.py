@@ -23,7 +23,7 @@ import numpy as np
 
 from .complexity import _strictly_inside_arc, _sweep_rep
 from .exactmath import sign
-from .geometry import Direction, Point, Polygon, PolygonError, cone_of
+from .geometry import Direction, Point, Polygon, PolygonError
 from .reeb import reeb_graph
 
 __all__ = [
@@ -166,7 +166,7 @@ def brute_force_complexity(P: Polygon, cap: int = 64) -> OracleResult:
             best = leaves
             witness = v
 
-    cones = [cone_of(P, i) for i in P.reflex_indices()]
+    cones = [P.cone(i) for i in P.reflex_indices()]
     k = len(cones)
     boundary_best = None
     for a in part.angles:

@@ -72,7 +72,6 @@ class ReebGraph:
     l: int
     b: int
     h: int
-    morse: bool = True
 
     @property
     def cycle_rank(self) -> int:
@@ -286,5 +285,4 @@ def reeb_to_dict(g: ReebGraph) -> dict:
         "l": g.l,
         "b": g.b,
         "h": g.h,
-        "morse": g.morse,
     }

@@ -23,7 +23,6 @@ from ruledpoly import (
     parallel_reeb_complexity,
     random_simple_polygon,
     reeb_graph,
-    reflex_vertices,
     branch_witnesses,
 )
 
@@ -178,7 +177,7 @@ def test_criterion_5_branch_set_equality():
 @criterion(6)
 def test_criterion_6_comb_counts():
     P = comb_polygon(4)
-    k = len(reflex_vertices(P))
+    k = len(P.reflex_indices())
     lv = reeb_graph(P, Direction(0, 1)).l
     lh = reeb_graph(P, Direction(1, 0)).l
     mn = parallel_reeb_complexity(P).min_leaves
@@ -192,7 +191,7 @@ def test_criterion_7_convex_baseline():
     bases = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 5), (-3, 1), (5, -2), (7, 3)]
     checked = []
     for n, P in convex_suite():
-        if reflex_vertices(P):
+        if P.reflex_indices():
             return False, f"convex suite polygon n={n} has reflex vertices"
         mn = parallel_reeb_complexity(P).min_leaves
         leaves = {reeb_graph(P, nudge_generic(P, dx, dy)).l for dx, dy in bases}

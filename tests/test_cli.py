@@ -112,6 +112,13 @@ def test_render_subcommand(tmp_path, capsys, l_file):
     assert out.read_bytes().startswith(b"<?xml")
 
 
+def test_witness_search_failure_exits_two(monkeypatch, capsys, l_file):
+    """A witness search that runs out is a validation error, not a traceback."""
+    monkeypatch.setattr("ruledpoly.complexity.is_generic", lambda P, v: False)
+    assert run_cli(["complexity", l_file]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli([]) == 1
     assert run_cli(["frobnicate"]) == 1

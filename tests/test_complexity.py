@@ -9,23 +9,19 @@ from ruledpoly import (
     Polygon,
     brute_force_complexity,
     comb_polygon,
-    cone_contains,
-    cone_of,
-    cone_events,
     max_cone_coverage,
     parallel_reeb_complexity,
     random_simple_polygon,
     reeb_graph,
-    reflex_vertices,
 )
 
 
 def cones_of(P):
-    return [cone_of(P, i) for i in sorted(reflex_vertices(P))]
+    return [P.cone(i) for i in P.reflex_indices()]
 
 
 def coverage_at(cones, v):
-    return sum(1 for c in cones if cone_contains(c, v))
+    return sum(1 for c in cones if c.contains(v))
 
 
 # -- max_cone_coverage -------------------------------------------------------
@@ -40,17 +36,7 @@ def test_single_cone_l_polygon(l_poly):
     cones = cones_of(l_poly)
     c, w = max_cone_coverage(cones)
     assert c == 1
-    assert cone_contains(cones[0], w)
-
-
-def test_cone_events_one_entry_one_exit(l_poly, comb4):
-    for P in (l_poly, comb4):
-        cones = cones_of(P)
-        events = cone_events(cones)
-        assert len(events) == 2 * len(cones)
-        for c in cones:
-            kinds = sorted(e.kind for e in events if e.cone is c)
-            assert kinds == ["entry", "exit"]
+    assert cones[0].contains(w)
 
 
 def test_shared_boundary_scores_two(annulus):
@@ -59,7 +45,7 @@ def test_shared_boundary_scores_two(annulus):
     cn = cones_of(annulus)
     c, w = max_cone_coverage([cn[0], cn[1]])
     assert c == 2
-    assert cone_contains(cn[0], w) and cone_contains(cn[1], w)
+    assert cn[0].contains(w) and cn[1].contains(w)
     # the witness is forced onto a shared boundary direction
     assert w in (cn[0].arc_start, cn[0].arc_end)
 
@@ -69,7 +55,7 @@ def test_identical_cones_cover_interval(annulus):
     pair = [cn[0], cn[2]]  # opposite hole corners carry the same double cone
     c, w = max_cone_coverage(pair)
     assert c == 2
-    assert all(cone_contains(x, w) for x in pair)
+    assert all(x.contains(w) for x in pair)
 
 
 def test_full_hole_coverage_is_pointwise(annulus):
@@ -99,7 +85,7 @@ def test_l_polygon_result(l_poly):
     assert res.min_leaves == 2
     assert res.c_max == 1 and res.k == 1 and res.h == 0
     assert not res.degenerate
-    assert cone_contains(cones_of(l_poly)[0], res.witness)
+    assert cones_of(l_poly)[0].contains(res.witness)
     assert reeb_graph(l_poly, res.witness).l == 2
 
 
@@ -130,7 +116,7 @@ def test_formula_and_witness_invariants():
     for seed in range(1, 13):
         P = random_simple_polygon(18, seed)
         res = parallel_reeb_complexity(P)
-        k = len(reflex_vertices(P))
+        k = len(P.reflex_indices())
         assert res.k == k and res.h == P.h
         assert res.min_leaves == k - res.c_max + 2 - 2 * res.h
         assert coverage_at(cones_of(P), res.witness) == res.c_max
@@ -184,6 +170,25 @@ def test_object_route_matches_array_route():
             assert closed_max > res.c_max
         else:
             assert closed_max == res.c_max
+
+
+def test_many_distinct_denominators():
+    """Coordinates over 80 distinct primes near 1e6: one denominator common
+    to all vertices would pass 2^1500, beyond float range, so exact edge
+    vectors must keep each vertex's own scale."""
+    primes = [p for p in range(10 ** 6, 10 ** 6 + 2000)
+              if all(p % q for q in range(2, 1002))][:80]
+    ring = []
+    for i in range(40):
+        r = 4 if i % 2 == 0 else 1
+        a = math.pi * i / 20
+        px, py = primes[2 * i], primes[2 * i + 1]
+        ring.append((Fraction(round(r * math.sin(a) * px), px),
+                     Fraction(round(r * math.cos(a) * py), py)))
+    P = Polygon(ring)
+    res = parallel_reeb_complexity(P)
+    assert res.k == 20
+    assert reeb_graph(P, res.witness).l == res.min_leaves
 
 
 def test_witness_angles_cover_both_phases():

@@ -16,7 +16,6 @@ from ruledpoly import (
     lower_bound_polygon,
     parallel_reeb_complexity,
     reeb_graph,
-    reflex_vertices,
 )
 
 from conftest import nudge_generic
@@ -39,7 +38,7 @@ def test_lower_bound_shape():
     P = lower_bound_polygon(FamilyParams(7))
     assert P.n == 14
     assert P.h == 0
-    refl = reflex_vertices(P)
+    refl = P.reflex_indices()
     assert len(refl) == 7
     # exactly the inner-circle vertices are reflex: radius 1 vs radius 4
     for i in range(P.n):
@@ -74,13 +73,13 @@ def test_lower_bound_large_certificate_path():
     assert P.n == 5000
     Q = Polygon([(pt.x, pt.y) for pt in P.outer.vertices])
     assert Q.n == P.n
-    assert len(reflex_vertices(P)) == 2500
+    assert len(P.reflex_indices()) == 2500
 
 
 def test_lower_bound_custom_radii():
     P = lower_bound_polygon(FamilyParams(7, r1=10, r2=Fraction(1, 2)))
     assert P.n == 14
-    assert len(reflex_vertices(P)) == 7
+    assert len(P.reflex_indices()) == 7
 
 
 def test_lower_bound_deterministic():
@@ -94,7 +93,7 @@ def test_lower_bound_deterministic():
 def test_comb_counts():
     for teeth in (2, 3, 4, 6):
         P = comb_polygon(teeth)
-        k = len(reflex_vertices(P))
+        k = len(P.reflex_indices())
         assert k == 2 * (teeth - 1)
         assert P.h == 0
 
@@ -122,7 +121,7 @@ def test_comb_validation():
 def test_annulus_shape(annulus):
     assert annulus.n == 8
     assert annulus.h == 1
-    assert len(reflex_vertices(annulus)) == 4
+    assert len(annulus.reflex_indices()) == 4
     hole = annulus.holes[0]
     assert all(is_reflex(annulus, i) == (i >= 4) for i in range(8))
     assert len(hole.vertices) == 4

@@ -17,12 +17,9 @@ from ruledpoly import (
     SlitVertexError,
     TooFewVerticesError,
     as_fraction,
-    cone_contains,
-    cone_of,
     dump_polygon,
     is_reflex,
     load_polygon,
-    reflex_vertices,
 )
 
 L_RING = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -116,17 +113,24 @@ def test_round_trip_byte_identical():
     assert dump_polygon(load_polygon(text)) == text
 
 
+def test_non_decimal_rational_round_trip():
+    P = Polygon([(0, 0), (1, 0), (Fraction(1, 3), Fraction(5, 4))])
+    text = dump_polygon(P)
+    assert text == '{"outer":[[0,0],[1,0],["1/3",1.25]],"holes":[]}\n'
+    assert load_polygon(text).outer.vertices == P.outer.vertices
+
+
 # -- reflex detection --------------------------------------------------------
 
 def test_convex_polygon_has_no_reflex():
     P = Polygon([(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)])
-    assert reflex_vertices(P) == frozenset()
+    assert P.reflex_indices() == ()
     assert all(not is_reflex(P, i) for i in range(P.n))
 
 
 def test_l_polygon_reflex_vertex():
     P = Polygon(L_RING)
-    refl = reflex_vertices(P)
+    refl = P.reflex_indices()
     assert len(refl) == 1
     (i,) = refl
     assert (P.vertex(i).x, P.vertex(i).y) == (1, 1)
@@ -135,14 +139,14 @@ def test_l_polygon_reflex_vertex():
 def test_convex_hole_corners_all_reflex():
     P = Polygon([(0, 0), (4, 0), (4, 4), (0, 4)],
                 holes=[[(1, 1), (3, 1), (3, 3), (1, 3)]])
-    refl = reflex_vertices(P)
+    refl = P.reflex_indices()
     assert len(refl) == 4
     assert all(P.vertex(i).x in (1, 3) for i in refl)
 
 
 def test_reflex_plus_convex_is_n(l_poly, annulus):
     for P in (l_poly, annulus):
-        k = len(reflex_vertices(P))
+        k = len(P.reflex_indices())
         convex = sum(1 for i in range(P.n) if not is_reflex(P, i))
         assert k + convex == P.n
 
@@ -162,42 +166,42 @@ def test_direction_rejects_zero_vector():
 
 
 def test_cone_of_l_polygon(l_poly):
-    (i,) = reflex_vertices(l_poly)
-    c = cone_of(l_poly, i)
+    (i,) = l_poly.reflex_indices()
+    c = l_poly.cone(i)
     assert (c.apex.x, c.apex.y) == (1, 1)
     assert {c.arc_start, c.arc_end} == {Direction(0, 1), Direction(1, 0)}
-    assert cone_contains(c, Direction(1, -1))
-    assert not cone_contains(c, Direction(1, 1))
+    assert c.contains(Direction(1, -1))
+    assert not c.contains(Direction(1, 1))
 
 
 def test_cone_is_closed_at_boundaries(l_poly):
-    (i,) = reflex_vertices(l_poly)
-    c = cone_of(l_poly, i)
-    assert cone_contains(c, c.arc_start)
-    assert cone_contains(c, c.arc_end)
+    (i,) = l_poly.reflex_indices()
+    c = l_poly.cone(i)
+    assert c.contains(c.arc_start)
+    assert c.contains(c.arc_end)
 
 
 def test_cone_excludes_normal_bisector(l_poly):
     # bisector of (0,1) and (1,0) is (1,1); the cone must not contain it
-    (i,) = reflex_vertices(l_poly)
-    c = cone_of(l_poly, i)
-    assert not cone_contains(c, Direction(1, 1))
+    (i,) = l_poly.reflex_indices()
+    c = l_poly.cone(i)
+    assert not c.contains(Direction(1, 1))
 
 
 def test_cone_of_non_reflex_rejected(square):
     with pytest.raises(NonReflexVertexError):
-        cone_of(square, 0)
+        square.cone(0)
 
 
 def test_wide_cone_limiting_case():
     # interior angle just above 180 degrees: the two edge normals nearly
     # oppose each other and the cone covers all but a thin band
     P = Polygon([(0, 0), (4, 0), (4, 4), (2, 4 - Fraction(1, 100)), (0, 4)])
-    (i,) = reflex_vertices(P)
-    c = cone_of(P, i)
+    (i,) = P.reflex_indices()
+    c = P.cone(i)
     for v in (Direction(1, 0), Direction(1, 1), Direction(1, -1), Direction(1, 5)):
-        assert cone_contains(c, v)
-    assert not cone_contains(c, Direction(0, 1))
+        assert c.contains(v)
+    assert not c.contains(Direction(0, 1))
 
 
 def test_as_fraction_forms():
@@ -205,6 +209,10 @@ def test_as_fraction_forms():
     assert as_fraction(3) == 3
     assert as_fraction(Fraction(2, 7)) == Fraction(2, 7)
     assert as_fraction(0.5) == Fraction(1, 2)
+    assert as_fraction("-7/3") == Fraction(-7, 3)
+    for bad in ("nan", "inf", "1/0", "abc"):
+        with pytest.raises(PolygonParseError):
+            as_fraction(bad)
 
 
 def test_point_fields_are_fractions():

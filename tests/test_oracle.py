@@ -15,7 +15,6 @@ from ruledpoly import (
     parallel_reeb_complexity,
     random_simple_polygon,
     reeb_graph,
-    reflex_vertices,
 )
 
 
@@ -106,6 +105,6 @@ def test_random_polygon_deterministic():
 
 
 def test_random_polygon_varies_reflex_count():
-    counts = {len(reflex_vertices(random_simple_polygon(14, s)))
+    counts = {len(random_simple_polygon(14, s).reflex_indices())
               for s in range(1, 9)}
     assert len(counts) > 1

@@ -7,15 +7,15 @@ from hypothesis import assume, given, settings, strategies as st
 from ruledpoly import (
     Direction,
     Polygon,
-    cone_contains,
-    cone_of,
+    annulus_polygon,
     dump_polygon,
     is_generic,
     is_reflex,
+    load_polygon,
+    max_cone_coverage,
     parallel_reeb_complexity,
     random_simple_polygon,
     reeb_graph,
-    reflex_vertices,
 )
 
 from conftest import nudge_generic
@@ -66,11 +66,23 @@ def test_orientation_normalization_idempotent(n, seed):
     assert dump_polygon(Q) == dump_polygon(P)
 
 
+@given(n=sizes, seed=seeds,
+       p=st.integers(min_value=-10 ** 9, max_value=10 ** 9).filter(bool),
+       q=st.integers(min_value=1, max_value=10 ** 9))
+@settings(max_examples=40, deadline=None)
+def test_dump_load_exact_under_rational_scaling(n, seed, p, q):
+    """Any rational coordinate survives the file format: terminating
+    decimals as numbers, everything else as "p/q" strings."""
+    s = Fraction(p, q)
+    P = Polygon([(s * v.x, s * v.y) for v in poly(n, seed).outer.vertices])
+    assert load_polygon(dump_polygon(P)).outer.vertices == P.outer.vertices
+
+
 @given(n=sizes, seed=seeds)
 @settings(max_examples=40, deadline=None)
 def test_reflex_partition(n, seed):
     P = poly(n, seed)
-    k = len(reflex_vertices(P))
+    k = len(P.reflex_indices())
     assert k + sum(1 for i in range(P.n) if not is_reflex(P, i)) == P.n
 
 
@@ -86,7 +98,7 @@ def test_reflex_invariant_under_similarity(n, seed, rot, tx, ty, scale):
             for p in P.outer.vertices]
     Q = Polygon(ring)
     assume(Q.n == P.n)  # similarity never merges corners; guard anyway
-    assert reflex_vertices(Q) == reflex_vertices(P)
+    assert Q.reflex_indices() == P.reflex_indices()
 
 
 @given(n=sizes, seed=seeds, dx=coords, dy=coords)
@@ -101,8 +113,8 @@ def test_leaf_count_formula_pointwise(n, seed, dx, dy):
     P = poly(n, seed)
     v = nudge_generic(P, dx, dy)
     g = reeb_graph(P, v)
-    cones = [cone_of(P, i) for i in reflex_vertices(P)]
-    cov = sum(1 for c in cones if cone_contains(c, v))
+    cones = [P.cone(i) for i in P.reflex_indices()]
+    cov = sum(1 for c in cones if c.contains(v))
     assert g.l == len(cones) - cov + 2 - 2 * P.h
 
 
@@ -112,7 +124,7 @@ def test_count_bounds(n, seed, dx, dy):
     assume(dx or dy)
     P = poly(n, seed)
     g = reeb_graph(P, nudge_generic(P, dx, dy))
-    k = len(reflex_vertices(P))
+    k = len(P.reflex_indices())
     assert g.b <= (P.n - 2) // 2 + g.h
     assert g.l <= k + 2 - 2 * g.h
 
@@ -130,7 +142,7 @@ def test_cone_membership_matches_local_topology(dx, dy, which):
     ][which])
     v = Direction(dx, dy)
     eps = Fraction(1, 1 << 30)
-    for i in sorted(reflex_vertices(P)):
+    for i in P.reflex_indices():
         p = P.vertex(i)
         pi, ni = P.neighbors(i)
         prev_pt, next_pt = P.vertex(pi), P.vertex(ni)
@@ -145,7 +157,7 @@ def test_cone_membership_matches_local_topology(dx, dy, which):
         side_a = point_in_polygon(P, p.x + wx, p.y + wy)
         side_b = point_in_polygon(P, p.x - wx, p.y - wy)
         assume(side_a is not None and side_b is not None)
-        in_cone = cone_contains(cone_of(P, i), v)
+        in_cone = P.cone(i).contains(v)
         assert in_cone != (side_a and side_b)
 
 
@@ -188,3 +200,20 @@ def test_rotation_equivariance_of_minimum(n, seed, rot):
     rb = parallel_reeb_complexity(Q)
     assert ra.min_leaves == rb.min_leaves
     assert ra.c_max == rb.c_max
+
+
+@given(data=st.data(), n=sizes, seed=seeds, hole=st.integers(min_value=1, max_value=9),
+       family=st.sampled_from(["random", "annulus"]))
+@settings(max_examples=60, deadline=None)
+def test_max_cone_coverage_matches_endpoint_count(data, n, seed, hole, family):
+    """The sweep's pointwise maximum equals a direct count at every arc
+    endpoint: coverage by closed arcs peaks at some arc's endpoint."""
+    P = poly(n, seed) if family == "random" else annulus_polygon(10, hole)
+    cones = [P.cone(i) for i in P.reflex_indices()]
+    picked = data.draw(st.sets(st.integers(min_value=0, max_value=len(cones) - 1))
+                       if cones else st.just(set()))
+    subset = [cones[i] for i in sorted(picked)]
+    c, w = max_cone_coverage(subset)
+    endpoints = [d for x in subset for d in (x.arc_start, x.arc_end)]
+    assert c == max((sum(x.contains(d) for x in subset) for d in endpoints), default=0)
+    assert sum(x.contains(w) for x in subset) == c

@@ -13,7 +13,6 @@ from ruledpoly import (
     random_simple_polygon,
     reeb_graph,
     reeb_to_dict,
-    reflex_vertices,
 )
 
 from conftest import nudge_generic
@@ -32,7 +31,6 @@ def test_square_generic_direction_is_path(square):
     assert (g.l, g.b, g.h) == (2, 0, 0)
     assert len(g.nodes) == 2
     assert g.edges == ((0, 1),)
-    assert g.morse
 
 
 def test_l_polygon_near_diagonal(l_poly):
@@ -81,7 +79,7 @@ def test_non_generic_direction_refused(square):
 
 def test_branch_witnesses_examples(l_poly):
     near_diag = nudge_generic(l_poly, 1, 1)
-    assert branch_witnesses(l_poly, near_diag) == reflex_vertices(l_poly)
+    assert branch_witnesses(l_poly, near_diag) == frozenset(l_poly.reflex_indices())
     anti_diag = nudge_generic(l_poly, 1, -1)
     assert branch_witnesses(l_poly, anti_diag) == frozenset()
     with pytest.raises(NonGenericDirectionError):
@@ -102,7 +100,7 @@ def test_leaf_witnesses_never_reflex():
         P = random_simple_polygon(16, seed)
         v = nudge_generic(P, 7, 12)
         g = reeb_graph(P, v)
-        refl = reflex_vertices(P)
+        refl = P.reflex_indices()
         for nd in g.nodes:
             if nd.kind == "leaf":
                 assert nd.vertex not in refl
@@ -139,7 +137,7 @@ def test_euler_relation_and_bounds():
     for seed in range(1, 9):
         cases.append(random_simple_polygon(12 + seed, seed))
     for P in cases:
-        k = len(reflex_vertices(P))
+        k = len(P.reflex_indices())
         for raw in ((1, 3), (5, -2), (9, 11)):
             v = nudge_generic(P, *raw)
             g = reeb_graph(P, v)
@@ -164,8 +162,8 @@ def test_two_hole_polygon_cycle_rank():
 
 def test_reeb_to_dict_shape(l_poly):
     d = reeb_to_dict(reeb_graph(l_poly, nudge_generic(l_poly, 1, 1)))
-    assert set(d) == {"nodes", "edges", "l", "b", "h", "morse"}
-    assert d["l"] == 3 and d["b"] == 1 and d["morse"] is True
+    assert set(d) == {"nodes", "edges", "l", "b", "h"}
+    assert d["l"] == 3 and d["b"] == 1
     for nd in d["nodes"]:
         assert set(nd) == {"kind", "height", "witness"}
         assert isinstance(nd["height"], float)
