@@ -44,7 +44,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactmath import U, diff_error_bound, filtered_sign_array, overlap_runs, sign
+from .exactmath import (
+    U,
+    diff_error_bound,
+    filtered_sign_array,
+    float_direction,
+    overlap_runs,
+    sign,
+)
 from .geometry import Direction, DoubleCone, Point, Polygon
 from .reeb import is_generic
 
@@ -196,9 +203,10 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     interval_cov = point_cov - ext
     # period identity: cones seen at v0 are the seam entries plus everything
     # still covering the last interval (seam exits end at 180 degrees)
-    assert int(interval_cov[-1]) == ev.init_count - ev.seam_entries, \
-        "sweep counter did not close the period"
-    assert int(interval_cov.min()) >= 0, "negative coverage: entry/exit mislabeled"
+    if int(interval_cov[-1]) != ev.init_count - ev.seam_entries:
+        raise RuntimeError("sweep counter did not close the period")
+    if int(interval_cov.min()) < 0:
+        raise RuntimeError("negative coverage: entry/exit mislabeled")
 
     closed_max = max(ev.init_count, int(point_cov.max()))
     interior_max = max(init0, int(interval_cov.max()))
@@ -335,7 +343,8 @@ def _dyadic_positions():
 
 def _rep_angle(vec: tuple[Fraction, Fraction]) -> float:
     """Float sweep angle of an exact representative (for searching only)."""
-    return math.atan2(float(vec[0]), -float(vec[1]))
+    fx, fy = float_direction(vec[0], vec[1])
+    return math.atan2(fx, -fy)
 
 
 def _generic_witness(P: Polygon, lo: tuple[Fraction, Fraction],

@@ -76,6 +76,27 @@ def orient_sign(a, b, c) -> int:
     return sign((a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x))
 
 
+def float_direction(x, y) -> tuple[float, float]:
+    """Float pair pointing along the nonzero exact vector (x, y).
+
+    The plain float mirrors when both are in range and not both tiny;
+    otherwise both are first scaled by one power of two, which keeps
+    the direction, so an angle taken from the pair is always meaningful.
+    """
+    try:
+        fx, fy = float(x), float(y)
+    except OverflowError:
+        pass
+    else:
+        if max(abs(fx), abs(fy)) >= 2.0 ** -960:
+            return fx, fy
+    x, y = Fraction(x), Fraction(y)
+    m = max(abs(x), abs(y))
+    shift = m.numerator.bit_length() - m.denominator.bit_length()
+    scale = Fraction(1, 1 << shift) if shift >= 0 else Fraction(1 << -shift)
+    return float(x * scale), float(y * scale)
+
+
 def filtered_sign_array(vals: np.ndarray, errs: np.ndarray,
                         exact_at: Callable[[int], object]) -> np.ndarray:
     """Exact signs of float values with error bounds, lane by lane.
@@ -84,7 +105,7 @@ def filtered_sign_array(vals: np.ndarray, errs: np.ndarray,
     exact_at(i) computes the exact value of each remaining lane i.
     """
     out = np.where(vals > errs, 1, np.where(vals < -errs, -1, 0)).astype(np.int64)
-    for i in np.flatnonzero(np.abs(vals) <= errs):
+    for i in np.flatnonzero(~(np.abs(vals) > errs)):  # NaN lanes (overflow) too
         out[i] = sign(exact_at(int(i)))
     return out
 

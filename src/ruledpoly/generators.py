@@ -93,7 +93,7 @@ def _certify_star_shaped(xs: list[Fraction], ys: list[Fraction]) -> None:
         raise PolygonError("star certificate failed: winding is not one turn")
 
 
-# full pairwise validation above this size costs more than the sweep itself
+# above this size an O(n) star certificate stands in for the validation sweep
 _VALIDATE_LIMIT = 4096
 
 

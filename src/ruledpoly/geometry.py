@@ -17,6 +17,11 @@ exact and a generate -> load -> emit cycle is byte identical.
 Vertices are addressed by a single global index (the outer ring first,
 then each hole in order); edge i joins vertex i to the next vertex of
 the same ring.
+
+Validation is one exact Shamos-Hoey sweep over the edges of all rings,
+O(n log n) predicate calls in total: two edges may share only the
+vertex between them on one ring, and every hole must lie inside the
+outer ring and outside every other hole.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import decimal
 import json
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -58,11 +64,6 @@ __all__ = [
     "is_reflex",
     "as_fraction",
 ]
-
-# Above this many vertices per ring the dense all-pairs bbox prefilter
-# for self-intersection would allocate too much; fall back to a sweep.
-_DENSE_VALIDATION_LIMIT = 4096
-
 
 class PolygonError(ValueError):
     """Base class for polygon validation failures."""
@@ -126,8 +127,11 @@ class Point:
     def __init__(self, x, y):
         self.x = as_fraction(x)
         self.y = as_fraction(y)
-        self.xf = float(self.x)
-        self.yf = float(self.y)
+        try:
+            self.xf = float(self.x)
+            self.yf = float(self.y)
+        except OverflowError as exc:
+            raise PolygonParseError("coordinate beyond the float range (about 1.8e308)") from exc
 
     def __eq__(self, other):
         return isinstance(other, Point) and self.x == other.x and self.y == other.y
@@ -396,94 +400,224 @@ def _segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
     return False
 
 
-def _edge_boxes(pts: Sequence[Point]):
+_BLOCK = 64
+
+
+class _Status:
+    """Edges crossing the sweep line, bottom to top.
+
+    Held as a list of short blocks (each at most 2 * _BLOCK long), so an
+    insert or delete at a located position moves O(_BLOCK) entries and
+    locating takes O(log n) comparisons. A position is a (block, offset)
+    pair, offset at most the block's length; the end of the status is
+    (last block, its length).
+    """
+
+    __slots__ = ("blocks",)
+
+    def __init__(self):
+        self.blocks: list[list[int]] = []
+
+    def locate(self, rel) -> tuple[int, int]:
+        """Position of the first edge t with rel(t) >= 0, or the end.
+
+        rel(t) is the side of t relative to the sought place: negative
+        below it, positive above it; it must not decrease upwards.
+        """
+        blocks = self.blocks
+        b = bisect_left(blocks, 0, key=lambda blk: rel(blk[-1]))
+        if b == len(blocks):
+            return (b - 1, len(blocks[-1])) if blocks else (0, 0)
+        return b, bisect_left(blocks[b], 0, 0, len(blocks[b]) - 1, key=rel)
+
+    def below(self, b: int, i: int) -> int | None:
+        """The edge just below position (b, i)."""
+        if i:
+            return self.blocks[b][i - 1]
+        return self.blocks[b - 1][-1] if b else None
+
+    def at(self, b: int, i: int) -> int | None:
+        """The edge at position (b, i), or None at the end."""
+        blocks = self.blocks
+        if not blocks:
+            return None
+        blk = blocks[b]
+        if i < len(blk):
+            return blk[i]
+        return blocks[b + 1][0] if b + 1 < len(blocks) else None
+
+    def pop(self, b: int, i: int) -> tuple[int, int]:
+        """Delete the edge at (b, i); return the position of the gap."""
+        blocks = self.blocks
+        blk = blocks[b]
+        del blk[i]
+        if not blk:
+            del blocks[b]
+            if b == len(blocks):
+                return (b - 1, len(blocks[-1])) if blocks else (0, 0)
+            return b, 0
+        if i == len(blk) and b + 1 < len(blocks):
+            return b + 1, 0  # so that a second pop here deletes the next edge
+        return b, i
+
+    def insert(self, b: int, i: int, edges: list[int]) -> None:
+        """Insert edges, in bottom-to-top order, at position (b, i)."""
+        blocks = self.blocks
+        if not blocks:
+            blocks.append(list(edges))
+            return
+        blk = blocks[b]
+        blk[i:i] = edges
+        if len(blk) > 2 * _BLOCK:
+            blocks[b:b + 1] = [blk[:_BLOCK], blk[_BLOCK:]]
+
+
+def _validate_rings(rings: list[list[Point]]) -> None:
+    """Reject any contact between edges of the rings other than the
+    vertex two ring-consecutive edges share, and any hole (rings[1:])
+    outside the outer ring (rings[0]) or inside another hole.
+
+    One exact any-segment-intersection sweep over the edges of every
+    ring (Shamos and Hoey 1976; de Berg et al., Computational Geometry,
+    ch. 2) with O(n log n) predicate calls. Events are the vertices in
+    exact lexicographic (x, y) order; the status holds the edges that
+    cross the sweep line, ordered by exact orient_sign, and every pair
+    of edges that becomes adjacent in it is tested with _segments_touch.
+    The first contact found is reported. Hole placement comes from the
+    same sweep: at a hole's leftmost vertex the edge just below decides
+    whether that vertex lies in the interior of the rings swept so far.
+
+    When several faults are present, a self-intersection is reported
+    before any hole placement fault.
+    """
+    try:
+        _sweep(rings)
+    except HolePlacementError:
+        for pts in rings:  # one ring alone: raises only SelfIntersectionError
+            _sweep([pts])
+        raise
+
+
+def _sweep(rings: list[list[Point]]) -> None:
+    pts = [p for ring in rings for p in ring]
     n = len(pts)
-    xs = np.fromiter((p.xf for p in pts), dtype=float, count=n)
-    ys = np.fromiter((p.yf for p in pts), dtype=float, count=n)
-    xn = np.roll(xs, -1)
-    yn = np.roll(ys, -1)
-    # inflate so mirror rounding can never exclude a true overlap
-    pad = 4.0 * U * max(1.0, float(np.max(np.abs(xs))), float(np.max(np.abs(ys))))
-    return (np.minimum(xs, xn) - pad, np.maximum(xs, xn) + pad,
-            np.minimum(ys, yn) - pad, np.maximum(ys, yn) + pad)
+    ring_of: list[int] = []
+    first: list[int] = []
+    nxt = list(range(1, n + 1))
+    base = 0
+    for r, ring in enumerate(rings):
+        first.append(base)
+        ring_of.extend([r] * len(ring))
+        base += len(ring)
+        nxt[base - 1] = first[r]
+    prv = [0] * n
+    for e in range(n):
+        prv[nxt[e]] = e
 
+    # exact lexicographic order; the float mirrors decide unless they tie
+    events = sorted(zip([p.xf for p in pts], [p.x for p in pts],
+                        [p.yf for p in pts], [p.y for p in pts], range(n)))
+    rank = [0] * n
+    for k, ev in enumerate(events):
+        rank[ev[4]] = k
+    # edge e runs from vertex e to nxt[e]; lo/hi are its first/last endpoints
+    # in event order. The interior lies left of every edge, so above an
+    # edge that runs forward in event order.
+    forward = [rank[e] < rank[nxt[e]] for e in range(n)]
+    lo = [e if forward[e] else nxt[e] for e in range(n)]
+    hi = [nxt[e] if forward[e] else e for e in range(n)]
 
-def _check_ring_simple(pts: Sequence[Point]) -> None:
-    """Reject any contact between non-adjacent edges of one ring."""
-    n = len(pts)
-    xmin, xmax, ymin, ymax = _edge_boxes(pts)
-    if n <= _DENSE_VALIDATION_LIMIT:
-        overlap = ((xmin[:, None] <= xmax[None, :]) & (xmax[:, None] >= xmin[None, :])
-                   & (ymin[:, None] <= ymax[None, :]) & (ymax[:, None] >= ymin[None, :]))
-        ii, jj = np.nonzero(np.triu(overlap, k=2))
-        candidates = [(int(i), int(j)) for i, j in zip(ii, jj) if not (i == 0 and j == n - 1)]
-    else:
-        order = np.argsort(xmin, kind="stable")
-        active: list[int] = []
-        candidates = []
-        for idx in order:
-            i = int(idx)
-            lo = xmin[i]
-            active = [j for j in active if xmax[j] >= lo]
-            for j in active:
-                if ymin[i] <= ymax[j] and ymax[i] >= ymin[j]:
-                    a, b = (i, j) if i < j else (j, i)
-                    if b - a >= 2 and not (a == 0 and b == n - 1):
-                        candidates.append((a, b))
-            active.append(i)
-    for i, j in candidates:
-        a, b = pts[i], pts[(i + 1) % n]
-        c, d = pts[j], pts[(j + 1) % n]
-        if _segments_touch(a, b, c, d):
-            raise SelfIntersectionError(
-                f"edges {i} and {j} of a ring intersect near {pts[i]!r}")
+    def fault(e: int, f: int) -> PolygonError:
+        re, rf = ring_of[e], ring_of[f]
+        if re == rf:
+            i, j = sorted((e - first[re], f - first[re]))
+            return SelfIntersectionError(
+                f"edges {i} and {j} of a ring intersect near {rings[re][i]!r}")
+        a, b = sorted((re, rf))
+        if a == 0:
+            return HolePlacementError(f"hole {b - 1} touches the outer boundary")
+        return HolePlacementError(f"holes {a - 1} and {b - 1} touch")
 
+    def check(e: int | None, f: int | None) -> None:
+        """Raise if edges e and f, new neighbours in the status, touch."""
+        if e is None or f is None or nxt[e] == f or nxt[f] == e:
+            return
+        if _segments_touch(pts[e], pts[nxt[e]], pts[f], pts[nxt[f]]):
+            raise fault(e, f)
 
-def _point_strictly_inside(pts: Sequence[Point], q: Point) -> bool:
-    """Exact crossing-number test; q must not lie on the boundary."""
-    n = len(pts)
-    inside = False
-    for i in range(n):
-        a = pts[i]
-        b = pts[(i + 1) % n]
-        if (a.y > q.y) != (b.y > q.y):
-            xq = a.x + (q.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if xq > q.x:
-                inside = not inside
-    return inside
+    status = _Status()
+    seen = [False] * len(rings)
+    last = None
+    for ev in events:
+        v = ev[4]
+        if last is not None and ev[0] == last[0] and ev[2] == last[2] \
+                and ev[1] == last[1] and ev[3] == last[3]:
+            raise fault(v, last[4])  # a repeated point: both edges leaving it touch
+        last = ev
+        p = pts[v]
+        e_in, e_out = prv[v], v
 
+        if hi[e_in] == v or hi[e_out] == v:
+            # remove the edges ending at v, lower first
+            if hi[e_in] == v and hi[e_out] == v:
+                s = orient_sign(pts[lo[e_in]], p, pts[lo[e_out]])
+                ending = [e_in, e_out] if s > 0 else [e_out, e_in]
+            else:
+                ending = [e_in if hi[e_in] == v else e_out]
+            probe = ending[0]
+            probe_lo = pts[lo[probe]]
 
-def _rings_touch(pts1: Sequence[Point], pts2: Sequence[Point]) -> bool:
-    """Whether any edge of ring 1 contacts any edge of ring 2. Exact."""
-    xmin1, xmax1, ymin1, ymax1 = _edge_boxes(pts1)
-    xmin2, xmax2, ymin2, ymax2 = _edge_boxes(pts2)
-    n1, n2 = len(pts1), len(pts2)
-    for i in range(n1):
-        a, b = pts1[i], pts1[(i + 1) % n1]
-        for j in range(n2):
-            if (xmin1[i] > xmax2[j] or xmax1[i] < xmin2[j]
-                    or ymin1[i] > ymax2[j] or ymax1[i] < ymin2[j]):
-                continue
-            if _segments_touch(a, b, pts2[j], pts2[(j + 1) % n2]):
-                return True
-    return False
+            def rel(t: int) -> int:
+                """Side of t relative to the probe, an edge ending at v."""
+                if t == probe:
+                    return 0
+                if hi[t] == v:  # the other edge ending at v
+                    return -orient_sign(pts[lo[t]], p, probe_lo)
+                o = orient_sign(pts[lo[t]], pts[hi[t]], p)
+                if o == 0:  # v lies on t
+                    raise fault(probe, t)
+                return -o
 
+            b, i = status.locate(rel)
+            for e in ending:
+                if status.at(b, i) != e:
+                    raise RuntimeError("sweep status lost the order of its edges")
+                b, i = status.pop(b, i)
+        else:
+            # a leftmost vertex: both edges start here; locate v itself
+            def rel(t: int) -> int:
+                """Side of t relative to v."""
+                o = orient_sign(pts[lo[t]], pts[hi[t]], p)
+                if o == 0:  # v lies on t
+                    raise fault(e_out, t)
+                return -o
 
-def _check_hole_placement(rings: list[list[Point]]) -> None:
-    outer = rings[0]
-    for g, hole in enumerate(rings[1:], start=1):
-        if _rings_touch(outer, hole):
-            raise HolePlacementError(f"hole {g - 1} touches the outer boundary")
-        if not _point_strictly_inside(outer, hole[0]):
-            raise HolePlacementError(f"hole {g - 1} lies outside the outer ring")
-    for g1 in range(1, len(rings)):
-        for g2 in range(g1 + 1, len(rings)):
-            if _rings_touch(rings[g1], rings[g2]):
-                raise HolePlacementError(f"holes {g1 - 1} and {g2 - 1} touch")
-            if _point_strictly_inside(rings[g2], rings[g1][0]):
-                raise HolePlacementError(f"hole {g1 - 1} is nested inside hole {g2 - 1}")
-            if _point_strictly_inside(rings[g1], rings[g2][0]):
-                raise HolePlacementError(f"hole {g2 - 1} is nested inside hole {g1 - 1}")
+            b, i = status.locate(rel)
+
+        # (b, i) is v's place in the status. An edge through v would have
+        # touched a neighbour of the edges ending at v already, so the
+        # edges starting at v go into the gap those leave.
+        below = status.below(b, i)
+        above = status.at(b, i)
+        if lo[e_in] == v and lo[e_out] == v:
+            s = orient_sign(p, pts[hi[e_in]], pts[hi[e_out]])
+            starting = [e_in, e_out] if s > 0 else [e_out, e_in]
+        elif lo[e_in] == v or lo[e_out] == v:
+            starting = [e_in if lo[e_in] == v else e_out]
+        else:
+            check(below, above)
+            continue
+        check(below, starting[0])
+        check(starting[-1], above)
+        status.insert(b, i, starting)
+
+        g = ring_of[v]
+        if not seen[g]:
+            seen[g] = True
+            if g and (below is None or not forward[below]):
+                where = "lies outside the outer ring" if below is None or not ring_of[below] \
+                    else f"is nested inside hole {ring_of[below] - 1}"
+                raise HolePlacementError(f"hole {g - 1} {where}")
 
 
 class Polygon:
@@ -493,8 +627,12 @@ class Polygon:
     interior always lies to the left of traversal and one cross product
     rule classifies reflex vertices on every ring.
 
-    Constructing with validate=False skips the pairwise simplicity and
-    hole placement checks (normalization and orientation still run); it
+    Construction drops duplicate and straight-through vertices, orients
+    the rings and then validates them with one exact sweep
+    (_validate_rings): SelfIntersectionError when two edges of one ring
+    share a point other than the vertex between consecutive edges,
+    HolePlacementError when rings touch or a hole lies outside the outer
+    ring or inside another hole. validate=False skips that sweep; it
     exists for generators that certify simplicity structurally.
     """
 
@@ -510,10 +648,7 @@ class Polygon:
             if _orientation_sign(rings[idx]) != want:
                 rings[idx] = rings[idx][::-1]
         if validate:
-            for pts in rings:
-                _check_ring_simple(pts)
-            if len(rings) > 1:
-                _check_hole_placement(rings)
+            _validate_rings(rings)
 
         self.outer = Ring(rings[0])
         self.holes = tuple(Ring(r) for r in rings[1:])

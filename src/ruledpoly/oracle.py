@@ -22,7 +22,7 @@ from functools import cmp_to_key
 import numpy as np
 
 from .complexity import _strictly_inside_arc, _sweep_rep
-from .exactmath import sign
+from .exactmath import float_direction, sign
 from .geometry import Direction, Point, Polygon, PolygonError
 from .reeb import reeb_graph
 
@@ -95,7 +95,8 @@ def _rep_and_angle(d: Direction) -> tuple[tuple[Fraction, Fraction], float]:
     if d.dx == 0:
         return (Fraction(0), Fraction(-1)), 0.0
     r = _sweep_rep((d.dx, d.dy))
-    return r, math.atan2(float(r[0]), -float(r[1]))
+    fx, fy = float_direction(r[0], r[1])
+    return r, math.atan2(fx, -fy)
 
 
 def _interval_representative(lo_r, hi_r, s_lo: float, s_hi: float) -> Direction:

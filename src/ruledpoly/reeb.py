@@ -212,7 +212,8 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
             left_e, right_e = (e_in, e_out) if s < 0 else (e_out, e_in)
             if not reflex[gid]:
                 idx, inside = locate(pt)
-                assert not inside, "opening vertex inside an existing interval"
+                if inside:
+                    raise RuntimeError("opening vertex inside an existing interval")
                 nid = new_node("leaf", gid)
                 comp = _Component(left_e, right_e, nid)
                 active.insert(idx, comp)
@@ -220,7 +221,8 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
                 edge_to[right_e] = (comp, 1)
             else:
                 idx, inside = locate(pt)
-                assert inside, "splitting vertex outside every interval"
+                if not inside:
+                    raise RuntimeError("splitting vertex outside every interval")
                 comp = active[idx]
                 nid = new_node("branch", gid)
                 edges.append((comp.arc_from, nid))
@@ -236,23 +238,23 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
             ca, sa = edge_to.pop(e_in)
             cb, sb = edge_to.pop(e_out)
             if not reflex[gid]:
-                assert ca is cb and {sa, sb} == {0, 1}, "closing edges span two intervals"
+                if ca is not cb or {sa, sb} != {0, 1}:
+                    raise RuntimeError("closing edges span two intervals")
                 nid = new_node("leaf", gid)
                 edges.append((ca.arc_from, nid))
                 active.pop(active.index(ca))
             else:
-                assert ca is not cb, "merging vertex closes a single interval"
-                if sa == 1:
-                    left_c, right_c = ca, cb
-                    assert sb == 0
-                else:
-                    left_c, right_c = cb, ca
-                    assert sa == 0 and sb == 1
+                if ca is cb:
+                    raise RuntimeError("merging vertex closes a single interval")
+                if sa == sb:
+                    raise RuntimeError("merging edges bound their intervals on one side")
+                left_c, right_c = (ca, cb) if sa == 1 else (cb, ca)
                 nid = new_node("branch", gid)
                 edges.append((left_c.arc_from, nid))
                 edges.append((right_c.arc_from, nid))
                 i = active.index(left_c)
-                assert active[i + 1] is right_c, "merging intervals are not adjacent"
+                if active[i + 1] is not right_c:
+                    raise RuntimeError("merging intervals are not adjacent")
                 merged = _Component(left_c.left, right_c.right, nid)
                 active[i:i + 2] = [merged]
                 edge_to[merged.left] = (merged, 0)
@@ -267,7 +269,8 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
                 comp.right = born
             edge_to[born] = (comp, side)
 
-    assert not active and not edge_to, "sweep ended with open intervals"
+    if active or edge_to:
+        raise RuntimeError("sweep ended with open intervals")
     l = sum(1 for nd in nodes if nd.kind == "leaf")
     b = len(nodes) - l
     return ReebGraph(tuple(nodes), tuple(edges), l, b, P.h)

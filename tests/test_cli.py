@@ -135,6 +135,27 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert run_cli(["complexity", str(bowtie)]) == 2
 
 
+def test_coordinate_beyond_float_range_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"outer": [[0,0],[1e400,0],[0,1]]}')
+    assert run_cli(["complexity", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_huge_denominators_answered(tmp_path, capsys):
+    """Neighbouring vertices over distinct denominators near 1e160 give
+    integer edge vectors beyond float range; the witness search scales
+    them before taking angles."""
+    q = [10 ** 160 + 2 * i + 1 for i in range(6)]
+    L = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+    ring = [[f"{x * d + 1}/{d}", f"{y * d + 1}/{d}"] for (x, y), d in zip(L, q)]
+    path = tmp_path / "L.json"
+    path.write_text(json.dumps({"outer": ring, "holes": []}))
+    for command in ("complexity", "oracle"):
+        code, doc = run_json(capsys, [command, str(path)])
+        assert code == 0 and doc["min_leaves"] == 2
+
+
 def test_output_deterministic(capsys, l_file):
     run_cli(["complexity", l_file])
     first = capsys.readouterr().out

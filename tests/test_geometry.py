@@ -83,6 +83,49 @@ def test_nested_holes_rejected():
                        [(2, 2), (3, 2), (3, 3), (2, 3)]])
 
 
+SQUARE_10 = [(0, 0), (10, 0), (10, 10), (0, 10)]
+
+
+@pytest.mark.parametrize("outer, holes, expected", [
+    pytest.param([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)], [],
+                 SelfIntersectionError, id="ring-pinched-at-repeated-vertex"),
+    pytest.param([(0, 0), (6, 0), (6, 4), (3, 0), (0, 4)], [],
+                 SelfIntersectionError, id="vertex-on-nonadjacent-edge"),
+    pytest.param([(0, 0), (4, 0), (4, 3), (1, 3), (1, 1), (3, 1), (3, 3), (2, 3), (2, 4),
+                  (0, 4)], [],
+                 SelfIntersectionError, id="collinear-overlapping-edges"),
+    pytest.param([(0, 0), (4, 0), (4, 4), (0, 4)], [[(2, 0), (3, 1), (1, 1)]],
+                 HolePlacementError, id="hole-vertex-on-outer-edge"),
+    pytest.param(SQUARE_10, [[(2, 2), (4, 2), (4, 4), (2, 4)], [(4, 4), (6, 4), (6, 6), (4, 6)]],
+                 HolePlacementError, id="holes-share-one-vertex"),
+    pytest.param(SQUARE_10, [[(1, 1), (8, 1), (8, 8), (1, 8)], [(3, 3), (5, 3), (5, 5), (3, 5)]],
+                 HolePlacementError, id="hole-in-hole"),
+    pytest.param([(2, 2), (4, 2), (4, 4), (2, 4)], [SQUARE_10],
+                 HolePlacementError, id="hole-contains-outer-ring"),
+    pytest.param(SQUARE_10, [[(2, 1), (3, 1), (3, 2), (2, 2)], [(2, 3), (4, 3), (4, 4), (2, 4)],
+                             [(2, 5), (3, 5), (3, 7), (2, 7)], [(2, 8), (3, 9), (2, 9)]],
+                 None, id="vertices-on-one-vertical-line"),
+    pytest.param([(0, 0), (4, 0), (4, 4), (0, 4)],
+                 [[(1, Fraction(1, 10 ** 9)), (2, 1), (1, 1)]],
+                 None, id="hole-1e-9-from-outer-edge"),
+])
+def test_degenerate_contacts(outer, holes, expected):
+    """Touching counts as intersecting: any shared point other than the
+    vertex of two consecutive edges is rejected, however degenerate."""
+    if expected is None:
+        assert Polygon(outer, holes).h == len(holes)
+    else:
+        with pytest.raises(expected):
+            Polygon(outer, holes)
+
+
+def test_coordinates_near_float_limit():
+    """Mirror differences overflow to inf; the filters fall back to exact."""
+    big = Fraction(10) ** 308
+    P = Polygon([(-big, -big), (big, -big), (big, big), (0, big / 2), (-big, big)])
+    assert [(P.vertex(i).x, P.vertex(i).y) for i in P.reflex_indices()] == [(0, big / 2)]
+
+
 def test_parse_error_named():
     with pytest.raises(PolygonParseError):
         load_polygon("not json at all")
