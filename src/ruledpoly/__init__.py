@@ -7,7 +7,14 @@ oracle for differential testing.
 """
 
 from .complexity import ComplexityResult, max_cone_coverage, parallel_reeb_complexity
-from .generators import FamilyParams, annulus_polygon, comb_polygon, lower_bound_polygon
+from .generators import (
+    FamilyParams,
+    UntangleError,
+    annulus_polygon,
+    comb_polygon,
+    lower_bound_polygon,
+    random_simple_polygon,
+)
 from .geometry import (
     Direction,
     DoubleCone,
@@ -30,10 +37,8 @@ from .oracle import (
     EventPartition,
     OracleCapError,
     OracleResult,
-    UntangleError,
     brute_force_complexity,
     build_event_partition,
-    random_simple_polygon,
 )
 from .reeb import (
     NonGenericDirectionError,

@@ -14,10 +14,16 @@ import sys
 from fractions import Fraction
 
 from .complexity import parallel_reeb_complexity
-from .generators import FamilyParams, annulus_polygon, comb_polygon, lower_bound_polygon
+from .generators import (
+    FamilyParams,
+    UntangleError,
+    annulus_polygon,
+    comb_polygon,
+    lower_bound_polygon,
+)
 from .geometry import Direction, PolygonError, as_fraction, dump_polygon, load_polygon
-from .oracle import OracleCapError, UntangleError, brute_force_complexity
-from .reeb import NonGenericDirectionError, reeb_graph, reeb_to_dict
+from .oracle import brute_force_complexity
+from .reeb import reeb_graph, reeb_to_dict
 from .rendering import RenderSpec, render_svg
 
 __all__ = ["main", "run_cli"]
@@ -181,14 +187,7 @@ def run_cli(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PolygonError, NonGenericDirectionError, OracleCapError,
-            UntangleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ValueError, UntangleError, OSError) as exc:  # every PolygonError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

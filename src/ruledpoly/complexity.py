@@ -237,6 +237,7 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     return _SweepProfile(closed_max, interior_max, interior_arc, closed_sel)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed lane's radius is NaN
 def _angle_keys(xf, yf, ex, ey, phase):
     """Float sweep angles and rigorous radii for canonical components.
 
@@ -441,6 +442,7 @@ def _integer_edges(P: Polygon, r: np.ndarray) -> Callable[[int, int], tuple[int,
     return exact_d
 
 
+@np.errstate(over="ignore", invalid="ignore")  # filtered_sign_array signs inf lanes exactly
 def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     """Reeb complexity of P over parallel rulings: min_leaves with witness.
 

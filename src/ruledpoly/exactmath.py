@@ -110,15 +110,25 @@ def filtered_sign_array(vals: np.ndarray, errs: np.ndarray,
     return out
 
 
-def cross_error_bound(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y, t1, t2, cr):
-    """Error bound array for cr = d1x*d2y - d1y*d2x given operand bounds.
+@np.errstate(over="ignore", invalid="ignore")  # overflowed lanes go to the exact path
+def corner_cross(ax, ay, px, py, bx, by) -> tuple[np.ndarray, np.ndarray]:
+    """Float cross(p - a, b - p) of mirror arrays and its error bound.
 
-    All arguments are float arrays; e* are absolute error bounds on the
-    corresponding d* arrays. Vectorized companion of orient_sign.
+    Lane i is the turn at p_i coming from a_i and going on to b_i; a
+    lane is decided by filtered_sign_array when its value clears the
+    bound. A zero difference vector forces the exact cross to 0, which
+    the bound can never clear. Vectorized companion of orient_sign.
     """
+    d1x, d1y = px - ax, py - ay
+    d2x, d2y = bx - px, by - py
+    e1x, e1y = diff_error_bound(d1x, px, ax), diff_error_bound(d1y, py, ay)
+    e2x, e2y = diff_error_bound(d2x, bx, px), diff_error_bound(d2y, by, py)
+    t1 = d1x * d2y
+    t2 = d1y * d2x
+    cr = t1 - t2
     e_t1 = U * np.abs(t1) + e1x * np.abs(d2y) + np.abs(d1x) * e2y + e1x * e2y
     e_t2 = U * np.abs(t2) + e1y * np.abs(d2x) + np.abs(d1y) * e2x + e1y * e2x
-    return U * np.abs(cr) + e_t1 + e_t2
+    return cr, U * np.abs(cr) + e_t1 + e_t2
 
 
 def diff_error_bound(d, a, b):

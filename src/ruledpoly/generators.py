@@ -3,7 +3,8 @@
 Three constructors: the spiked star family whose complexity grows
 linearly with the spike count, an upward-pronged comb whose complexity
 is exactly 2 despite arbitrarily many reflex vertices, and a square
-annulus for exercising the hole terms.
+annulus for exercising the hole terms. random_simple_polygon draws
+seeded random simple polygons for differential tests.
 
 Trigonometric coordinates are rounded to 12 decimal digits before
 emission so that serialized polygons round-trip byte for byte; every
@@ -19,17 +20,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import U, filtered_sign_array
-from .geometry import Point, Polygon, PolygonError, as_fraction
+from .exactmath import corner_cross, filtered_sign_array
+from .geometry import Point, Polygon, PolygonError, _segments_touch, as_fraction
 
 __all__ = [
     "FamilyParams",
     "lower_bound_polygon",
     "comb_polygon",
     "annulus_polygon",
+    "random_simple_polygon",
+    "UntangleError",
 ]
 
 _SCALE = 10 ** 12
+
+
+class UntangleError(RuntimeError):
+    """Random ring could not be made simple within the iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -71,12 +78,8 @@ def _certify_star_shaped(xs: list[Fraction], ys: list[Fraction]) -> None:
     n = len(xs)
     xf = np.array([float(v) for v in xs])
     yf = np.array([float(v) for v in ys])
-    x2 = np.roll(xf, -1)
-    y2 = np.roll(yf, -1)
-    t1 = xf * y2
-    t2 = yf * x2
-    cr = t1 - t2
-    err = U * (np.abs(t1) + np.abs(t2) + np.abs(cr)) * 4.0
+    # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i, p_{i+1})
+    cr, err = corner_cross(0.0, 0.0, xf, yf, np.roll(xf, -1), np.roll(yf, -1))
     signs = filtered_sign_array(
         cr, err, lambda i: xs[i] * ys[(i + 1) % n] - ys[i] * xs[(i + 1) % n])
     if np.any(signs == 0):
@@ -188,3 +191,60 @@ def annulus_polygon(outer_side, hole_side) -> Polygon:
         Point(c + half, c - half),
     ]
     return Polygon(outer, [hole])
+
+
+def _find_contact(pts: list[Point], touch) -> tuple[int, int] | None:
+    """First pair of non-adjacent edges sharing a point, or None."""
+    n = len(pts)
+    for i in range(n):
+        a1 = pts[i]
+        a2 = pts[(i + 1) % n]
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            if touch(a1, a2, pts[j], pts[(j + 1) % n]):
+                return i, j
+    return None
+
+
+def random_simple_polygon(vertex_count: int, seed: int) -> Polygon:
+    """Simple polygon through vertex_count random points in a disk.
+
+    Points are drawn uniformly, rounded to 12 decimal digits, ordered
+    by angle about their centroid, and then uncrossed by 2-opt segment
+    reversals until no two non-adjacent edges touch. Reversing a proper
+    crossing strictly shortens the tour, so the process terminates;
+    the iteration budget guards the measure-zero contact cases.
+    """
+    if not isinstance(vertex_count, int) or vertex_count < 3:
+        raise ValueError(f"vertex_count must be an integer >= 3, got {vertex_count!r}")
+    rng = np.random.default_rng(seed)
+    radius = np.sqrt(rng.random(vertex_count))
+    angle = 2.0 * math.pi * rng.random(vertex_count)
+    xs = radius * np.cos(angle)
+    ys = radius * np.sin(angle)
+    cx = float(np.mean(xs))
+    cy = float(np.mean(ys))
+    order = np.lexsort((np.hypot(xs - cx, ys - cy),
+                        np.arctan2(ys - cy, xs - cx)))
+    scale = 10 ** 12
+    pts = [Point(Fraction(int(round(xs[i] * scale)), scale),
+                 Fraction(int(round(ys[i] * scale)), scale)) for i in order]
+
+    budget = 60 * vertex_count * vertex_count
+    while budget > 0:
+        contact = _find_contact(pts, _segments_touch)
+        if contact is None:
+            break
+        i, j = contact
+        pts[i + 1:j + 1] = reversed(pts[i + 1:j + 1])
+        budget -= 1
+    else:
+        raise UntangleError(
+            f"could not untangle {vertex_count} points with seed {seed}")
+
+    try:
+        return Polygon(pts)
+    except PolygonError as exc:
+        raise UntangleError(
+            f"untangled ring failed validation for seed {seed}: {exc}") from exc

@@ -2,7 +2,9 @@
 
 Coordinates are Fractions and every geometric decision is made from
 exact signs; float mirrors of all coordinates are kept alongside for
-numpy fast paths and filtered scalar predicates (see exactmath).
+numpy fast paths and filtered scalar predicates (see exactmath). Each
+ring's corner signs are computed once, at construction, and give its
+merging, its orientation and its reflex vertices.
 
 The polygon file format is a UTF-8 JSON document
 
@@ -27,6 +29,7 @@ outer ring and outside every other hole.
 from __future__ import annotations
 
 import decimal
+import itertools
 import json
 import math
 from bisect import bisect_left
@@ -36,12 +39,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exactmath import (
-    U,
-    cross_error_bound,
-    diff_error_bound,
+    corner_cross,
     exact_cross,
     exact_dot,
     filtered_sign_array,
+    float_direction,
     orient_sign,
     sign,
 )
@@ -167,8 +169,7 @@ class Direction:
             dx, dy = -dx, -dy
         self.dx = dx
         self.dy = dy
-        self.fdx = float(dx)
-        self.fdy = float(dy)
+        self.fdx, self.fdy = float_direction(dx, dy)  # a positive multiple of (dx, dy)
         self._pair = None
 
     def canonical_pair(self) -> tuple[int, int]:
@@ -267,42 +268,24 @@ def _coerce_points(ring_like) -> list[Point]:
     return pts
 
 
-def _corner_cross(xs: np.ndarray, ys: np.ndarray, prev: np.ndarray,
-                  nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float cross(p - prev, next - p) at every corner p of the mirrors
-    xs, ys, whose ring neighbors prev and nxt index, and its error bound."""
-    px, py = xs[prev], ys[prev]
-    nx, ny = xs[nxt], ys[nxt]
-    d1x, d1y = xs - px, ys - py
-    d2x, d2y = nx - xs, ny - ys
-    t1 = d1x * d2y
-    t2 = d1y * d2x
-    cr = t1 - t2
-    err = cross_error_bound(
-        d1x, d1y, d2x, d2y,
-        diff_error_bound(d1x, xs, px), diff_error_bound(d1y, ys, py),
-        diff_error_bound(d2x, nx, xs), diff_error_bound(d2y, ny, ys),
-        t1, t2, cr)
-    return cr, err
-
-
-def _no_merge_candidates(pts: list[Point]) -> bool:
-    """Vectorized proof that a ring has no duplicate or collinear corners.
-
-    When every corner's float cross product clears its error bound, the
-    exact merge loop could not change anything, so it can be skipped.
-    A zero difference vector forces the exact cross to 0, which the
-    bound can never clear, so duplicate suspects are caught too.
-    """
+def _mirrors(pts: list[Point]) -> tuple[np.ndarray, np.ndarray]:
     n = len(pts)
-    xs = np.fromiter((p.xf for p in pts), dtype=float, count=n)
-    ys = np.fromiter((p.yf for p in pts), dtype=float, count=n)
-    idx = np.arange(n)
-    cr, err = _corner_cross(xs, ys, np.roll(idx, 1), np.roll(idx, -1))
-    return bool(np.all(np.abs(cr) > err))
+    return (np.fromiter((p.xf for p in pts), dtype=float, count=n),
+            np.fromiter((p.yf for p in pts), dtype=float, count=n))
 
 
-_MERGE_PRESCREEN_MIN = 64
+def _corner_signs(pts: list[Point], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Exact sign of cross(p - prev, next - p) at every corner p of a ring:
+    +1 a left turn, -1 a right turn, 0 a duplicate, straight or slit corner."""
+    n = len(pts)
+    cr, err = corner_cross(np.roll(xs, 1), np.roll(ys, 1), xs, ys,
+                           np.roll(xs, -1), np.roll(ys, -1))
+
+    def exact_at(i: int) -> Fraction:
+        a, p, b = pts[i - 1], pts[i], pts[(i + 1) % n]
+        return exact_cross(p.x - a.x, p.y - a.y, b.x - p.x, b.y - p.y)
+
+    return filtered_sign_array(cr, err, exact_at)
 
 
 def _merge_ring(pts: list[Point]) -> list[Point]:
@@ -311,8 +294,6 @@ def _merge_ring(pts: list[Point]) -> list[Point]:
     Iterates to a fixed point because removing a vertex can make its
     neighbor collinear in turn.
     """
-    if len(pts) >= _MERGE_PRESCREEN_MIN and _no_merge_candidates(pts):
-        return pts
     while True:
         n = len(pts)
         if n < 3:
@@ -344,35 +325,31 @@ def _merge_ring(pts: list[Point]) -> list[Point]:
             return pts
 
 
-def _orientation_sign(pts: Sequence[Point]) -> int:
-    """Sign of the signed area: +1 counterclockwise, -1 clockwise.
+def _normalize_ring(pts: list[Point], want: int) -> tuple[list[Point], np.ndarray,
+                                                       np.ndarray, np.ndarray]:
+    """The ring merged and oriented (want: +1 counterclockwise, -1
+    clockwise), with its float mirrors and exact corner signs.
 
-    Filtered float shoelace with a conservative accumulated bound; exact
-    Fraction shoelace when indecisive.
+    One corner-sign pass decides everything. Only a zero sign sends the
+    ring through the exact merge loop, which removes every zero. The
+    orientation is the sign at the lexicographically least vertex, a
+    strictly convex corner of a simple ring; a ring that is not simple
+    is left for validation to reject. Reversing a ring negates its signs.
     """
-    n = len(pts)
-    xs = np.fromiter((p.xf for p in pts), dtype=float, count=n)
-    ys = np.fromiter((p.yf for p in pts), dtype=float, count=n)
-    xn = np.roll(xs, -1)
-    yn = np.roll(ys, -1)
-    t1 = xs * yn
-    t2 = xn * ys
-    area2 = float(np.sum(t1 - t2))
-    magnitude = float(np.sum(np.abs(t1) + np.abs(t2)))
-    err = U * (n + 4) * magnitude
-    if area2 > err:
-        return 1
-    if area2 < -err:
-        return -1
-    total = Fraction(0)
-    for i in range(n):
-        a = pts[i]
-        b = pts[(i + 1) % n]
-        total += a.x * b.y - a.y * b.x
-    s = sign(total)
-    if s == 0:
-        raise SelfIntersectionError("ring encloses zero area")
-    return s
+    if len(pts) < 3:
+        raise TooFewVerticesError(f"ring has {len(pts)} corners after merging")
+    xs, ys = _mirrors(pts)
+    signs = _corner_signs(pts, xs, ys)
+    if not signs.all():
+        pts = _merge_ring(pts)
+        xs, ys = _mirrors(pts)
+        signs = _corner_signs(pts, xs, ys)
+    # rounding is monotone, so the exact least x has the least mirror
+    low = np.flatnonzero(xs == xs.min()).tolist()
+    least = min(low, key=lambda i: (pts[i].x, pts[i].y))
+    if signs[least] != want:
+        return pts[::-1], xs[::-1], ys[::-1], -signs[::-1]
+    return pts, xs, ys, signs
 
 
 def _on_segment(a: Point, b: Point, c: Point) -> bool:
@@ -627,57 +604,50 @@ class Polygon:
     interior always lies to the left of traversal and one cross product
     rule classifies reflex vertices on every ring.
 
-    Construction drops duplicate and straight-through vertices, orients
-    the rings and then validates them with one exact sweep
-    (_validate_rings): SelfIntersectionError when two edges of one ring
-    share a point other than the vertex between consecutive edges,
-    HolePlacementError when rings touch or a hole lies outside the outer
-    ring or inside another hole. validate=False skips that sweep; it
-    exists for generators that certify simplicity structurally.
+    Construction makes one filtered pass over each ring for the exact
+    sign of every corner. A zero sign (a duplicate, straight-through or
+    slit corner) sends the ring through the exact merge loop, which drops
+    the first two kinds and rejects the third; the sign at the
+    lexicographically least vertex gives the orientation; the negative
+    signs are the reflex vertices. The rings are then validated with one
+    exact sweep (_validate_rings): SelfIntersectionError when two edges
+    of one ring share a point other than the vertex between consecutive
+    edges, HolePlacementError when rings touch or a hole lies outside the
+    outer ring or inside another hole. validate=False skips that sweep;
+    it exists for generators that certify simplicity structurally. Such
+    rings are still merged and oriented, but their simplicity and
+    nesting are trusted: on a ring that is not simple the orientation,
+    and with it the reflex mask, means nothing.
     """
 
-    __slots__ = ("outer", "holes", "n", "h", "_pts", "_ring_start", "_prev",
-                 "_next", "_coords", "_reflex", "_cones")
+    __slots__ = ("outer", "holes", "n", "h", "_pts", "_prev", "_next", "_coords",
+                 "_reflex", "_cones")
 
     def __init__(self, outer, holes: Iterable = (), *, validate: bool = True):
-        rings = [_merge_ring(_coerce_points(outer))]
-        for hole in holes:
-            rings.append(_merge_ring(_coerce_points(hole)))
-        for idx in range(len(rings)):
-            want = 1 if idx == 0 else -1
-            if _orientation_sign(rings[idx]) != want:
-                rings[idx] = rings[idx][::-1]
+        rings, xs, ys, signs = [], [], [], []
+        for r, ring in enumerate(itertools.chain([outer], holes)):
+            pts, x, y, s = _normalize_ring(_coerce_points(ring), -1 if r else 1)
+            rings.append(pts)
+            xs.append(x)
+            ys.append(y)
+            signs.append(s)
         if validate:
             _validate_rings(rings)
 
         self.outer = Ring(rings[0])
         self.holes = tuple(Ring(r) for r in rings[1:])
-        flat: list[Point] = []
-        ring_start = []
-        for pts in rings:
-            ring_start.append(len(flat))
-            flat.extend(pts)
-        self._pts = flat
-        self.n = len(flat)
+        self._pts = [p for pts in rings for p in pts]
+        self.n = len(self._pts)
         self.h = len(rings) - 1
-        ring_start.append(self.n)
-        self._ring_start = tuple(ring_start)
-
-        prev = np.empty(self.n, dtype=np.intp)
-        nxt = np.empty(self.n, dtype=np.intp)
-        for r in range(len(rings)):
-            lo, hi = ring_start[r], ring_start[r + 1]
-            idx = np.arange(lo, hi)
-            nxt[idx] = np.roll(idx, -1)
-            prev[idx] = np.roll(idx, 1)
-        self._prev = prev
-        self._next = nxt
-        coords = np.empty((self.n, 2), dtype=float)
-        for i, p in enumerate(flat):
-            coords[i, 0] = p.xf
-            coords[i, 1] = p.yf
-        self._coords = coords
-        self._reflex = None
+        sizes = [len(pts) for pts in rings]
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        self._next = np.arange(1, self.n + 1)
+        self._next[ends - 1] = starts
+        self._prev = np.arange(-1, self.n - 1)
+        self._prev[starts] = ends - 1
+        self._coords = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+        self._reflex = np.concatenate(signs) < 0
         self._cones = {}
 
     # -- vertex addressing ------------------------------------------------
@@ -704,36 +674,15 @@ class Polygon:
 
     # -- reflex machinery --------------------------------------------------
 
-    def _reflex_mask(self) -> np.ndarray:
-        """Boolean mask over global indices; filtered, exact on demand."""
-        if self._reflex is not None:
-            return self._reflex
-        cr, err = _corner_cross(self._coords[:, 0], self._coords[:, 1],
-                                self._prev, self._next)
-
-        def exact_at(i: int) -> Fraction:
-            p = self._pts[i]
-            a = self._pts[int(self._prev[i])]
-            b = self._pts[int(self._next[i])]
-            return exact_cross(p.x - a.x, p.y - a.y, b.x - p.x, b.y - p.y)
-
-        signs = filtered_sign_array(cr, err, exact_at)
-        collinear = np.flatnonzero(signs == 0)
-        if len(collinear):
-            p = self._pts[int(collinear[0])]
-            raise PolygonError(f"collinear corner at {p!r} in unvalidated ring data")
-        self._reflex = signs < 0
-        return self._reflex
-
     def reflex_indices(self) -> tuple[int, ...]:
         """Sorted global indices of reflex vertices."""
-        return tuple(int(i) for i in np.flatnonzero(self._reflex_mask()))
+        return tuple(int(i) for i in np.flatnonzero(self._reflex))
 
     def cone(self, i: int) -> DoubleCone:
         """DoubleCone at reflex vertex i (cached)."""
         c = self._cones.get(i)
         if c is None:
-            if not self._reflex_mask()[i]:
+            if not self._reflex[i]:
                 raise NonReflexVertexError(f"vertex {i} at {self._pts[i]!r} is not reflex")
             c = DoubleCone(self._pts[i],
                            self._pts[int(self._prev[i])],
@@ -749,7 +698,7 @@ def is_reflex(P: Polygon, i: int) -> bool:
     """Whether the interior angle at global vertex index i exceeds 180 degrees."""
     if not 0 <= i < P.n:
         raise IndexError(i)
-    return bool(P._reflex_mask()[i])
+    return bool(P._reflex[i])
 
 
 # -- file format ----------------------------------------------------------

@@ -19,30 +19,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-import numpy as np
-
 from .complexity import _strictly_inside_arc, _sweep_rep
 from .exactmath import float_direction, sign
-from .geometry import Direction, Point, Polygon, PolygonError
+from .geometry import Direction, Polygon
 from .reeb import reeb_graph
 
 __all__ = [
     "EventPartition",
     "OracleCapError",
     "OracleResult",
-    "UntangleError",
     "brute_force_complexity",
     "build_event_partition",
-    "random_simple_polygon",
 ]
 
 
 class OracleCapError(ValueError):
     """Polygon is larger than the oracle's vertex cap."""
-
-
-class UntangleError(RuntimeError):
-    """Random ring could not be made simple within the iteration budget."""
 
 
 def _sweep_cmp(u: Direction, w: Direction) -> int:
@@ -183,62 +175,3 @@ def brute_force_complexity(P: Polygon, cap: int = 64) -> OracleResult:
         boundary_beats_interior=boundary_best < best,
         boundary_value=boundary_best,
     )
-
-
-def _find_contact(pts: list[Point], touch) -> tuple[int, int] | None:
-    """First pair of non-adjacent edges sharing a point, or None."""
-    n = len(pts)
-    for i in range(n):
-        a1 = pts[i]
-        a2 = pts[(i + 1) % n]
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            if touch(a1, a2, pts[j], pts[(j + 1) % n]):
-                return i, j
-    return None
-
-
-def random_simple_polygon(vertex_count: int, seed: int) -> Polygon:
-    """Simple polygon through vertex_count random points in a disk.
-
-    Points are drawn uniformly, rounded to 12 decimal digits, ordered
-    by angle about their centroid, and then uncrossed by 2-opt segment
-    reversals until no two non-adjacent edges touch. Reversing a proper
-    crossing strictly shortens the tour, so the process terminates;
-    the iteration budget guards the measure-zero contact cases.
-    """
-    from .geometry import _segments_touch  # local import: private test predicate
-
-    if not isinstance(vertex_count, int) or vertex_count < 3:
-        raise ValueError(f"vertex_count must be an integer >= 3, got {vertex_count!r}")
-    rng = np.random.default_rng(seed)
-    radius = np.sqrt(rng.random(vertex_count))
-    angle = 2.0 * math.pi * rng.random(vertex_count)
-    xs = radius * np.cos(angle)
-    ys = radius * np.sin(angle)
-    cx = float(np.mean(xs))
-    cy = float(np.mean(ys))
-    order = np.lexsort((np.hypot(xs - cx, ys - cy),
-                        np.arctan2(ys - cy, xs - cx)))
-    scale = 10 ** 12
-    pts = [Point(Fraction(int(round(xs[i] * scale)), scale),
-                 Fraction(int(round(ys[i] * scale)), scale)) for i in order]
-
-    budget = 60 * vertex_count * vertex_count
-    while budget > 0:
-        contact = _find_contact(pts, _segments_touch)
-        if contact is None:
-            break
-        i, j = contact
-        pts[i + 1:j + 1] = reversed(pts[i + 1:j + 1])
-        budget -= 1
-    else:
-        raise UntangleError(
-            f"could not untangle {vertex_count} points with seed {seed}")
-
-    try:
-        return Polygon(pts)
-    except PolygonError as exc:
-        raise UntangleError(
-            f"untangled ring failed validation for seed {seed}: {exc}") from exc

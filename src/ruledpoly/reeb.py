@@ -15,6 +15,7 @@ angular interval is known.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,10 +94,12 @@ def _height_order(P: Polygon, v: Direction) -> np.ndarray:
     """
     xs = P._coords[:, 0]
     ys = P._coords[:, 1]
-    t1 = xs * v.fdx
-    t2 = ys * v.fdy
+    # one power of two brings v below 1/4, so no product or sum overflows
+    scale = 2.0 ** -(math.frexp(max(abs(v.fdx), abs(v.fdy)))[1] + 2)
+    t1 = xs * (v.fdx * scale)
+    t2 = ys * (v.fdy * scale)
     hts = t1 + t2
-    err = U * (np.abs(hts) + 4.0 * (np.abs(t1) + np.abs(t2)))
+    err = U * np.abs(hts) + 4.0 * U * (np.abs(t1) + np.abs(t2))
     order = np.argsort(hts, kind="stable")
     runs = overlap_runs(hts[order], err[order])
     if runs:
@@ -157,7 +160,7 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
     n = P.n
     ranks = np.empty(n, dtype=np.intp)
     ranks[order] = np.arange(n)
-    reflex = P._reflex_mask()
+    reflex = P._reflex
     prev = P._prev
     nxt = P._next
     pts = P._pts
@@ -174,7 +177,7 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
             a, b = b, a
         s = orient_sign(pts[a], pts[b], pt)
         if s == 0:
-            raise AssertionError("event vertex lies on an active edge")
+            raise RuntimeError("event vertex lies on an active edge")
         return s
 
     def locate(pt: Point) -> tuple[int, bool]:

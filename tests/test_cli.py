@@ -156,6 +156,19 @@ def test_huge_denominators_answered(tmp_path, capsys):
         assert code == 0 and doc["min_leaves"] == 2
 
 
+@pytest.mark.parametrize("command", ["complexity", "oracle"])
+def test_coordinates_near_float_limit_answered(tmp_path, command):
+    """Vertex differences of 2e308 overflow the float mirrors: no
+    traceback from a Direction, and no numpy RuntimeWarning."""
+    path = tmp_path / "big.json"
+    path.write_text('{"outer":[[-1e308,-1e308],[1e308,-1e308],[1e308,1e308],'
+                    '[0,5e307],[-1e308,1e308]]}')
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ruledpoly.cli",
+                           command, str(path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["min_leaves"] == 2
+
+
 def test_output_deterministic(capsys, l_file):
     run_cli(["complexity", l_file])
     first = capsys.readouterr().out

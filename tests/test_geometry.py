@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import ruledpoly.geometry as geometry
 from ruledpoly import (
     Direction,
+    FamilyParams,
     HolePlacementError,
     NonReflexVertexError,
     Point,
@@ -20,6 +22,7 @@ from ruledpoly import (
     dump_polygon,
     is_reflex,
     load_polygon,
+    lower_bound_polygon,
 )
 
 L_RING = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -119,11 +122,32 @@ def test_degenerate_contacts(outer, holes, expected):
             Polygon(outer, holes)
 
 
+@pytest.mark.filterwarnings("error")
 def test_coordinates_near_float_limit():
-    """Mirror differences overflow to inf; the filters fall back to exact."""
+    """Mirror differences overflow to inf; the filters fall back to exact
+    without a numpy warning."""
     big = Fraction(10) ** 308
     P = Polygon([(-big, -big), (big, -big), (big, big), (0, big / 2), (-big, big)])
     assert [(P.vertex(i).x, P.vertex(i).y) for i in P.reflex_indices()] == [(0, big / 2)]
+
+
+def test_clean_ring_skips_merge_loop(monkeypatch):
+    """The exact merge loop runs only for a ring with a zero corner sign:
+    never on a 20 000-vertex star, once on a square with a midpoint."""
+    text = dump_polygon(lower_bound_polygon(FamilyParams(10_000)))
+    calls = 0
+    merge = geometry._merge_ring
+
+    def counted(pts):
+        nonlocal calls
+        calls += 1
+        return merge(pts)
+
+    monkeypatch.setattr(geometry, "_merge_ring", counted)
+    assert load_polygon(text).n == 20_000
+    assert calls == 0
+    assert Polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]).n == 4
+    assert calls == 1
 
 
 def test_parse_error_named():

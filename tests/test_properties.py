@@ -8,6 +8,7 @@ from ruledpoly import (
     Direction,
     Polygon,
     annulus_polygon,
+    comb_polygon,
     dump_polygon,
     is_generic,
     is_reflex,
@@ -64,6 +65,59 @@ def test_orientation_normalization_idempotent(n, seed):
     P = poly(n, seed)
     Q = Polygon([(p.x, p.y) for p in P.outer.vertices])
     assert dump_polygon(Q) == dump_polygon(P)
+
+
+def shoelace(pts):
+    """Exact twice-signed area of a ring: the orientation reference."""
+    return sum(a.x * b.y - a.y * b.x for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
+clean_polygons = st.one_of(
+    st.builds(poly, sizes, seeds),
+    st.builds(comb_polygon, st.integers(min_value=2, max_value=5)),
+    st.builds(annulus_polygon, st.integers(min_value=3, max_value=9), st.just(Fraction(5, 2))),
+)
+
+
+@st.composite
+def noisy_ring(draw, pts):
+    """A clean ring rotated, with straight-through midpoints and repeated
+    vertices inserted after some vertices, maybe reversed; and the clean
+    ring with the same rotation."""
+    n = len(pts)
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    base = [(p.x, p.y) for p in pts[k:] + pts[:k]]
+    noisy = []
+    for i, (x, y) in enumerate(base):
+        noisy.append((x, y))
+        if draw(st.booleans()):
+            noisy.append((x, y))
+        if draw(st.booleans()):
+            nx, ny = base[(i + 1) % n]
+            t = draw(st.fractions(min_value=0, max_value=1, max_denominator=100)
+                     .filter(lambda t: 0 < t < 1))
+            noisy.append((x + t * (nx - x), y + t * (ny - y)))
+    return base, noisy[::-1] if draw(st.booleans()) else noisy
+
+
+@given(data=st.data(), P=clean_polygons)
+@settings(max_examples=60, deadline=None)
+def test_ring_normalization_is_canonical(data, P):
+    """Reversed, rotated and padded rings normalize to the clean polygon:
+    the outer ring counterclockwise, holes clockwise, and the reflex
+    vertices exactly the corners turning right."""
+    rings = [data.draw(noisy_ring(list(r.vertices))) for r in P.rings]
+    Q = Polygon(rings[0][1], [noisy for _, noisy in rings[1:]])
+    assert dump_polygon(Q) == dump_polygon(Polygon(rings[0][0], [base for base, _ in rings[1:]]))
+    assert shoelace(list(Q.outer.vertices)) > 0
+    assert all(shoelace(list(hole.vertices)) < 0 for hole in Q.holes)
+    right_turns = []
+    for i in range(Q.n):
+        a, b = (Q.vertex(j) for j in Q.neighbors(i))
+        p = Q.vertex(i)
+        if (p.x - a.x) * (b.y - p.y) - (p.y - a.y) * (b.x - p.x) < 0:
+            right_turns.append(i)
+    assert Q.reflex_indices() == tuple(right_turns)
 
 
 @given(n=sizes, seed=seeds,

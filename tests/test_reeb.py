@@ -67,6 +67,25 @@ def test_is_generic_axis_on_square(square):
     assert is_generic(square, Direction(3, 10))
 
 
+def test_direction_beyond_float_range(l_poly):
+    """A component beyond float range is scaled, not converted."""
+    v = Direction(10 ** 400, 1)
+    assert is_generic(l_poly, v)
+    assert reeb_graph(l_poly, v).l == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_height_order_near_float_limit():
+    """Float heights that would overflow to inf - inf are scaled into
+    range, so the exact lowest and highest vertices are the leaves."""
+    big = Fraction(10) ** 308
+    P = Polygon([(-big / 10 ** 8, 0), (big, Fraction(-16, 10) * big), (1, 1)])
+    v = Direction(3, 2)
+    heights = sorted(range(P.n), key=lambda i: v.dx * P.vertex(i).x + v.dy * P.vertex(i).y)
+    leaves = {node.vertex for node in reeb_graph(P, v).nodes if node.kind == "leaf"}
+    assert leaves == {heights[0], heights[-1]}
+
+
 def test_non_generic_direction_refused(square):
     with pytest.raises(NonGenericDirectionError) as exc:
         reeb_graph(square, Direction(0, 1))

@@ -17,7 +17,7 @@ from ruledpoly import (
     lower_bound_polygon,
 )
 from ruledpoly.geometry import _segments_touch
-from ruledpoly.oracle import _find_contact
+from ruledpoly.generators import _find_contact
 
 
 def _strictly_inside(pts, q):
