@@ -27,11 +27,11 @@ apex-to-neighbor vectors into sweep events: max_cone_coverage reads them
 from materialized DoubleCone objects, parallel_reeb_complexity straight
 from the polygon's coordinate arrays, since constructing tens of
 thousands of exact cone objects would dominate the runtime budget.
-Angles are ordered by float keys with rigorous per-event error radii;
-only events whose radii overlap are re-ordered by exact cross product
-comparison, on vectors from the caller's one exact accessor: the cones'
-Fraction vectors, or integer edge vectors from the polygon's vertices
-held as integers over a per-vertex denominator.
+Angles are float keys with rigorous radii (exactmath.angle_filter);
+exactmath.filtered_order re-orders events whose radii overlap by exact
+cross product comparison, on vectors from the caller's one exact
+accessor: the cones' Fraction vectors, or integer edge vectors from the
+polygon's vertices held as integers over a per-vertex denominator.
 """
 
 from __future__ import annotations
@@ -39,17 +39,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exactmath import (
-    U,
+    angle_filter,
     diff_error_bound,
+    filtered_order,
     filtered_sign_array,
     float_direction,
-    overlap_runs,
+    mirror_error_bound,
     sign,
 )
 from .geometry import Direction, DoubleCone, Point, Polygon
@@ -166,35 +166,15 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     angle, canonical components, when only points attain closed_max.
     """
     init0 = ev.init_count - ev.seam_exits
-    m = len(ev.sf)
-    if m == 0:
+    if len(ev.sf) == 0:
         # no angular events at all: constant coverage
         full = ("interval", _V0, _V0_END)
         return _SweepProfile(ev.init_count, ev.init_count, (_V0, _V0_END), full)
 
-    order = np.argsort(ev.sf, kind="stable")
-    group_start = np.ones(m, dtype=bool)
-    runs = overlap_runs(ev.sf[order], ev.radius[order])
-    if runs:
-        order = order.copy()
-        for lo, hi in runs:
-            pair = {int(t): ev.exact_dir(int(ev.ids[t])) for t in order[lo:hi]}
-            if hi - lo == 2:
-                # by far the common cluster shape: one comparison settles it
-                a, b = int(order[lo]), int(order[lo + 1])
-                c = _cmp_canonical(pair[a], pair[b])
-                if c > 0:
-                    order[lo], order[lo + 1] = b, a
-                group_start[lo + 1] = c != 0
-                continue
-            seg = sorted(pair, key=cmp_to_key(lambda a, b: _cmp_canonical(pair[a], pair[b])))
-            order[lo:hi] = seg
-            for t in range(lo + 1, hi):
-                same = _cmp_canonical(pair[int(order[t - 1])], pair[int(order[t])]) == 0
-                group_start[t] = not same
-
+    order, tie = filtered_order(ev.sf, ev.radius,
+                                lambda t: ev.exact_dir(int(ev.ids[t])), _cmp_canonical)
     kinds = ev.kind[order]
-    starts = np.flatnonzero(group_start)
+    starts = np.flatnonzero(~tie)  # one event group per exact angle
     ent = np.add.reduceat((kinds > 0).astype(np.int64), starts)
     ext = np.add.reduceat((kinds < 0).astype(np.int64), starts)
     net = np.cumsum(ent - ext)
@@ -235,22 +215,6 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
         g = int(np.flatnonzero(point_cov == closed_max)[0])
         closed_sel = ("point", group_vec(g))
     return _SweepProfile(closed_max, interior_max, interior_arc, closed_sel)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflowed lane's radius is NaN
-def _angle_keys(xf, yf, ex, ey, phase):
-    """Float sweep angles and rigorous radii for canonical components.
-
-    phase is the exact sign of the canonical dx (never 0 here). The
-    sweep representative has a nonnegative first component, clamped at 0
-    so rounding can never wrap the atan2 across the seam.
-    """
-    rx = np.maximum(phase * xf, 0.0)
-    ry_neg = -(phase * yf)  # minus the representative's second component
-    sf = np.arctan2(rx, ry_neg)
-    rho2 = np.maximum(rx * rx + ry_neg * ry_neg, np.finfo(float).tiny)
-    radius = 4.0 * (ex * np.abs(ry_neg) + ey * rx) / rho2 + 1e-14
-    return sf, radius
 
 
 def _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y,
@@ -303,7 +267,9 @@ def _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y,
         -np.ones(int(np.count_nonzero(keep_ex)), dtype=np.int8),
     ])
     ids = np.concatenate([np.flatnonzero(keep_en), k + np.flatnonzero(keep_ex)])
-    sf, radius = _angle_keys(cx, cy, x_err, y_err, phase)
+    # the angle of (-R.y, R.x) for the sweep representative R = phase * (cx, cy);
+    # R.x >= 0 is clamped at 0 so rounding never wraps it across the seam
+    sf, radius = angle_filter(np.maximum(phase * cx, 0.0), -(phase * cy), x_err, y_err)
 
     def exact_dir(event_id: int) -> tuple:
         i, which = (event_id, 1) if event_id < k else (event_id - k, 2)
@@ -398,9 +364,9 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
     """
     if not cones:
         return 0, Direction(1, 0)
-    # float() of a Fraction is correctly rounded, so one ulp bounds each mirror
-    d = np.array([c._d1 + c._d2 for c in cones], dtype=float)
-    ev = _event_set(*d.T, *(U * np.abs(d)).T,
+    # any positive scale of each vector will do, so none overflows a float
+    d = np.array([float_direction(*c._d1) + float_direction(*c._d2) for c in cones])
+    ev = _event_set(*d.T, *mirror_error_bound(d).T,
                     lambda i, which: cones[i]._d1 if which == 1 else cones[i]._d2)
     prof = _sweep_select(ev)
     skind, *data = prof.closed_sel

@@ -201,13 +201,12 @@ class DoubleCone:
     apex, so the level set does not branch there; the set is closed and
     symmetric under v -> -v.
 
-    boundary1 and boundary2 are the outward normals of the incoming and
-    outgoing edges. Swept counterclockwise (mod 180 degrees) the cone is
-    entered at arc_start and left at arc_end; for a reflex vertex
-    arc_start is always boundary1, the incoming edge's normal.
+    Swept counterclockwise (mod 180 degrees) the cone is entered at
+    arc_start, the outward normal of the incoming edge, and left at
+    arc_end, the outward normal of the outgoing edge.
     """
 
-    __slots__ = ("apex", "boundary1", "boundary2", "arc_start", "arc_end", "_d1", "_d2")
+    __slots__ = ("apex", "arc_start", "arc_end", "_d1", "_d2")
 
     def __init__(self, apex: Point, prev_point: Point, next_point: Point):
         d1 = (prev_point.x - apex.x, prev_point.y - apex.y)
@@ -217,10 +216,8 @@ class DoubleCone:
         self.apex = apex
         self._d1 = d1
         self._d2 = d2
-        self.boundary1 = Direction(d1[1], -d1[0])
-        self.boundary2 = Direction(d2[1], -d2[0])
-        self.arc_start = self.boundary1
-        self.arc_end = self.boundary2
+        self.arc_start = Direction(d1[1], -d1[0])
+        self.arc_end = Direction(d2[1], -d2[0])
 
     def contains(self, v: Direction) -> bool:
         """Exact closed containment test."""
@@ -229,7 +226,7 @@ class DoubleCone:
         return s1 * s2 <= 0
 
     def __repr__(self):
-        return f"DoubleCone(apex={self.apex!r}, {self.boundary1!r}..{self.boundary2!r})"
+        return f"DoubleCone(apex={self.apex!r}, {self.arc_start!r}..{self.arc_end!r})"
 
 
 class Ring:

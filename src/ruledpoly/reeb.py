@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import U, orient_sign, overlap_runs
+from .exactmath import dot_filter, filtered_order, orient_sign
 from .geometry import Direction, Point, Polygon
 
 __all__ = [
@@ -88,30 +88,18 @@ def _exact_height(P: Polygon, v: Direction, i: int) -> Fraction:
 def _height_order(P: Polygon, v: Direction) -> np.ndarray:
     """Global vertex indices sorted by exact height under v.
 
-    Float heights order almost everything; indices whose uncertainty
-    intervals overlap are reordered by exact comparison, and an exact tie
-    raises NonGenericDirectionError.
+    Float heights order almost everything (exactmath.filtered_order);
+    the lowest exact tie raises NonGenericDirectionError.
     """
-    xs = P._coords[:, 0]
-    ys = P._coords[:, 1]
-    # one power of two brings v below 1/4, so no product or sum overflows
-    scale = 2.0 ** -(math.frexp(max(abs(v.fdx), abs(v.fdy)))[1] + 2)
-    t1 = xs * (v.fdx * scale)
-    t2 = ys * (v.fdy * scale)
-    hts = t1 + t2
-    err = U * np.abs(hts) + 4.0 * U * (np.abs(t1) + np.abs(t2))
-    order = np.argsort(hts, kind="stable")
-    runs = overlap_runs(hts[order], err[order])
-    if runs:
-        order = order.copy()
-        for lo, hi in runs:
-            seg = [int(i) for i in order[lo:hi]]
-            exact = {i: _exact_height(P, v, i) for i in seg}
-            seg.sort(key=exact.__getitem__)
-            for a, b in zip(seg, seg[1:]):
-                if exact[a] == exact[b]:
-                    raise NonGenericDirectionError(v, a, b)
-            order[lo:hi] = seg
+    # a power of two at most 1 brings v below 1/8, so nothing overflows; one
+    # above 1 would magnify the error of a component that underflowed
+    scale = 2.0 ** -max(0, math.frexp(max(abs(v.fdx), abs(v.fdy)))[1] + 3)
+    hts, err = dot_filter(P._coords[:, 0], P._coords[:, 1], v.fdx * scale, v.fdy * scale)
+    order, tie = filtered_order(hts, err, lambda i: _exact_height(P, v, i),
+                                lambda a, b: (a > b) - (a < b))
+    if tie.any():
+        t = int(np.argmax(tie))
+        raise NonGenericDirectionError(v, int(order[t - 1]), int(order[t]))
     return order
 
 
@@ -279,11 +267,19 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
     return ReebGraph(tuple(nodes), tuple(edges), l, b, P.h)
 
 
+def _height_json(h: Fraction) -> float | str:
+    """h as a float, or as the exact "p/q" text when it overflows one."""
+    try:
+        return float(h)
+    except OverflowError:
+        return str(h)
+
+
 def reeb_to_dict(g: ReebGraph) -> dict:
     """JSON-ready export: nodes (kind, height, witness), edges, counts."""
     return {
         "nodes": [
-            {"kind": nd.kind, "height": float(nd.height),
+            {"kind": nd.kind, "height": _height_json(nd.height),
              "witness": [float(nd.witness.x), float(nd.witness.y)]}
             for nd in g.nodes
         ],

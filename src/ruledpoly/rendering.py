@@ -17,9 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .complexity import _generic_witness, parallel_reeb_complexity
+from .complexity import parallel_reeb_complexity
 from .geometry import Direction, Polygon
-from .reeb import ReebGraph, is_generic, reeb_graph
+from .reeb import ReebGraph, reeb_graph
 
 __all__ = ["RenderSpec", "render_svg"]
 
@@ -46,19 +46,6 @@ def _fmt(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
     return f"{x:.6g}"
-
-
-def _default_direction(P: Polygon) -> Direction:
-    """A generic direction to sweep when the caller gave none.
-
-    Uses the complexity witness so default pictures show the optimal
-    ruling; falls back to a whole-circle generic search if that witness
-    is a degenerate boundary direction.
-    """
-    w = parallel_reeb_complexity(P).witness
-    if is_generic(P, w):
-        return w
-    return _generic_witness(P, (0, -1), (0, 1))
 
 
 class _Canvas:
@@ -162,7 +149,8 @@ def render_svg(spec: RenderSpec) -> bytes:
     need_direction = spec.show_ruling or spec.show_reeb
     v = spec.direction
     if v is None and need_direction:
-        v = _default_direction(P)
+        # the complexity witness is generic, so default pictures show the optimal ruling
+        v = parallel_reeb_complexity(P).witness
 
     graph: Optional[ReebGraph] = None
     if spec.show_reeb:
@@ -212,9 +200,9 @@ def render_svg(spec: RenderSpec) -> bytes:
                 f'stroke-width="{_fmt(sw)}"/>')
 
     if graph is not None:
-        ux, uy = v.fdy, -v.fdx  # cross-sweep coordinate
-        us = [ux * nd.witness.xf + uy * nd.witness.yf for nd in graph.nodes]
-        hs = [float(nd.height) for nd in graph.nodes]
+        # float coordinates along and across the sweep; exact heights may overflow
+        us = [v.fdy * nd.witness.xf - v.fdx * nd.witness.yf for nd in graph.nodes]
+        hs = [v.fdx * nd.witness.xf + v.fdy * nd.witness.yf for nd in graph.nodes]
         u_lo, u_hi = min(us), max(us)
         h_lo, h_hi = min(hs), max(hs)
         u_span = max(u_hi - u_lo, 1e-9)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ruledpoly import Polygon, annulus_polygon, dump_polygon
+from ruledpoly import Polygon, annulus_polygon, as_fraction, dump_polygon
 from ruledpoly.cli import run_cli
 
 
@@ -167,6 +167,30 @@ def test_coordinates_near_float_limit_answered(tmp_path, command):
                            command, str(path)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["min_leaves"] == 2
+
+
+def test_coordinates_below_float_range_answered(tmp_path):
+    """A coordinate whose mirror underflows to 0.0 is answered, without
+    a numpy RuntimeWarning."""
+    path = tmp_path / "tiny.json"
+    path.write_text('{"outer":[[0,0],["1e-400","1e-200"],[1,1e300]]}')
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "ruledpoly.cli",
+                           "complexity", str(path)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["min_leaves"] == 2
+
+
+def test_direction_beyond_float_range_answered(tmp_path, capsys, l_file):
+    """Heights beyond float range are written as exact "p/q" text, and
+    the rendered Reeb panel places nodes by float mirrors."""
+    code, doc = run_json(capsys, ["reeb", l_file, "--direction", "1e400,1"])
+    assert code == 0 and doc["l"] == 3
+    for node in doc["nodes"]:
+        x, y = (int(c) for c in node["witness"])
+        assert as_fraction(node["height"]) == 10 ** 400 * x + y
+    out = tmp_path / "fig.svg"
+    assert run_cli(["render", l_file, "--reeb", "--direction", "1e400,1", "--out", str(out)]) == 0
+    assert out.read_bytes().startswith(b"<?xml")
 
 
 def test_output_deterministic(capsys, l_file):

@@ -4,6 +4,8 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
+
 from ruledpoly import (
     Direction,
     Polygon,
@@ -203,3 +205,21 @@ def test_witness_angles_cover_both_phases():
         seen_pos |= fx > 0
         assert reeb_graph(P, res.witness).l == res.min_leaves
     assert seen_neg and seen_pos
+
+
+@pytest.mark.parametrize("dy", [-2, 1])
+def test_edge_with_zero_float_vector(dy):
+    """The reflex vertex's edge to its next vertex is far below an ulp, so
+    its float vector is (0, 0) and its sweep angle is unknown: the angle
+    bound must send it to the exact order (the oracle is the reference)."""
+    e = Fraction(1, 10 ** 30)
+    P = Polygon([(0, 0), (4, 0), (4, 3), (2, 3), (2, 1), (2 - 3 * e, 1 + dy * e), (0, 1)])
+    assert parallel_reeb_complexity(P).min_leaves == brute_force_complexity(P).min_leaves == 2
+
+
+def test_max_cone_coverage_near_float_limit():
+    """Cone vectors of 1.9e308 overflow a float; each is scaled instead."""
+    big = Fraction(10) ** 308
+    P = Polygon([(-big, -big), (big, -big), (big, -big / 2), (-big * 9 / 10, 0),
+                 (big, big / 2), (big, big), (-big, big)])
+    assert max_cone_coverage(cones_of(P))[0] == 1

@@ -24,6 +24,7 @@ from ruledpoly import (
     load_polygon,
     lower_bound_polygon,
 )
+from ruledpoly.exactmath import orient_sign
 
 L_RING = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
@@ -129,6 +130,19 @@ def test_coordinates_near_float_limit():
     big = Fraction(10) ** 308
     P = Polygon([(-big, -big), (big, -big), (big, big), (0, big / 2), (-big, big)])
     assert [(P.vertex(i).x, P.vertex(i).y) for i in P.reflex_indices()] == [(0, big / 2)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_coordinates_below_float_range():
+    """A mirror below 2^-1022 is off by more than a relative ulp (1e-400
+    rounds to 0.0); the filters' absolute term sends it to the exact path."""
+    assert orient_sign(Point("1e-400", "1e-200"), Point(1, "1e300"), Point(0, 0)) == 1
+    text = '{"outer":[[0,0],["1e-400","1e-200"],[1,1e300]]}'
+    P = load_polygon(text)
+    assert P.reflex_indices() == ()
+    assert Polygon(P.outer, validate=False).reflex_indices() == ()
+    assert geometry._corner_signs(list(P.outer), *geometry._mirrors(list(P.outer))).tolist() \
+        == [1, 1, 1]
 
 
 def test_clean_ring_skips_merge_loop(monkeypatch):

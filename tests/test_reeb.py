@@ -86,6 +86,13 @@ def test_height_order_near_float_limit():
     assert leaves == {heights[0], heights[-1]}
 
 
+def test_tie_under_direction_with_underflowed_component():
+    """(1e-100, 1e-400) has the float pair (1e-100, 0.0); the vertices
+    (1, 0) and (0, 1e300) still have exactly equal heights."""
+    P = Polygon([(0, 0), (1, 0), (0, 10 ** 300)])
+    assert not is_generic(P, Direction(Fraction(1, 10 ** 100), Fraction(1, 10 ** 400)))
+
+
 def test_non_generic_direction_refused(square):
     with pytest.raises(NonGenericDirectionError) as exc:
         reeb_graph(square, Direction(0, 1))
