@@ -375,28 +375,45 @@ def _segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 
 _BLOCK = 64
+_GAP = 1 << 16  # spacing of fresh block keys
+
+
+class _Block(list):
+    """A run of consecutive status edges; keys increase along the status."""
+
+    __slots__ = ("key",)
 
 
 class _Status:
-    """Edges crossing the sweep line, bottom to top.
+    """Edges crossing the sweep line, in order along it, with a handle
+    for every edge.
 
     Held as a list of short blocks (each at most 2 * _BLOCK long), so an
-    insert or delete at a located position moves O(_BLOCK) entries and
-    locating takes O(log n) comparisons. A position is a (block, offset)
-    pair, offset at most the block's length; the end of the status is
-    (last block, its length).
+    insert or delete at a known position moves O(_BLOCK) entries and
+    locating a new point takes O(log n) comparisons. A position is a
+    (block, offset) pair, offset at most the block's length; the end of
+    the status is (last block, its length). No block is empty.
+
+    The handle home[e] is the block that holds edge e. Each block carries
+    an integer key, and the keys increase along the status, so a known
+    edge's position is one bisect over the keys and one scan of its
+    block. Finding, deleting or replacing an edge already in the status
+    therefore costs no predicate; only locate compares.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "keys", "home")
 
-    def __init__(self):
-        self.blocks: list[list[int]] = []
+    def __init__(self, n: int):
+        """An empty status for edges 0 .. n-1."""
+        self.blocks: list[_Block] = []
+        self.keys: list[int] = []
+        self.home: list[_Block | None] = [None] * n
 
     def locate(self, rel) -> tuple[int, int]:
         """Position of the first edge t with rel(t) >= 0, or the end.
 
         rel(t) is the side of t relative to the sought place: negative
-        below it, positive above it; it must not decrease upwards.
+        before it, positive after it; it must not decrease along the status.
         """
         blocks = self.blocks
         b = bisect_left(blocks, 0, key=lambda blk: rel(blk[-1]))
@@ -404,8 +421,13 @@ class _Status:
             return (b - 1, len(blocks[-1])) if blocks else (0, 0)
         return b, bisect_left(blocks[b], 0, 0, len(blocks[b]) - 1, key=rel)
 
+    def place(self, e: int) -> tuple[int, int]:
+        """Position of edge e, which must be in the status."""
+        blk = self.home[e]
+        return bisect_left(self.keys, blk.key), blk.index(e)
+
     def below(self, b: int, i: int) -> int | None:
-        """The edge just below position (b, i)."""
+        """The edge just before position (b, i)."""
         if i:
             return self.blocks[b][i - 1]
         return self.blocks[b - 1][-1] if b else None
@@ -427,6 +449,7 @@ class _Status:
         del blk[i]
         if not blk:
             del blocks[b]
+            del self.keys[b]
             if b == len(blocks):
                 return (b - 1, len(blocks[-1])) if blocks else (0, 0)
             return b, 0
@@ -435,15 +458,43 @@ class _Status:
         return b, i
 
     def insert(self, b: int, i: int, edges: list[int]) -> None:
-        """Insert edges, in bottom-to-top order, at position (b, i)."""
+        """Insert edges, in status order, at position (b, i)."""
         blocks = self.blocks
+        home = self.home
         if not blocks:
-            blocks.append(list(edges))
-            return
-        blk = blocks[b]
-        blk[i:i] = edges
+            blk = _Block(edges)
+            blk.key = 0
+            blocks.append(blk)
+            self.keys.append(0)
+        else:
+            blk = blocks[b]
+            blk[i:i] = edges
+        for e in edges:
+            home[e] = blk
         if len(blk) > 2 * _BLOCK:
-            blocks[b:b + 1] = [blk[:_BLOCK], blk[_BLOCK:]]
+            self._split(b)
+
+    def replace(self, e: int, f: int) -> None:
+        """Put edge f in the place of edge e, which leaves the status."""
+        blk = self.home[e]
+        blk[blk.index(e)] = f
+        self.home[f] = blk
+
+    def _split(self, b: int) -> None:
+        blocks, keys, home = self.blocks, self.keys, self.home
+        blk = blocks[b]
+        upper = _Block(blk[_BLOCK:])
+        del blk[_BLOCK:]
+        for e in upper:
+            home[e] = upper
+        top = keys[b + 1] if b + 1 < len(keys) else blk.key + 2 * _GAP
+        if top - blk.key < 2:  # no key left between the halves: respace all
+            for k, x in enumerate(blocks):
+                x.key = keys[k] = k * _GAP
+            top = blk.key + _GAP
+        upper.key = (blk.key + top) // 2
+        blocks.insert(b + 1, upper)
+        keys.insert(b + 1, upper.key)
 
 
 def _validate_rings(rings: list[list[Point]]) -> None:
@@ -457,6 +508,9 @@ def _validate_rings(rings: list[list[Point]]) -> None:
     exact lexicographic (x, y) order; the status holds the edges that
     cross the sweep line, ordered by exact orient_sign, and every pair
     of edges that becomes adjacent in it is tested with _segments_touch.
+    Only a leftmost vertex is located by search; edges that end are
+    found by their handles, and one orientation test against each
+    neighbour they leave checks that the status kept its order.
     The first contact found is reported. Hole placement comes from the
     same sweep: at a hole's leftmost vertex the edge just below decides
     whether that vertex lies in the interior of the rings swept so far.
@@ -519,7 +573,7 @@ def _sweep(rings: list[list[Point]]) -> None:
         if _segments_touch(pts[e], pts[nxt[e]], pts[f], pts[nxt[f]]):
             raise fault(e, f)
 
-    status = _Status()
+    status = _Status(n)
     seen = [False] * len(rings)
     last = None
     for ev in events:
@@ -532,31 +586,25 @@ def _sweep(rings: list[list[Point]]) -> None:
         e_in, e_out = prv[v], v
 
         if hi[e_in] == v or hi[e_out] == v:
-            # remove the edges ending at v, lower first
+            # remove the edges ending at v, found by handle, lower first
             if hi[e_in] == v and hi[e_out] == v:
-                s = orient_sign(pts[lo[e_in]], p, pts[lo[e_out]])
-                ending = [e_in, e_out] if s > 0 else [e_out, e_in]
+                ending = sorted((e_in, e_out), key=status.place)
             else:
                 ending = [e_in if hi[e_in] == v else e_out]
-            probe = ending[0]
-            probe_lo = pts[lo[probe]]
-
-            def rel(t: int) -> int:
-                """Side of t relative to the probe, an edge ending at v."""
-                if t == probe:
-                    return 0
-                if hi[t] == v:  # the other edge ending at v
-                    return -orient_sign(pts[lo[t]], p, probe_lo)
-                o = orient_sign(pts[lo[t]], pts[hi[t]], p)
-                if o == 0:  # v lies on t
-                    raise fault(probe, t)
-                return -o
-
-            b, i = status.locate(rel)
+            b, i = status.place(ending[0])
+            if len(ending) == 2 and status.at(b, i + 1) != ending[1]:
+                raise RuntimeError("sweep status lost the order of its edges")
             for e in ending:
-                if status.at(b, i) != e:
-                    raise RuntimeError("sweep status lost the order of its edges")
                 b, i = status.pop(b, i)
+            # the edges found by handle must have held v's place: v lies
+            # above the edge below the gap and below the edge above it
+            for t, side in ((status.below(b, i), 1), (status.at(b, i), -1)):
+                if t is not None:
+                    o = orient_sign(pts[lo[t]], pts[hi[t]], p)
+                    if o == 0:  # v lies on t
+                        raise fault(ending[0], t)
+                    if o != side:
+                        raise RuntimeError("sweep status lost the order of its edges")
         else:
             # a leftmost vertex: both edges start here; locate v itself
             def rel(t: int) -> int:

@@ -11,6 +11,15 @@ Construction refuses non-generic directions (two vertices at equal
 height) instead of perturbing; callers that need a generic direction
 near a degenerate one perturb on their side, where the admissible
 angular interval is known.
+
+The sweep keeps the active edges in the sweep status of validation
+(geometry._Status), found and removed by handle. Each edge bounds its
+level-set interval on one side for its whole life, fixed by whether it
+runs up or down the ring, so an interval needs no object of its own. The
+sweep needs only the order of the heights, which exact heights refine
+only where float heights cannot decide it; a node works its exact
+Fraction height out on access, and the export rounds it once from
+integers.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactmath import dot_filter, filtered_order, orient_sign
-from .geometry import Direction, Point, Polygon
+from .geometry import Direction, Point, Polygon, _Status
 
 __all__ = [
     "NonGenericDirectionError",
@@ -54,10 +63,15 @@ class NonGenericDirectionError(ValueError):
 class ReebNode:
     """A contracted critical level component."""
 
-    kind: str           # "leaf" or "branch"
-    height: Fraction    # exact <v, witness>
-    witness: Point      # the polygon vertex in the contracted component
-    vertex: int         # global index of that vertex
+    kind: str               # "leaf" or "branch"
+    witness: Point          # the polygon vertex in the contracted component
+    vertex: int             # global index of that vertex
+    direction: Direction    # the sweep direction v
+
+    @property
+    def height(self) -> Fraction:
+        """Exact <v, witness>, worked out on each access."""
+        return self.direction.dx * self.witness.x + self.direction.dy * self.witness.y
 
 
 @dataclass(frozen=True)
@@ -122,167 +136,134 @@ def branch_witnesses(P: Polygon, v: Direction) -> frozenset[int]:
     return frozenset(i for i in P.reflex_indices() if not P.cone(i).contains(v))
 
 
-class _Component:
-    """A level-set interval, bounded by the active edges left and right.
-
-    arc_from is the Reeb node at the bottom of the arc this component is
-    currently tracing.
-    """
-
-    __slots__ = ("left", "right", "arc_from")
-
-    def __init__(self, left: int, right: int, arc_from: int):
-        self.left = left
-        self.right = right
-        self.arc_from = arc_from
-
-
 def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
     """Reeb graph of f_v over P; v must be generic.
 
-    One pass over vertices in height order, maintaining the ordered list
-    of level-set intervals keyed by their bounding edges. Edge i is the
-    ring edge from vertex i to its ring successor.
+    One pass over the vertices in height order. The status holds the
+    active edges, those crossing the level line, from left to right
+    looking along v; edge i runs from vertex i to its ring successor. The
+    interior lies left of every ring edge, so an edge running down the
+    ring bounds its interval on the left and one running up bounds it on
+    the right, for the edge's whole life, and left and right edges
+    alternate in the status. Only a local minimum is located, with one
+    orient_sign per search step, and the edge just left of it tells
+    inside from outside. Every other event finds its edges by handle: a
+    regular vertex puts its born edge in its dying edge's place, a leaf
+    closes two adjacent edges, and a merge removes the right edge of one
+    interval and the left edge of the next. The node at the bottom of an
+    interval's current arc is kept with the interval's left edge.
     """
-    order = _height_order(P, v)
+    order = _height_order(P, v).tolist()
     n = P.n
-    ranks = np.empty(n, dtype=np.intp)
-    ranks[order] = np.arange(n)
-    reflex = P._reflex
-    prev = P._prev
-    nxt = P._next
+    ranks = [0] * n
+    for k, g in enumerate(order):
+        ranks[g] = k
+    reflex = P._reflex.tolist()
+    prev = P._prev.tolist()
+    nxt = P._next.tolist()
     pts = P._pts
 
     nodes: list[ReebNode] = []
     edges: list[tuple[int, int]] = []
-    active: list[_Component] = []
-    edge_to: dict[int, tuple[_Component, int]] = {}
-
-    def edge_side(pt: Point, e: int) -> int:
-        """+1 if pt is strictly left of active edge e oriented upward."""
-        a, b = e, int(nxt[e])
-        if ranks[a] > ranks[b]:
-            a, b = b, a
-        s = orient_sign(pts[a], pts[b], pt)
-        if s == 0:
-            raise RuntimeError("event vertex lies on an active edge")
-        return s
-
-    def locate(pt: Point) -> tuple[int, bool]:
-        """Binary search over the ordered disjoint components."""
-        lo, hi = 0, len(active)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            comp = active[mid]
-            if edge_side(pt, comp.left) > 0:
-                hi = mid
-            elif edge_side(pt, comp.right) < 0:
-                lo = mid + 1
-            else:
-                return mid, True
-        return lo, False
-
-    def new_node(kind: str, gid: int) -> int:
-        nodes.append(ReebNode(kind, _exact_height(P, v, gid), pts[gid], gid))
-        return len(nodes) - 1
+    status = _Status(n)
+    arc = [0] * n  # for a left edge: the node at the bottom of its interval's arc
 
     for gid in order:
-        gid = int(gid)
         pt = pts[gid]
-        pr = int(prev[gid])
-        nx = int(nxt[gid])
+        pr = prev[gid]
         up_p = ranks[pr] > ranks[gid]
-        up_n = ranks[nx] > ranks[gid]
-        e_in = pr   # ring edge (prev -> gid)
-        e_out = gid  # ring edge (gid -> next)
+        up_n = ranks[nxt[gid]] > ranks[gid]
+        # edge pr runs from prev to gid, edge gid from gid to next
 
         if up_p and up_n:
-            # local minimum: both incident edges are born here
-            s = orient_sign(pt, pts[pr], pts[nx])
-            # among two upward edge vectors a, b: a is left of b iff cross(a, b) < 0
-            left_e, right_e = (e_in, e_out) if s < 0 else (e_out, e_in)
+            # local minimum: both edges are born here, pr a left and gid a right edge
+            def rel(t: int) -> int:
+                """Side of pt relative to active edge t: -1 right of it, +1 left."""
+                a, b = t, nxt[t]
+                if ranks[a] > ranks[b]:
+                    a, b = b, a
+                s = orient_sign(pts[a], pts[b], pt)
+                if s == 0:
+                    raise RuntimeError("event vertex lies on an active edge")
+                return s
+
+            b, i = status.locate(rel)
+            left = status.below(b, i)
+            inside = left is not None and ranks[left] > ranks[nxt[left]]
             if not reflex[gid]:
-                idx, inside = locate(pt)
                 if inside:
                     raise RuntimeError("opening vertex inside an existing interval")
-                nid = new_node("leaf", gid)
-                comp = _Component(left_e, right_e, nid)
-                active.insert(idx, comp)
-                edge_to[left_e] = (comp, 0)
-                edge_to[right_e] = (comp, 1)
+                nodes.append(ReebNode("leaf", pt, gid, v))
+                status.insert(b, i, [pr, gid])
+                arc[pr] = len(nodes) - 1
             else:
-                idx, inside = locate(pt)
                 if not inside:
                     raise RuntimeError("splitting vertex outside every interval")
-                comp = active[idx]
-                nid = new_node("branch", gid)
-                edges.append((comp.arc_from, nid))
-                cl = _Component(comp.left, left_e, nid)
-                cr = _Component(right_e, comp.right, nid)
-                active[idx:idx + 1] = [cl, cr]
-                edge_to[cl.left] = (cl, 0)
-                edge_to[left_e] = (cl, 1)
-                edge_to[right_e] = (cr, 0)
-                edge_to[cr.right] = (cr, 1)
+                nodes.append(ReebNode("branch", pt, gid, v))
+                nid = len(nodes) - 1
+                edges.append((arc[left], nid))
+                status.insert(b, i, [gid, pr])
+                arc[left] = arc[pr] = nid
         elif not up_p and not up_n:
-            # local maximum: both incident edges die here
-            ca, sa = edge_to.pop(e_in)
-            cb, sb = edge_to.pop(e_out)
+            # local maximum: both edges die here, gid a left and pr a right edge
             if not reflex[gid]:
-                if ca is not cb or {sa, sb} != {0, 1}:
+                b, i = status.place(gid)
+                if status.at(b, i + 1) != pr:
                     raise RuntimeError("closing edges span two intervals")
-                nid = new_node("leaf", gid)
-                edges.append((ca.arc_from, nid))
-                active.pop(active.index(ca))
+                nodes.append(ReebNode("leaf", pt, gid, v))
+                edges.append((arc[gid], len(nodes) - 1))
             else:
-                if ca is cb:
-                    raise RuntimeError("merging vertex closes a single interval")
-                if sa == sb:
-                    raise RuntimeError("merging edges bound their intervals on one side")
-                left_c, right_c = (ca, cb) if sa == 1 else (cb, ca)
-                nid = new_node("branch", gid)
-                edges.append((left_c.arc_from, nid))
-                edges.append((right_c.arc_from, nid))
-                i = active.index(left_c)
-                if active[i + 1] is not right_c:
+                b, i = status.place(pr)
+                if status.at(b, i + 1) != gid:
+                    b, i = status.place(gid)
+                    if status.at(b, i + 1) == pr:
+                        raise RuntimeError("merging vertex closes a single interval")
                     raise RuntimeError("merging intervals are not adjacent")
-                merged = _Component(left_c.left, right_c.right, nid)
-                active[i:i + 2] = [merged]
-                edge_to[merged.left] = (merged, 0)
-                edge_to[merged.right] = (merged, 1)
+                left = status.below(b, i)
+                nodes.append(ReebNode("branch", pt, gid, v))
+                nid = len(nodes) - 1
+                edges.append((arc[left], nid))
+                edges.append((arc[gid], nid))
+                arc[left] = nid
+            status.pop(*status.pop(b, i))
         else:
-            # regular: one incident edge dies, the other replaces it
-            dying, born = (e_in, e_out) if up_n else (e_out, e_in)
-            comp, side = edge_to.pop(dying)
-            if side == 0:
-                comp.left = born
-            else:
-                comp.right = born
-            edge_to[born] = (comp, side)
+            # regular: one edge dies, the other takes its place and its side
+            dying, born = (pr, gid) if up_n else (gid, pr)
+            status.replace(dying, born)
+            arc[born] = arc[dying]
 
-    if active or edge_to:
+    if status.blocks:
         raise RuntimeError("sweep ended with open intervals")
     l = sum(1 for nd in nodes if nd.kind == "leaf")
     b = len(nodes) - l
     return ReebGraph(tuple(nodes), tuple(edges), l, b, P.h)
 
 
-def _height_json(h: Fraction) -> float | str:
-    """h as a float, or as the exact "p/q" text when it overflows one."""
-    try:
-        return float(h)
-    except OverflowError:
-        return str(h)
-
-
 def reeb_to_dict(g: ReebGraph) -> dict:
-    """JSON-ready export: nodes (kind, height, witness), edges, counts."""
+    """JSON-ready export: nodes (kind, height, witness), edges, counts.
+
+    A height a/c * x/e + b/d * y/f is written as one integer quotient:
+    int/int true division rounds correctly, as float(Fraction) does. A
+    height beyond the float range is written exactly, as "p/q" text.
+    """
+    nodes = []
+    v = None
+    for nd in g.nodes:
+        if nd.direction is not v:
+            v = nd.direction
+            a, c = v.dx.as_integer_ratio()
+            b, d = v.dy.as_integer_ratio()
+            ad, bc, cd = a * d, b * c, c * d
+        w = nd.witness
+        x, e = w.x.as_integer_ratio()
+        y, f = w.y.as_integer_ratio()
+        try:
+            height = (ad * x * f + bc * y * e) / (cd * e * f)
+        except OverflowError:
+            height = str(nd.height)
+        nodes.append({"kind": nd.kind, "height": height, "witness": [w.xf, w.yf]})
     return {
-        "nodes": [
-            {"kind": nd.kind, "height": _height_json(nd.height),
-             "witness": [float(nd.witness.x), float(nd.witness.y)]}
-            for nd in g.nodes
-        ],
+        "nodes": nodes,
         "edges": [[a, b] for a, b in g.edges],
         "l": g.l,
         "b": g.b,

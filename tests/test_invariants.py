@@ -36,3 +36,22 @@ def test_error_model_only_in_exactmath():
              if isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)
              or isinstance(node, ast.Attribute) and node.attr in names]
     assert found == []
+
+
+def _scan_calls(tree) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("index", "remove")]
+
+
+def test_sweeps_make_no_linear_scans():
+    """The Reeb sweep and the validation sweep find known edges by their
+    status handles: no list.index or list.remove, which scan the list."""
+    package = Path(ruledpoly.__file__).parent
+    reeb = ast.parse((package / "reeb.py").read_text(encoding="utf-8"))
+    geometry = ast.parse((package / "geometry.py").read_text(encoding="utf-8"))
+    sweep = [node for node in geometry.body
+             if isinstance(node, ast.FunctionDef) and node.name == "_sweep"]
+    assert len(sweep) == 1
+    assert _scan_calls(reeb) == []
+    assert _scan_calls(sweep[0]) == []

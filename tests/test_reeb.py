@@ -1,19 +1,31 @@
 """Reeb graph construction, genericity, and the structural identities."""
 
+import math
+from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import ruledpoly.geometry as geometry
+import ruledpoly.reeb as reeb
 from ruledpoly import (
     Direction,
+    FamilyParams,
     NonGenericDirectionError,
     Polygon,
+    PolygonError,
+    annulus_polygon,
     branch_witnesses,
     is_generic,
+    lower_bound_polygon,
+    parallel_reeb_complexity,
     random_simple_polygon,
     reeb_graph,
     reeb_to_dict,
 )
+from ruledpoly.exactmath import orient_sign
 
 from conftest import nudge_generic
 
@@ -193,3 +205,244 @@ def test_reeb_to_dict_shape(l_poly):
     for nd in d["nodes"]:
         assert set(nd) == {"kind", "height", "witness"}
         assert isinstance(nd["height"], float)
+
+
+@pytest.mark.parametrize("v", [Direction(Fraction(-7, 3), Fraction(5, 11)),
+                               Direction(Fraction(3, 10 ** 320), Fraction(1, 10 ** 315)),
+                               Direction(10 ** 400, 1)])
+def test_reeb_to_dict_heights_are_the_exact_heights_rounded(v):
+    """Each exported height is float(height), the correctly rounded exact
+    value, or its "p/q" text where that overflows a float."""
+    P = Polygon([(0, 0), (Fraction(7, 3), Fraction(-1, 9)), (Fraction(13, 5), 2), (1, 1),
+                 (Fraction(-1, 7), Fraction(19, 6))])
+    g = reeb_graph(P, v)
+    for nd, out in zip(g.nodes, reeb_to_dict(g)["nodes"]):
+        try:
+            want = float(nd.height)
+        except OverflowError:
+            want = str(nd.height)
+        assert out["height"] == want and type(out["height"]) is type(want)
+        assert out["witness"] == [float(nd.witness.x), float(nd.witness.y)]
+
+
+# -- the list-based sweep, kept as a reference for the handle sweep ---------
+
+class _Component:
+    """A level-set interval, bounded by the active edges left and right.
+
+    arc_from is the Reeb node at the bottom of the arc this component is
+    currently tracing.
+    """
+
+    __slots__ = ("left", "right", "arc_from")
+
+    def __init__(self, left, right, arc_from):
+        self.left = left
+        self.right = right
+        self.arc_from = arc_from
+
+
+def reference_reeb(P, v):
+    """(kind, vertex) per node, edges, l, b: an ordered list of components
+    located by binary search and found again by linear scans."""
+    order = reeb._height_order(P, v)
+    n = P.n
+    ranks = [0] * n
+    for k, g in enumerate(order.tolist()):
+        ranks[g] = k
+    reflex = P._reflex
+    prev = P._prev
+    nxt = P._next
+    pts = P._pts
+
+    nodes = []
+    edges = []
+    active = []
+    edge_to = {}
+
+    def edge_side(pt, e):
+        """+1 if pt is strictly left of active edge e oriented upward."""
+        a, b = e, int(nxt[e])
+        if ranks[a] > ranks[b]:
+            a, b = b, a
+        s = orient_sign(pts[a], pts[b], pt)
+        if s == 0:
+            raise RuntimeError("event vertex lies on an active edge")
+        return s
+
+    def locate(pt):
+        """Binary search over the ordered disjoint components."""
+        lo, hi = 0, len(active)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            comp = active[mid]
+            if edge_side(pt, comp.left) > 0:
+                hi = mid
+            elif edge_side(pt, comp.right) < 0:
+                lo = mid + 1
+            else:
+                return mid, True
+        return lo, False
+
+    def new_node(kind, gid):
+        nodes.append((kind, gid))
+        return len(nodes) - 1
+
+    for gid in order.tolist():
+        pt = pts[gid]
+        pr = int(prev[gid])
+        nx = int(nxt[gid])
+        up_p = ranks[pr] > ranks[gid]
+        up_n = ranks[nx] > ranks[gid]
+        e_in = pr
+        e_out = gid
+
+        if up_p and up_n:
+            s = orient_sign(pt, pts[pr], pts[nx])
+            left_e, right_e = (e_in, e_out) if s < 0 else (e_out, e_in)
+            idx, inside = locate(pt)
+            if not reflex[gid]:
+                if inside:
+                    raise RuntimeError("opening vertex inside an existing interval")
+                comp = _Component(left_e, right_e, new_node("leaf", gid))
+                active.insert(idx, comp)
+                edge_to[left_e] = (comp, 0)
+                edge_to[right_e] = (comp, 1)
+            else:
+                if not inside:
+                    raise RuntimeError("splitting vertex outside every interval")
+                comp = active[idx]
+                nid = new_node("branch", gid)
+                edges.append((comp.arc_from, nid))
+                cl = _Component(comp.left, left_e, nid)
+                cr = _Component(right_e, comp.right, nid)
+                active[idx:idx + 1] = [cl, cr]
+                edge_to[cl.left] = (cl, 0)
+                edge_to[left_e] = (cl, 1)
+                edge_to[right_e] = (cr, 0)
+                edge_to[cr.right] = (cr, 1)
+        elif not up_p and not up_n:
+            ca, sa = edge_to.pop(e_in)
+            cb, sb = edge_to.pop(e_out)
+            if not reflex[gid]:
+                if ca is not cb or {sa, sb} != {0, 1}:
+                    raise RuntimeError("closing edges span two intervals")
+                edges.append((ca.arc_from, new_node("leaf", gid)))
+                active.pop(active.index(ca))
+            else:
+                if ca is cb:
+                    raise RuntimeError("merging vertex closes a single interval")
+                if sa == sb:
+                    raise RuntimeError("merging edges bound their intervals on one side")
+                left_c, right_c = (ca, cb) if sa == 1 else (cb, ca)
+                nid = new_node("branch", gid)
+                edges.append((left_c.arc_from, nid))
+                edges.append((right_c.arc_from, nid))
+                i = active.index(left_c)
+                if active[i + 1] is not right_c:
+                    raise RuntimeError("merging intervals are not adjacent")
+                merged = _Component(left_c.left, right_c.right, nid)
+                active[i:i + 2] = [merged]
+                edge_to[merged.left] = (merged, 0)
+                edge_to[merged.right] = (merged, 1)
+        else:
+            dying, born = (e_in, e_out) if up_n else (e_out, e_in)
+            comp, side = edge_to.pop(dying)
+            if side == 0:
+                comp.left = born
+            else:
+                comp.right = born
+            edge_to[born] = (comp, side)
+
+    if active or edge_to:
+        raise RuntimeError("sweep ended with open intervals")
+    l = sum(1 for kind, _ in nodes if kind == "leaf")
+    return nodes, edges, l, len(nodes) - l
+
+
+def _grid_ring(points):
+    """Grid points sorted by angle about their centroid: usually simple."""
+    cx = sum(x for x, _ in points) / len(points)
+    cy = sum(y for _, y in points) / len(points)
+    return sorted(points, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+
+
+def _grid_polygon(outer, holes):
+    """The outer ring with every hole that keeps the polygon valid, or None."""
+    try:
+        Polygon(outer)
+    except PolygonError:
+        return None
+    kept = []
+    for hole in holes:
+        try:
+            Polygon(outer, kept + [hole])
+        except PolygonError:
+            continue
+        kept.append(hole)
+    return Polygon(outer, kept)
+
+
+_CORNERS = [(0, 0), (8, 0), (8, 8), (0, 8)]
+_grid_point = st.tuples(st.integers(0, 8), st.integers(0, 8))
+_grid_polygons = st.builds(
+    _grid_polygon,
+    st.builds(lambda pts: _grid_ring(pts + _CORNERS), st.lists(_grid_point, max_size=8)),
+    st.lists(st.builds(_grid_ring, st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)),
+                                            min_size=3, max_size=5)), max_size=2))
+_polygons = st.one_of(
+    st.builds(random_simple_polygon, st.integers(3, 40), st.integers(0, 10 ** 6)),
+    st.builds(annulus_polygon, st.integers(3, 9), st.sampled_from([1, 2])),
+    _grid_polygons,
+)
+
+
+def _same_graph(P, v):
+    g = reeb_graph(P, v)
+    nodes, edges, l, b = reference_reeb(P, v)
+    assert [(nd.kind, nd.vertex) for nd in g.nodes] == nodes
+    assert Counter(g.edges) == Counter(edges)
+    assert (g.l, g.b, g.h) == (l, b, P.h)
+
+
+@given(P=_polygons, dx=st.integers(-1000, 1000), dy=st.integers(-1000, 1000))
+@settings(max_examples=300, deadline=None)
+def test_handle_sweep_matches_list_sweep(P, dx, dy):
+    """The edge-status sweep builds the reference's graph, also with
+    status blocks of one or two edges (splits and emptied blocks)."""
+    assume(P is not None and (dx or dy))
+    v = Direction(dx, dy)
+    assume(is_generic(P, v))
+    _same_graph(P, v)
+    with patch.object(geometry, "_BLOCK", 1):
+        _same_graph(P, v)
+
+
+@pytest.mark.parametrize("ring, message", [
+    ([(0, 0), (4, 0), (0, 3), (4, 3)], "merging vertex closes a single interval"),
+    ([(0, 0), (4, 0), (4, 4), (2, -1), (0, 4)], "splitting vertex outside every interval"),
+])
+def test_unvalidated_crossing_ring_raises(ring, message):
+    """A self-crossing ring loaded with validate=False breaks the
+    alternation of left and right edges; the sweep refuses it."""
+    P = Polygon(ring, validate=False)
+    with pytest.raises(RuntimeError, match=message):
+        reeb_graph(P, Direction(1, 7))
+
+
+def test_sweep_cost_is_n_log_n_in_orientation_tests(monkeypatch):
+    """On a 20 000-vertex star at its witness only local minima are
+    located: at most n * ceil(log2 n) orient_sign calls in all."""
+    P = lower_bound_polygon(FamilyParams(10_000))
+    res = parallel_reeb_complexity(P)
+    calls = 0
+
+    def counted(a, b, c):
+        nonlocal calls
+        calls += 1
+        return orient_sign(a, b, c)
+
+    monkeypatch.setattr(reeb, "orient_sign", counted)
+    g = reeb_graph(P, res.witness)
+    assert P.n == 20_000 and g.l == res.min_leaves
+    assert 0 < calls <= P.n * math.ceil(math.log2(P.n))

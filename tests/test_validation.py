@@ -110,3 +110,35 @@ def test_validation_cost_is_linear_in_contact_tests(monkeypatch):
     P = load_polygon(text)
     assert P.n == 20_000
     assert 0 < calls <= 4 * P.n
+
+
+def test_status_finds_every_edge_by_handle():
+    """With blocks of one or two edges, inserts at the front (until the
+    block keys must be respaced), the back and the middle, then replaces
+    and pops by handle: the handles keep giving each edge's position."""
+    n = 300
+    with patch.object(geometry, "_BLOCK", 1):
+        status = geometry._Status(2 * n)
+        order = []
+
+        def check():
+            assert [e for blk in status.blocks for e in blk] == order
+            assert status.keys == sorted(set(status.keys))
+            for e in order:
+                assert status.at(*status.place(e)) == e
+
+        for e in range(n):
+            k = 0 if e < n // 2 else (len(order), len(order) // 2)[e % 2]
+            b, i = status.locate(lambda t: -1 if order.index(t) < k else 1)
+            assert status.below(b, i) == (order[k - 1] if k else None)
+            status.insert(b, i, [e])
+            order.insert(k, e)
+        check()
+        for e in range(0, n, 3):
+            status.replace(e, n + e)
+            order[order.index(e)] = n + e
+        check()
+        for e in order[::2]:
+            status.pop(*status.place(e))
+            order.remove(e)
+        check()
