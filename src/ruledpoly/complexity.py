@@ -29,16 +29,15 @@ from the polygon's coordinate arrays, since constructing tens of
 thousands of exact cone objects would dominate the runtime budget.
 Angles are float keys with rigorous radii (exactmath.angle_filter);
 exactmath.filtered_order re-orders events whose radii overlap by exact
-cross product comparison, on vectors from the caller's one exact
-accessor: the cones' Fraction vectors, or integer edge vectors from the
-polygon's vertices held as integers over a per-vertex denominator.
+cross product comparison, on integer vectors from the caller's one exact
+accessor: the cones' vectors, or edge vectors from the polygon's
+vertices (exactmath.exact_delta), each at a positive scale of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,13 +45,14 @@ import numpy as np
 from .exactmath import (
     angle_filter,
     diff_error_bound,
+    exact_delta,
     filtered_order,
     filtered_sign_array,
     float_direction,
     mirror_error_bound,
     sign,
 )
-from .geometry import Direction, DoubleCone, Point, Polygon
+from .geometry import Direction, DoubleCone, Polygon
 from .reeb import is_generic
 
 __all__ = [
@@ -61,8 +61,8 @@ __all__ = [
     "parallel_reeb_complexity",
 ]
 
-_V0 = (Fraction(0), Fraction(-1))      # angular sweep starts straight down
-_V0_END = (Fraction(0), Fraction(1))   # v0 rotated by 180 degrees
+_V0 = (0, -1)      # angular sweep starts straight down
+_V0_END = (0, 1)   # v0 rotated by 180 degrees
 
 
 @dataclass(frozen=True)
@@ -106,32 +106,22 @@ class ComplexityResult:
 # any positive angle.
 
 
+@dataclass(frozen=True)
 class _EventSet:
     """Non-seam events plus the exact accessor for tie resolution."""
 
-    __slots__ = ("sf", "kind", "radius", "ids", "exact_dir",
-                 "init_count", "seam_exits", "seam_entries")
-
-    def __init__(self, sf, kind, radius, ids, exact_dir,
-                 init_count, seam_exits, seam_entries):
-        self.sf = sf
-        self.kind = kind
-        self.radius = radius
-        self.ids = ids
-        self.exact_dir = exact_dir  # original event id -> canonical (dx, dy), any scale
-        self.init_count = init_count
-        self.seam_exits = seam_exits
-        self.seam_entries = seam_entries
+    sf: np.ndarray
+    kind: np.ndarray
+    radius: np.ndarray
+    ids: np.ndarray
+    exact_dir: Callable[[int], tuple[int, int]]  # event id -> canonical integer (dx, dy)
+    init_count: int
+    seam_exits: int
+    seam_entries: int
 
 
 def _cmp_canonical(u, w) -> int:
-    """Exact sweep order of two canonical non-seam direction vectors.
-
-    Components may be Fractions or denominator-cleared integers; polygons
-    use the integer form since symmetric polygons produce one coincident
-    event pair per cone and Fraction products are the bottleneck at that
-    volume.
-    """
+    """Exact sweep order of two canonical non-seam integer direction vectors."""
     pu = 0 if u[0] < 0 else 1
     pw = 0 if w[0] < 0 else 1
     if pu != pw:
@@ -139,7 +129,7 @@ def _cmp_canonical(u, w) -> int:
     return -sign(u[0] * w[1] - u[1] * w[0])
 
 
-def _sweep_rep(vec: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+def _sweep_rep(vec: tuple[int, int]) -> tuple[int, int]:
     """Exact sweep representative R of a canonical non-seam direction."""
     if vec[0] < 0:
         return (-vec[0], -vec[1])
@@ -191,7 +181,7 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     closed_max = max(ev.init_count, int(point_cov.max()))
     interior_max = max(init0, int(interval_cov.max()))
 
-    def group_vec(g: int) -> tuple[Fraction, Fraction]:
+    def group_vec(g: int) -> tuple[int, int]:
         return ev.exact_dir(int(ev.ids[int(order[starts[g]])]))
 
     n_groups = len(starts)
@@ -210,7 +200,7 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     if closed_max == interior_max:
         closed_sel = ("interval",) + interior_arc
     elif ev.init_count == closed_max:
-        closed_sel = ("point", (Fraction(0), Fraction(1)))
+        closed_sel = ("point", _V0_END)
     else:
         g = int(np.flatnonzero(point_cov == closed_max)[0])
         closed_sel = ("point", group_vec(g))
@@ -223,8 +213,8 @@ def _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y,
 
     Cone i is given by the float vectors d1, d2 from its apex to its ring
     predecessor and successor, with absolute error bounds e*, and by
-    exact_d(i, 1) or exact_d(i, 2), the same vector exactly at any
-    positive scale. Signs and directions are scale-free, so this one
+    exact_d(i, 1) or exact_d(i, 2), the same vector exactly, as integers
+    at any positive scale. Signs and directions are scale-free, so this one
     accessor serves the signs, the tie clusters and the arc endpoints.
     Event id i is cone i's entry, at the normal of d1; k + i its exit.
     """
@@ -282,15 +272,16 @@ def _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y,
     return _EventSet(sf, kind, radius, ids, exact_dir, init, seam_exits, seam_entries)
 
 
-def _strictly_inside_arc(w: tuple[Fraction, Fraction],
-                         lo: tuple[Fraction, Fraction],
-                         hi: tuple[Fraction, Fraction]) -> bool:
-    """Whether direction w lies strictly inside the open arc lo -> hi.
+def _strictly_inside_arc(fx: float, fy: float, lo: tuple[int, int],
+                         hi: tuple[int, int]) -> bool:
+    """Whether the float vector (fx, fy), read exactly as integers w over
+    one power of two, lies strictly inside the open arc lo -> hi.
 
     lo and hi are sweep representatives less than 180 degrees apart, so
-    strict cross product tests against one of w's two vector
-    representatives decide membership.
+    strict cross product tests against w or -w decide membership.
     """
+    (a, c), (b, d) = fx.as_integer_ratio(), fy.as_integer_ratio()
+    w = a * (max(c, d) // c), b * (max(c, d) // d)
 
     def inside(wx, wy):
         return (lo[0] * wy - lo[1] * wx > 0) and (wx * hi[1] - wy * hi[0] > 0)
@@ -308,14 +299,14 @@ def _dyadic_positions():
         depth += 1
 
 
-def _rep_angle(vec: tuple[Fraction, Fraction]) -> float:
+def _rep_angle(vec: tuple[int, int]) -> float:
     """Float sweep angle of an exact representative (for searching only)."""
     fx, fy = float_direction(vec[0], vec[1])
     return math.atan2(fx, -fy)
 
 
-def _generic_witness(P: Polygon, lo: tuple[Fraction, Fraction],
-                     hi: tuple[Fraction, Fraction], budget: int = 512) -> Direction:
+def _generic_witness(P: Polygon, lo: tuple[int, int],
+                     hi: tuple[int, int], budget: int = 512) -> Direction:
     """A generic direction strictly inside the open arc lo -> hi.
 
     Tries the angular midpoint first, then the exact positive
@@ -327,9 +318,9 @@ def _generic_witness(P: Polygon, lo: tuple[Fraction, Fraction],
     s_hi = _rep_angle(hi)
 
     def try_angle(s: float) -> Direction | None:
-        vec = (Fraction(math.sin(s)), Fraction(-math.cos(s)))
-        if (vec[0] or vec[1]) and _strictly_inside_arc(vec, lo, hi):
-            cand = Direction(vec[0], vec[1])
+        fx, fy = math.sin(s), -math.cos(s)
+        if (fx or fy) and _strictly_inside_arc(fx, fy, lo, hi):
+            cand = Direction(fx, fy)
             if is_generic(P, cand):
                 return cand
         return None
@@ -379,35 +370,6 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
     return prof.closed_max, witness
 
 
-def _homogeneous(p: Point) -> tuple[int, int, int]:
-    """Integers (X, Y, D) with p = (X/D, Y/D), D the lcm of p's denominators."""
-    xn, xd = p.x.as_integer_ratio()
-    yn, yd = p.y.as_integer_ratio()
-    d = math.lcm(xd, yd)
-    return xn * (d // xd), yn * (d // yd), d
-
-
-def _integer_edges(P: Polygon, r: np.ndarray) -> Callable[[int, int], tuple[int, int]]:
-    """exact_d for the cones at P's reflex vertices r, as integer pairs.
-
-    Symmetric polygons tie on nearly every event, so the clusters must
-    run on ints rather than Fractions. Each vertex keeps its own scale
-    D: one common denominator grows with n when denominators differ.
-    """
-    coords = [_homogeneous(p) for p in P._pts]
-    apex = r.tolist()
-    neighbor = (None, P._prev[r].tolist(), P._next[r].tolist())
-
-    def exact_d(i: int, which: int) -> tuple[int, int]:
-        xa, ya, da = coords[apex[i]]
-        xb, yb, db = coords[neighbor[which][i]]
-        if da == db:
-            return (xb - xa, yb - ya)
-        return (xb * da - xa * db, yb * da - ya * db)
-
-    return exact_d
-
-
 @np.errstate(over="ignore", invalid="ignore")  # filtered_sign_array signs inf lanes exactly
 def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     """Reeb complexity of P over parallel rulings: min_leaves with witness.
@@ -439,7 +401,9 @@ def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     e1y = diff_error_bound(d1y, Y[rp], Y[r])
     e2x = diff_error_bound(d2x, X[rn], X[r])
     e2y = diff_error_bound(d2y, Y[rn], Y[r])
-    ev = _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y, _integer_edges(P, r))
+    pts, apex, neighbor = P._pts, r.tolist(), (None, rp.tolist(), rn.tolist())
+    ev = _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y,
+                    lambda i, which: exact_delta(pts[apex[i]], pts[neighbor[which][i]])[:2])
     prof = _sweep_select(ev)
     c_max = prof.interior_max
     witness = _generic_witness(P, *prof.interior_arc)

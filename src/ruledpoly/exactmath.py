@@ -1,13 +1,14 @@
 """Filtered exact arithmetic: one error model behind every float decision.
 
 Every geometric decision here is the sign or the order of small
-polynomials in exact Fraction coordinates. Each is evaluated in floats
-with a rigorous error bound and recomputed exactly only when the float
-value is not clearly decided. The floats are rounded mirrors of exact
-rationals, and every bound is built from one model of their error: a
-relative U (2^-52, twice the unit roundoff) for each rounding, of an
-exact rational into its mirror or of a float operation, and an absolute
-ETA (2^-1074, twice the largest error of a rounding into the subnormal
+polynomials in exact coordinates, integers over each point's own scale
+(exact_delta). Each is evaluated in floats with a rigorous error bound
+and recomputed exactly, in integers, only when the float value is not
+clearly decided. The floats are rounded mirrors of exact rationals, and
+every bound is built from one model of their error: a relative U
+(2^-52, twice the unit roundoff) for each rounding, of an exact
+rational into its mirror or of a float operation, and an absolute ETA
+(2^-1074, twice the largest error of a rounding into the subnormal
 range) for each rounding that may underflow: a mirror or a product, not
 a sum or a difference, which is then exact. mirror_error_bound,
 diff_error_bound, cross_filter (orient_sign, corner_cross), dot_filter
@@ -17,7 +18,7 @@ filtered_sign_array and filtered_order let exact values decide the rest.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import cmp_to_key
 from typing import Callable
 
@@ -29,7 +30,7 @@ _K = 2.0 * ETA / U  # U * (s + _K) charges two such roundings on top of U * s
 
 
 def sign(x) -> int:
-    """Sign of an exact number (int or Fraction)."""
+    """Sign of an exact number."""
     if x > 0:
         return 1
     if x < 0:
@@ -37,14 +38,18 @@ def sign(x) -> int:
     return 0
 
 
-def exact_cross(ax, ay, bx, by) -> Fraction:
+def exact_cross(ax, ay, bx, by):
     """Exact cross product ax*by - ay*bx of two exact vectors."""
     return ax * by - ay * bx
 
 
-def exact_dot(ax, ay, bx, by):
-    """Exact dot product ax*bx + ay*by of two exact vectors."""
-    return ax * bx + ay * by
+def exact_delta(p, q) -> tuple[int, int, int]:
+    """q - p as integers (x, y, s), s > 0, for points (X / D, Y / D):
+    q - p = (x / s, y / s). Each point keeps its own scale D, and equal
+    scales are not multiplied, so no size depends on other points."""
+    if p.D == q.D:
+        return q.X - p.X, q.Y - p.Y, p.D
+    return q.X * p.D - p.X * q.D, q.Y * p.D - p.Y * q.D, p.D * q.D
 
 
 def mirror_error_bound(x):
@@ -85,14 +90,16 @@ def orient_sign(a, b, c) -> int:
     """Sign of cross(a - c, b - c) for three Points. Exact.
 
     Positive when a, b, c make a left turn. The float mirrors decide
-    unless the determinant is within its bound; then the Fractions do.
+    unless the determinant is within its bound; then the integers do.
     """
     det, err = cross_filter(a.xf, a.yf, b.xf, b.yf, c.xf, c.yf)
     if det > err:
         return 1
     if det < -err:
         return -1
-    return sign((a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x))
+    ux, uy, _ = exact_delta(c, a)
+    wx, wy, _ = exact_delta(c, b)
+    return sign(ux * wy - uy * wx)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed lanes go to the exact path
@@ -134,25 +141,26 @@ def angle_filter(y, x, ey, ex) -> tuple[np.ndarray, np.ndarray]:
     return np.arctan2(y, x), np.where(2.0 * (ex + ey) < r, near, 4.0) + 64.0 * U
 
 
-def float_direction(x, y) -> tuple[float, float]:
-    """Float pair pointing along the nonzero exact vector (x, y).
+def float_direction(x: int, y: int, d: int = 1) -> tuple[float, float]:
+    """Float pair along the nonzero exact vector (x / d, y / d), d > 0.
 
-    The plain float mirrors when both are in range and not both tiny;
-    otherwise both are first scaled by one power of two, which keeps
-    the direction, so an angle taken from the pair is always meaningful.
+    The correctly rounded quotients when both are in range and not both
+    tiny; otherwise the vector is first scaled by the power of two that
+    brings its larger component near 1, which keeps the direction, so
+    an angle taken from the pair is always meaningful.
     """
     try:
-        fx, fy = float(x), float(y)
+        fx, fy = x / d, y / d
     except OverflowError:
         pass
     else:
         if max(abs(fx), abs(fy)) >= 2.0 ** -960:
             return fx, fy
-    x, y = Fraction(x), Fraction(y)
     m = max(abs(x), abs(y))
-    shift = m.numerator.bit_length() - m.denominator.bit_length()
-    scale = Fraction(1, 1 << shift) if shift >= 0 else Fraction(1 << -shift)
-    return float(x * scale), float(y * scale)
+    g = math.gcd(m, d)
+    shift = (m // g).bit_length() - (d // g).bit_length()
+    x, y, d = (x, y, d << shift) if shift >= 0 else (x << -shift, y << -shift, d)
+    return x / d, y / d
 
 
 def filtered_sign_array(vals: np.ndarray, errs: np.ndarray,

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import corner_cross, filtered_sign_array
+from .exactmath import corner_cross, exact_cross, filtered_sign_array
 from .geometry import Point, Polygon, PolygonError, _segments_touch, as_fraction
 
 __all__ = [
@@ -66,7 +66,7 @@ def _round12(values: np.ndarray) -> list[Fraction]:
     return [Fraction(int(s), _SCALE) for s in scaled]
 
 
-def _certify_star_shaped(xs: list[Fraction], ys: list[Fraction]) -> None:
+def _certify_star_shaped(ring: list[Point]) -> None:
     """Prove a ring simple by radial monotonicity about the origin.
 
     Requires every adjacent pair of position vectors to span a nonzero
@@ -75,13 +75,14 @@ def _certify_star_shaped(xs: list[Fraction], ys: list[Fraction]) -> None:
     boundary is then the graph of a radial function, hence simple, with
     the origin strictly inside.
     """
-    n = len(xs)
-    xf = np.array([float(v) for v in xs])
-    yf = np.array([float(v) for v in ys])
-    # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i, p_{i+1})
+    n = len(ring)
+    xf = np.fromiter((p.xf for p in ring), dtype=float, count=n)
+    yf = np.fromiter((p.yf for p in ring), dtype=float, count=n)
+    # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i, p_{i+1}), which has
+    # the sign of cross((X_i, Y_i), (X_{i+1}, Y_{i+1}))
     cr, err = corner_cross(0.0, 0.0, xf, yf, np.roll(xf, -1), np.roll(yf, -1))
-    signs = filtered_sign_array(
-        cr, err, lambda i: xs[i] * ys[(i + 1) % n] - ys[i] * xs[(i + 1) % n])
+    signs = filtered_sign_array(cr, err, lambda i: exact_cross(
+        ring[i].X, ring[i].Y, ring[(i + 1) % n].X, ring[(i + 1) % n].Y))
     if np.any(signs == 0):
         raise PolygonError("star certificate failed: adjacent radial collinearity")
     if not (np.all(signs == 1) or np.all(signs == -1)):
@@ -126,7 +127,7 @@ def lower_bound_polygon(params: FamilyParams) -> Polygon:
 
     if 2 * n <= _VALIDATE_LIMIT:
         return Polygon(ring)
-    _certify_star_shaped([p.x for p in ring], [p.y for p in ring])
+    _certify_star_shaped(ring)
     return Polygon(ring, validate=False)
 
 

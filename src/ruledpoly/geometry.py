@@ -1,17 +1,21 @@
 """Polygons with holes over exact rational coordinates.
 
-Coordinates are Fractions and every geometric decision is made from
-exact signs; float mirrors of all coordinates are kept alongside for
-numpy fast paths and filtered scalar predicates (see exactmath). Each
-ring's corner signs are computed once, at construction, and give its
-merging, its orientation and its reflex vertices.
+A point is (X / D, Y / D) over integers, D > 0 its own least common
+denominator, and every geometric decision is an exact sign computed
+from these integers; float mirrors of all coordinates are kept
+alongside for numpy fast paths and filtered scalar predicates (see
+exactmath). Fractions appear only at the public edge. Each ring's
+corner signs are computed once, at construction, and give its merging,
+its orientation and its reflex vertices.
 
 The polygon file format is a UTF-8 JSON document
 
     {"outer": [[x, y], ...], "holes": [[[x, y], ...], ...]}
 
-with numbers given as decimal literals, or as strings holding a decimal
-literal or a fraction "p/q". Both parse to exact Fractions. Emission
+with numbers given as JSON numbers, or as strings holding an optional
+sign and then a decimal literal with an optional exponent ("-1.25",
+".5", "3e-7") or a fraction of unsigned integers ("1/3"). Both parse
+exactly, to integer ratios. Emission
 writes a decimal number when the coordinate has a terminating decimal
 expansion and a "p/q" string otherwise, so every dump -> load cycle is
 exact and a generate -> load -> emit cycle is byte identical.
@@ -32,8 +36,10 @@ import decimal
 import itertools
 import json
 import math
+import re
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,11 +47,11 @@ import numpy as np
 from .exactmath import (
     corner_cross,
     exact_cross,
-    exact_dot,
+    exact_delta,
+    filtered_order,
     filtered_sign_array,
     float_direction,
     orient_sign,
-    sign,
 )
 
 __all__ = [
@@ -95,51 +101,68 @@ class NonReflexVertexError(ValueError):
     """A cone was asked for at a convex vertex."""
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce a coordinate-like value to an exact Fraction.
+# an optional sign, then a decimal literal with an optional exponent or p/q, q > 0
+_LITERAL = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+/0*[1-9][0-9]*)")
 
-    Accepts int, Fraction, Decimal, finite float (converted exactly from
-    its binary value), and strings: decimal literals or "p/q".
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise PolygonParseError(f"non-finite coordinate {value!r}")
-        return Fraction(value)
-    if isinstance(value, decimal.Decimal):
-        if not value.is_finite():
-            raise PolygonParseError(f"non-finite coordinate {value!r}")
-        return Fraction(value)
-    if isinstance(value, str):
+
+def _ratio(value) -> tuple[int, int]:
+    """The reduced ratio (numerator, denominator > 0) of a coordinate-like
+    value: int (but not bool), Fraction, Decimal, finite float (its exact
+    binary value), or a string holding an optional sign, then a decimal
+    literal with an optional exponent or "p/q" of unsigned integers."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value.numerator, value.denominator
+    if isinstance(value, (float, decimal.Decimal)):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise PolygonParseError(f"bad coordinate literal {value!r}") from exc
+            return value.as_integer_ratio()
+        except (OverflowError, ValueError) as exc:  # infinities and NaNs
+            raise PolygonParseError(f"non-finite coordinate {value!r}") from exc
+    if isinstance(value, str):
+        if _LITERAL.fullmatch(value) is None:
+            raise PolygonParseError(f"bad coordinate literal {value!r}")
+        p, slash, q = value.partition("/")
+        if slash:
+            g = math.gcd(int(p), int(q))
+            return int(p) // g, int(q) // g
+        return decimal.Decimal(value).as_integer_ratio()
     raise PolygonParseError(f"unsupported coordinate type {type(value).__name__}")
 
 
-class Point:
-    """Exact planar point with float mirrors for filtered predicates."""
+def as_fraction(value) -> Fraction:
+    """Coerce a coordinate-like value (see _ratio) to an exact Fraction."""
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
-    __slots__ = ("x", "y", "xf", "yf")
+
+class Point:
+    """Exact planar point (X / D, Y / D), D > 0 the least common denominator
+    of its reduced coordinates, so (X, Y, D) is canonical. The float
+    mirrors X / D and Y / D are correctly rounded; x and y are Fractions."""
+
+    __slots__ = ("X", "Y", "D", "xf", "yf")
 
     def __init__(self, x, y):
-        self.x = as_fraction(x)
-        self.y = as_fraction(y)
+        (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
+        d = self.D = math.lcm(xd, yd)
+        self.X, self.Y = xn * (d // xd), yn * (d // yd)
         try:
-            self.xf = float(self.x)
-            self.yf = float(self.y)
+            self.xf, self.yf = self.X / d, self.Y / d
         except OverflowError as exc:
             raise PolygonParseError("coordinate beyond the float range (about 1.8e308)") from exc
 
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.X, self.D)
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.Y, self.D)
+
     def __eq__(self, other):
-        return isinstance(other, Point) and self.x == other.x and self.y == other.y
+        return isinstance(other, Point) and (self.X, self.Y, self.D) == (other.X, other.Y, other.D)
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return hash((self.X, self.Y, self.D))
 
     def __iter__(self):
         yield self.x
@@ -149,16 +172,23 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
+def _lex_cmp(p: Point, q: Point) -> int:
+    """Exact lexicographic (x, y) order of two points: -1, 0 or 1."""
+    c = p.X * q.D - q.X * p.D or p.Y * q.D - q.Y * p.D
+    return (c > 0) - (c < 0)
+
+
 class Direction:
     """A sweep direction modulo 180 degrees.
 
     (dx, dy) and (-dx, -dy) name the same Direction; the canonical
-    representative has dy > 0, or dy == 0 and dx > 0. Equality and
-    ordering are decided by exact cross product signs; the float angle
-    is only a sort key that exact comparisons refine.
+    representative has dy > 0, or dy == 0 and dx > 0, at the caller's
+    scale. Its coprime integer pair, fixed at construction, decides
+    equality and every predicate; the float angle is only a sort key
+    that exact comparisons refine.
     """
 
-    __slots__ = ("dx", "dy", "fdx", "fdy", "_pair")
+    __slots__ = ("dx", "dy", "fdx", "fdy", "_ints", "_pair")
 
     def __init__(self, dx, dy):
         dx = as_fraction(dx)
@@ -169,24 +199,22 @@ class Direction:
             dx, dy = -dx, -dy
         self.dx = dx
         self.dy = dy
-        self.fdx, self.fdy = float_direction(dx, dy)  # a positive multiple of (dx, dy)
-        self._pair = None
+        m = math.lcm(dx.denominator, dy.denominator)
+        a, b = dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator)
+        self._ints = (a, b, m)  # (dx, dy) == (a / m, b / m)
+        self.fdx, self.fdy = float_direction(a, b, m)  # a positive multiple of (dx, dy)
+        g = math.gcd(a, b)
+        self._pair = (a // g, b // g)
 
     def canonical_pair(self) -> tuple[int, int]:
         """Coprime integer representative of the direction; hash/equality key."""
-        if self._pair is None:
-            m = math.lcm(self.dx.denominator, self.dy.denominator)
-            a = int(self.dx * m)
-            b = int(self.dy * m)
-            g = math.gcd(a, b)
-            self._pair = (a // g, b // g)
         return self._pair
 
     def __eq__(self, other):
-        return isinstance(other, Direction) and self.canonical_pair() == other.canonical_pair()
+        return isinstance(other, Direction) and self._pair == other._pair
 
     def __hash__(self):
-        return hash(self.canonical_pair())
+        return hash(self._pair)
 
     def __repr__(self):
         return f"Direction({self.dx}, {self.dy})"
@@ -199,7 +227,8 @@ class DoubleCone:
     d1, d2 point from the apex to its two ring neighbors. Under such v
     both incident edges fall on one side of the ruling line through the
     apex, so the level set does not branch there; the set is closed and
-    symmetric under v -> -v.
+    symmetric under v -> -v. d1 and d2 are kept as integer vectors, each
+    at a positive scale of its own, and v as its integer pair.
 
     Swept counterclockwise (mod 180 degrees) the cone is entered at
     arc_start, the outward normal of the incoming edge, and left at
@@ -209,21 +238,22 @@ class DoubleCone:
     __slots__ = ("apex", "arc_start", "arc_end", "_d1", "_d2")
 
     def __init__(self, apex: Point, prev_point: Point, next_point: Point):
-        d1 = (prev_point.x - apex.x, prev_point.y - apex.y)
-        d2 = (next_point.x - apex.x, next_point.y - apex.y)
-        if exact_cross(d1[0], d1[1], d2[0], d2[1]) <= 0:
+        x1, y1, s1 = exact_delta(apex, prev_point)
+        x2, y2, s2 = exact_delta(apex, next_point)
+        if exact_cross(x1, y1, x2, y2) <= 0:
             raise NonReflexVertexError(f"vertex at {apex!r} is not reflex")
         self.apex = apex
-        self._d1 = d1
-        self._d2 = d2
-        self.arc_start = Direction(d1[1], -d1[0])
-        self.arc_end = Direction(d2[1], -d2[0])
+        self._d1 = (x1, y1)
+        self._d2 = (x2, y2)
+        self.arc_start = Direction(Fraction(y1, s1), Fraction(-x1, s1))
+        self.arc_end = Direction(Fraction(y2, s2), Fraction(-x2, s2))
 
     def contains(self, v: Direction) -> bool:
         """Exact closed containment test."""
-        s1 = sign(exact_dot(v.dx, v.dy, self._d1[0], self._d1[1]))
-        s2 = sign(exact_dot(v.dx, v.dy, self._d2[0], self._d2[1]))
-        return s1 * s2 <= 0
+        a, b = v._pair
+        h1 = a * self._d1[0] + b * self._d1[1]
+        h2 = a * self._d2[0] + b * self._d2[1]
+        return not h1 or not h2 or (h1 > 0) != (h2 > 0)
 
     def __repr__(self):
         return f"DoubleCone(apex={self.apex!r}, {self.arc_start!r}..{self.arc_end!r})"
@@ -278,9 +308,10 @@ def _corner_signs(pts: list[Point], xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     cr, err = corner_cross(np.roll(xs, 1), np.roll(ys, 1), xs, ys,
                            np.roll(xs, -1), np.roll(ys, -1))
 
-    def exact_at(i: int) -> Fraction:
-        a, p, b = pts[i - 1], pts[i], pts[(i + 1) % n]
-        return exact_cross(p.x - a.x, p.y - a.y, b.x - p.x, b.y - p.y)
+    def exact_at(i: int) -> int:
+        ux, uy, _ = exact_delta(pts[i - 1], pts[i])
+        wx, wy, _ = exact_delta(pts[i], pts[(i + 1) % n])
+        return exact_cross(ux, uy, wx, wy)
 
     return filtered_sign_array(cr, err, exact_at)
 
@@ -308,11 +339,11 @@ def _merge_ring(pts: list[Point]) -> list[Point]:
                 out.append(p)  # duplicate resolved at the previous index next pass
                 changed = True
                 continue
-            d1x, d1y = p.x - prv.x, p.y - prv.y
-            d2x, d2y = nxt.x - p.x, nxt.y - p.y
+            d1x, d1y, _ = exact_delta(prv, p)
+            d2x, d2y, _ = exact_delta(p, nxt)
             cr = exact_cross(d1x, d1y, d2x, d2y)
             if cr == 0:
-                if exact_dot(d1x, d1y, d2x, d2y) > 0:
+                if d1x * d2x + d1y * d2y > 0:
                     changed = True
                     continue
                 raise SlitVertexError(f"edges double back at {p!r}")
@@ -343,16 +374,18 @@ def _normalize_ring(pts: list[Point], want: int) -> tuple[list[Point], np.ndarra
         signs = _corner_signs(pts, xs, ys)
     # rounding is monotone, so the exact least x has the least mirror
     low = np.flatnonzero(xs == xs.min()).tolist()
-    least = min(low, key=lambda i: (pts[i].x, pts[i].y))
+    least = min(low, key=cmp_to_key(lambda i, j: _lex_cmp(pts[i], pts[j])))
     if signs[least] != want:
         return pts[::-1], xs[::-1], ys[::-1], -signs[::-1]
     return pts, xs, ys, signs
 
 
 def _on_segment(a: Point, b: Point, c: Point) -> bool:
-    """Whether c, known collinear with a-b, lies on the closed segment."""
-    return (min(a.x, b.x) <= c.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= c.y <= max(a.y, b.y))
+    """Whether c, known collinear with a-b, lies on the closed segment:
+    a - c and b - c have no coordinate of one strict sign."""
+    ax, ay, _ = exact_delta(c, a)
+    bx, by, _ = exact_delta(c, b)
+    return ax * bx <= 0 and ay * by <= 0
 
 
 def _segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -542,12 +575,14 @@ def _sweep(rings: list[list[Point]]) -> None:
     for e in range(n):
         prv[nxt[e]] = e
 
-    # exact lexicographic order; the float mirrors decide unless they tie
-    events = sorted(zip([p.xf for p in pts], [p.x for p in pts],
-                        [p.yf for p in pts], [p.y for p in pts], range(n)))
+    # exact lexicographic order, equal points by index; x mirrors decide unless they tie
+    xf = np.fromiter((p.xf for p in pts), dtype=float, count=n)
+    events, repeat = filtered_order(xf, np.zeros(n), pts.__getitem__, _lex_cmp)
+    events = events.tolist()
+    repeat = repeat.tolist()
     rank = [0] * n
-    for k, ev in enumerate(events):
-        rank[ev[4]] = k
+    for k, v in enumerate(events):
+        rank[v] = k
     # edge e runs from vertex e to nxt[e]; lo/hi are its first/last endpoints
     # in event order. The interior lies left of every edge, so above an
     # edge that runs forward in event order.
@@ -575,13 +610,9 @@ def _sweep(rings: list[list[Point]]) -> None:
 
     status = _Status(n)
     seen = [False] * len(rings)
-    last = None
-    for ev in events:
-        v = ev[4]
-        if last is not None and ev[0] == last[0] and ev[2] == last[2] \
-                and ev[1] == last[1] and ev[3] == last[3]:
-            raise fault(v, last[4])  # a repeated point: both edges leaving it touch
-        last = ev
+    for k, v in enumerate(events):
+        if repeat[k]:
+            raise fault(v, events[k - 1])  # a repeated point: both edges leaving it touch
         p = pts[v]
         e_in, e_out = prv[v], v
 
@@ -753,10 +784,6 @@ def _reject_constant(token: str):
     raise PolygonParseError(f"non-finite number {token!r} in polygon document")
 
 
-def _number_hook(token: str) -> Fraction:
-    return Fraction(decimal.Decimal(token))
-
-
 def load_polygon(source) -> Polygon:
     """Parse and validate a polygon document.
 
@@ -768,8 +795,7 @@ def load_polygon(source) -> Polygon:
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     try:
-        doc = json.loads(source, parse_float=_number_hook, parse_int=_number_hook,
-                         parse_constant=_reject_constant)
+        doc = json.loads(source, parse_float=decimal.Decimal, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise PolygonParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .complexity import _strictly_inside_arc, _sweep_rep
-from .exactmath import float_direction, sign
+from .complexity import _strictly_inside_arc
+from .exactmath import exact_delta, sign
 from .geometry import Direction, Polygon
 from .reeb import reeb_graph
 
@@ -37,19 +37,19 @@ class OracleCapError(ValueError):
     """Polygon is larger than the oracle's vertex cap."""
 
 
-def _sweep_cmp(u: Direction, w: Direction) -> int:
-    """Total order of canonical directions along the rotational sweep.
+def _sweep_cmp(u: tuple[int, int], w: tuple[int, int]) -> int:
+    """Total order of canonical integer pairs along the rotational sweep.
 
     The vertical-line normal (0, 1) comes first; then directions with
     dx < 0 (first quarter turn), then dx > 0, each by exact cross sign.
     """
-    pu = 0 if u.dx == 0 else (1 if u.dx < 0 else 2)
-    pw = 0 if w.dx == 0 else (1 if w.dx < 0 else 2)
+    pu = 0 if u[0] == 0 else (1 if u[0] < 0 else 2)
+    pw = 0 if w[0] == 0 else (1 if w[0] < 0 else 2)
     if pu != pw:
         return pu - pw
     if pu == 0:
         return 0
-    return -sign(u.dx * w.dy - u.dy * w.dx)
+    return -sign(u[0] * w[1] - u[1] * w[0])
 
 
 @dataclass(frozen=True)
@@ -65,30 +65,34 @@ class EventPartition:
 
 
 def build_event_partition(P: Polygon) -> EventPartition:
-    """Every direction orthogonal to some vertex-pair difference, sorted."""
-    pts = [P.vertex(i) for i in range(P.n)]
+    """Every direction orthogonal to some vertex-pair difference, sorted;
+    each keeps the exact values of the first normal (x / s, y / s) found."""
+    pts = P._pts
     seen = {}
     for i in range(P.n):
         a = pts[i]
         for j in range(i + 1, P.n):
-            b = pts[j]
-            dx = b.x - a.x
-            dy = b.y - a.y
+            dx, dy, s = exact_delta(a, pts[j])
             if dx == 0 and dy == 0:
                 continue
-            d = Direction(-dy, dx)
-            seen.setdefault(d.canonical_pair(), d)
-    angles = sorted(seen.values(), key=cmp_to_key(_sweep_cmp))
-    return EventPartition(tuple(angles))
+            g = math.gcd(dx, dy)
+            x, y = -dy // g, dx // g
+            if y < 0 or (y == 0 and x < 0):
+                x, y = -x, -y
+            seen.setdefault((x, y), (-dy, dx, s))
+    order = sorted(seen, key=cmp_to_key(_sweep_cmp))
+    return EventPartition(tuple(Direction(Fraction(x, s), Fraction(y, s))
+                                for x, y, s in map(seen.get, order)))
 
 
-def _rep_and_angle(d: Direction) -> tuple[tuple[Fraction, Fraction], float]:
-    """Sweep representative vector and float sweep angle of an event."""
-    if d.dx == 0:
-        return (Fraction(0), Fraction(-1)), 0.0
-    r = _sweep_rep((d.dx, d.dy))
-    fx, fy = float_direction(r[0], r[1])
-    return r, math.atan2(fx, -fy)
+def _rep_and_angle(d: Direction) -> tuple[tuple[int, int, int], float]:
+    """Sweep representative (x, y, s), the vector (x / s, y / s), and angle."""
+    x, y, m = d._ints
+    if x == 0:
+        return (0, -1, 1), 0.0
+    if x < 0:
+        return (-x, -y, m), math.atan2(-d.fdx, d.fdy)
+    return (x, y, m), math.atan2(d.fdx, -d.fdy)
 
 
 def _interval_representative(lo_r, hi_r, s_lo: float, s_hi: float) -> Direction:
@@ -99,11 +103,11 @@ def _interval_representative(lo_r, hi_r, s_lo: float, s_hi: float) -> Direction:
     combination of the endpoints backs it up for degenerate widths.
     """
     s_mid = 0.5 * (s_lo + s_hi)
-    vx = Fraction(math.sin(s_mid))
-    vy = Fraction(-math.cos(s_mid))
-    if (vx or vy) and _strictly_inside_arc((vx, vy), lo_r, hi_r):
+    vx, vy = math.sin(s_mid), -math.cos(s_mid)
+    if (vx or vy) and _strictly_inside_arc(vx, vy, lo_r[:2], hi_r[:2]):
         return Direction(vx, vy)
-    return Direction(lo_r[0] + hi_r[0], lo_r[1] + hi_r[1])
+    (x1, y1, s1), (x2, y2, s2) = lo_r, hi_r
+    return Direction(Fraction(x1 * s2 + x2 * s1, s1 * s2), Fraction(y1 * s2 + y2 * s1, s1 * s2))
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def brute_force_complexity(P: Polygon, cap: int = 64) -> OracleResult:
             hi_r, s_hi = reps[j + 1]
         else:
             r0, s0 = reps[0]
-            hi_r, s_hi = (-r0[0], -r0[1]), s0 + math.pi
+            hi_r, s_hi = (-r0[0], -r0[1], r0[2]), s0 + math.pi
         v = _interval_representative(lo_r, hi_r, s_lo, s_hi)
         leaves = reeb_graph(P, v).l
         if best is None or leaves < best:

@@ -16,9 +16,9 @@ The sweep keeps the active edges in the sweep status of validation
 (geometry._Status), found and removed by handle. Each edge bounds its
 level-set interval on one side for its whole life, fixed by whether it
 runs up or down the ring, so an interval needs no object of its own. The
-sweep needs only the order of the heights, which exact heights refine
-only where float heights cannot decide it; a node works its exact
-Fraction height out on access, and the export rounds it once from
+sweep needs only the order of the heights, which exact integer heights
+refine only where float heights cannot decide it; a node works its
+exact Fraction height out on access, and the export rounds it once from
 integers.
 """
 
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import dot_filter, filtered_order, orient_sign
+from .exactmath import dot_filter, filtered_order, orient_sign, sign
 from .geometry import Direction, Point, Polygon, _Status
 
 __all__ = [
@@ -71,7 +71,9 @@ class ReebNode:
     @property
     def height(self) -> Fraction:
         """Exact <v, witness>, worked out on each access."""
-        return self.direction.dx * self.witness.x + self.direction.dy * self.witness.y
+        a, b, m = self.direction._ints
+        w = self.witness
+        return Fraction(a * w.X + b * w.Y, m * w.D)
 
 
 @dataclass(frozen=True)
@@ -94,23 +96,23 @@ class ReebGraph:
         return len(self.edges) - len(self.nodes) + 1
 
 
-def _exact_height(P: Polygon, v: Direction, i: int) -> Fraction:
-    p = P._pts[i]
-    return v.dx * p.x + v.dy * p.y
-
-
 def _height_order(P: Polygon, v: Direction) -> np.ndarray:
     """Global vertex indices sorted by exact height under v.
 
     Float heights order almost everything (exactmath.filtered_order);
-    the lowest exact tie raises NonGenericDirectionError.
+    exact ties are resolved on the integer pair (a, b) of v, a positive
+    multiple of it: vertex (X / D, Y / D) has height (aX + bY) / D, and
+    two heights compare by cross multiplication. The lowest exact tie
+    raises NonGenericDirectionError.
     """
     # a power of two at most 1 brings v below 1/8, so nothing overflows; one
     # above 1 would magnify the error of a component that underflowed
     scale = 2.0 ** -max(0, math.frexp(max(abs(v.fdx), abs(v.fdy)))[1] + 3)
     hts, err = dot_filter(P._coords[:, 0], P._coords[:, 1], v.fdx * scale, v.fdy * scale)
-    order, tie = filtered_order(hts, err, lambda i: _exact_height(P, v, i),
-                                lambda a, b: (a > b) - (a < b))
+    a, b = v._pair
+    pts = P._pts
+    order, tie = filtered_order(hts, err, lambda i: (a * pts[i].X + b * pts[i].Y, pts[i].D),
+                                lambda g, h: sign(g[0] * h[1] - h[0] * g[1]))
     if tie.any():
         t = int(np.argmax(tie))
         raise NonGenericDirectionError(v, int(order[t - 1]), int(order[t]))
@@ -242,23 +244,17 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
 def reeb_to_dict(g: ReebGraph) -> dict:
     """JSON-ready export: nodes (kind, height, witness), edges, counts.
 
-    A height a/c * x/e + b/d * y/f is written as one integer quotient:
-    int/int true division rounds correctly, as float(Fraction) does. A
-    height beyond the float range is written exactly, as "p/q" text.
+    A height (a X + b Y) / (m D), for v = (a, b) / m and the witness
+    (X, Y) / D, is written as one integer quotient: int/int true division
+    rounds correctly, as float(Fraction) does. A height beyond the float
+    range is written exactly, as "p/q" text.
     """
     nodes = []
-    v = None
     for nd in g.nodes:
-        if nd.direction is not v:
-            v = nd.direction
-            a, c = v.dx.as_integer_ratio()
-            b, d = v.dy.as_integer_ratio()
-            ad, bc, cd = a * d, b * c, c * d
+        a, b, m = nd.direction._ints
         w = nd.witness
-        x, e = w.x.as_integer_ratio()
-        y, f = w.y.as_integer_ratio()
         try:
-            height = (ad * x * f + bc * y * e) / (cd * e * f)
+            height = (a * w.X + b * w.Y) / (m * w.D)
         except OverflowError:
             height = str(nd.height)
         nodes.append({"kind": nd.kind, "height": height, "witness": [w.xf, w.yf]})

@@ -208,3 +208,17 @@ def test_console_script_installed(square_file):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["min_leaves"] == 2
+
+
+@pytest.mark.parametrize("doc", [
+    '{"outer": [[0,0],[true,0],[0,true]]}',
+    '{"outer": [[0,0],["1_000",0],[0,1]]}',
+    '{"outer": [[0,0],[" 1",0],[0,1]]}',
+])
+def test_coordinates_outside_the_grammar_exit_two(tmp_path, capsys, doc):
+    """Booleans are not numbers, and a string holds exactly a signed
+    decimal literal or p/q: no underscores and no blanks, on every Python."""
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    assert run_cli(["complexity", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -299,3 +299,45 @@ def test_as_fraction_forms():
 def test_point_fields_are_fractions():
     p = Point(as_fraction("1.5"), as_fraction(2))
     assert p.x == Fraction(3, 2) and p.y == 2
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0.125", Fraction(1, 8)), ("+1.5", Fraction(3, 2)), ("-.5", Fraction(-1, 2)),
+    ("1.", Fraction(1)), ("2e3", Fraction(2000)), ("-25E-2", Fraction(-1, 4)),
+    ("-7/3", Fraction(-7, 3)), ("+2/4", Fraction(1, 2)), ("0/5", Fraction(0)),
+])
+def test_literal_grammar_accepts(text, value):
+    assert as_fraction(text) == value
+    P = load_polygon(json.dumps({"outer": [[0, 0], [4, 0], [text, 3]]}))
+    assert P.vertex(2).x == value
+
+
+@pytest.mark.parametrize("bad", [
+    "1_000", "1/2_0", " 1", "1 ", "1\n", "+", ".", "e5", "1e", "1/-3", "-1/-3", "1/0",
+    "1/00", "1.5/2", "0x10", "Infinity", "\u0661", True, False, None, [1],
+])
+def test_literal_grammar_rejects(bad):
+    """Python 3.11 and later accept underscores in Fraction(str), 3.10 does
+    not; the grammar is the same on every version, and a bool is no number."""
+    with pytest.raises(PolygonParseError):
+        as_fraction(bad)
+    with pytest.raises(PolygonParseError):
+        load_polygon(json.dumps({"outer": [[0, 0], [4, 0], [bad, 3]]}))
+
+
+def test_dumped_strings_load():
+    """Every string dump_polygon writes is in the grammar."""
+    third = Fraction(1, 3)
+    P = Polygon([(0, 0), (4 + third, -third), (Fraction(5, 2), Fraction(10 ** 30 + 1, 7))],
+                [[(1, Fraction(1, 7)), (Fraction(3, 2), Fraction(2, 7)), (Fraction(6, 5), 1)]])
+    assert dump_polygon(load_polygon(dump_polygon(P))) == dump_polygon(P)
+
+
+def test_point_holds_canonical_integers():
+    """(X, Y, D) with D the least common denominator decides == and hash."""
+    p = Point("1/3", 0.5)
+    assert (p.X, p.Y, p.D) == (2, 3, 6)
+    q = Point(Fraction(2, 6), "0.50")
+    assert p == q and hash(p) == hash(q)
+    assert (p.xf, p.yf) == (float(Fraction(1, 3)), 0.5)
+    assert repr(Point(Fraction(-4, 6), 7)) == "Point(-2/3, 7)"
