@@ -11,9 +11,10 @@ rational into its mirror or of a float operation, and an absolute ETA
 (2^-1074, twice the largest error of a rounding into the subnormal
 range) for each rounding that may underflow: a mirror or a product, not
 a sum or a difference, which is then exact. mirror_error_bound,
-diff_error_bound, cross_filter (orient_sign, corner_cross), dot_filter
-(reeb's heights) and angle_filter (sweep angles) apply it;
-filtered_sign_array and filtered_order let exact values decide the rest.
+diff_error_bound, cross_filter (orient_sign, orient_lanes,
+corner_cross), dot_filter (reeb's heights) and angle_filter (sweep
+angles) apply it; filtered_sign_array and filtered_order let exact
+values decide the rest.
 """
 
 from __future__ import annotations
@@ -102,6 +103,33 @@ def orient_sign(a, b, c) -> int:
     return sign(ux * wy - uy * wx)
 
 
+_LANE_BLOCK = 4096  # lanes per cross_filter call: bounds its float temporaries
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowed lanes go to the exact path
+def orient_lanes(pts, xs: np.ndarray, ys: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """orient_sign(pts[a], pts[b], pts[c]) for every column (a, b, c) of
+    lanes, shape (3, m), indices into pts and its mirrors xs, ys. Exact.
+
+    cross_filter decides most lanes, _LANE_BLOCK at a time, so that its
+    two dozen float temporaries stay small; the integers decide the rest.
+    """
+    out = np.empty(lanes.shape[1], dtype=np.int64)
+    for start in range(0, lanes.shape[1], _LANE_BLOCK):
+        block = lanes[:, start:start + _LANE_BLOCK]
+        (ax, bx, cx), (ay, by, cy) = xs[block], ys[block]
+        det, err = cross_filter(ax, ay, bx, by, cx, cy)
+
+        def exact_at(i: int) -> int:
+            a, b, c = block[:, i].tolist()
+            ux, uy, _ = exact_delta(pts[c], pts[a])
+            wx, wy, _ = exact_delta(pts[c], pts[b])
+            return ux * wy - uy * wx
+
+        out[start:start + _LANE_BLOCK] = filtered_sign_array(det, err, exact_at)
+    return out
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflowed lanes go to the exact path
 def corner_cross(ax, ay, px, py, bx, by) -> tuple[np.ndarray, np.ndarray]:
     """Float cross(p - a, b - p) of mirror arrays and its error bound.
@@ -170,9 +198,11 @@ def filtered_sign_array(vals: np.ndarray, errs: np.ndarray,
     The float sign decides every lane whose value clears its bound;
     exact_at(i) computes the exact value of each remaining lane i.
     """
-    out = np.where(vals > errs, 1, np.where(vals < -errs, -1, 0)).astype(np.int64)
-    for i in np.flatnonzero(~(np.abs(vals) > errs)):  # NaN lanes (overflow) too
-        out[i] = sign(exact_at(int(i)))
+    out = (vals > errs).astype(np.int64) - (vals < -errs)
+    undecided = ~(np.abs(vals) > errs)  # NaN lanes (overflow) too
+    if undecided.any():
+        for i in np.flatnonzero(undecided).tolist():
+            out[i] = sign(exact_at(i))
     return out
 
 

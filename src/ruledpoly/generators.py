@@ -20,8 +20,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import corner_cross, exact_cross, filtered_sign_array
-from .geometry import Point, Polygon, PolygonError, _segments_touch, as_fraction
+from .exactmath import corner_cross, exact_cross, filtered_sign_array, orient_lanes
+from .geometry import (
+    Point,
+    Polygon,
+    PolygonError,
+    _contact_lanes,
+    _mirrors,
+    _touching,
+    as_fraction,
+)
 
 __all__ = [
     "FamilyParams",
@@ -194,18 +202,19 @@ def annulus_polygon(outer_side, hole_side) -> Polygon:
     return Polygon(outer, [hole])
 
 
-def _find_contact(pts: list[Point], touch) -> tuple[int, int] | None:
-    """First pair of non-adjacent edges sharing a point, or None."""
+def _find_contact(pts: list[Point]) -> tuple[int, int] | None:
+    """First pair (i, j), i < j in lexicographic order, of non-adjacent
+    edges sharing a point, or None. Every pair is a lane of the contact
+    test of the validation sweep."""
     n = len(pts)
-    for i in range(n):
-        a1 = pts[i]
-        a2 = pts[(i + 1) % n]
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
-                continue
-            if touch(a1, a2, pts[j], pts[(j + 1) % n]):
-                return i, j
-    return None
+    i, j = np.triu_indices(n, 2)
+    keep = (i > 0) | (j < n - 1)  # edges 0 and n - 1 are adjacent
+    i, j = i[keep], j[keep]
+    quads = np.stack((i, (i + 1) % n, j, (j + 1) % n))
+    xs, ys = _mirrors(pts)
+    o = orient_lanes(pts, xs, ys, _contact_lanes(quads))
+    hits = np.flatnonzero(_touching(pts, o.reshape(4, -1), quads))
+    return (int(i[hits[0]]), int(j[hits[0]])) if len(hits) else None
 
 
 def random_simple_polygon(vertex_count: int, seed: int) -> Polygon:
@@ -234,7 +243,7 @@ def random_simple_polygon(vertex_count: int, seed: int) -> Polygon:
 
     budget = 60 * vertex_count * vertex_count
     while budget > 0:
-        contact = _find_contact(pts, _segments_touch)
+        contact = _find_contact(pts)
         if contact is None:
             break
         i, j = contact

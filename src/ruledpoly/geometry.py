@@ -25,9 +25,12 @@ then each hole in order); edge i joins vertex i to the next vertex of
 the same ring.
 
 Validation is one exact Shamos-Hoey sweep over the edges of all rings,
-O(n log n) predicate calls in total: two edges may share only the
-vertex between them on one ring, and every hole must lie inside the
-outer ring and outside every other hole.
+O(n log n) work in total: two edges may share only the vertex between
+them on one ring, and every hole must lie inside the outer ring and
+outside every other hole. Only locating a new vertex in the sweep
+status calls a scalar predicate; the contact and order checks wait
+until the sweep ends and are then decided together, as the lanes of
+one filtered predicate, the first failing check in sweep order winning.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .exactmath import (
     filtered_order,
     filtered_sign_array,
     float_direction,
+    orient_lanes,
     orient_sign,
 )
 
@@ -106,18 +110,22 @@ _LITERAL = re.compile(
     r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+/0*[1-9][0-9]*)")
 
 
-def _ratio(value) -> tuple[int, int]:
+_BEYOND_FLOAT_RANGE = "coordinate beyond the float range (about 1.8e308)"
+
+
+def _ratio(value, cap: int | None = None) -> tuple[int, int]:
     """The reduced ratio (numerator, denominator > 0) of a coordinate-like
     value: int (but not bool), Fraction, Decimal, finite float (its exact
     binary value), or a string holding an optional sign, then a decimal
-    literal with an optional exponent or "p/q" of unsigned integers."""
+    literal with an optional exponent or "p/q" of unsigned integers.
+
+    With a cap, a decimal (a Decimal or a decimal literal) whose leading
+    digit has a place value of 10**cap or more is refused by its
+    exponent, before its integers are built: those of 1e4000000 take
+    seconds.
+    """
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value.numerator, value.denominator
-    if isinstance(value, (float, decimal.Decimal)):
-        try:
-            return value.as_integer_ratio()
-        except (OverflowError, ValueError) as exc:  # infinities and NaNs
-            raise PolygonParseError(f"non-finite coordinate {value!r}") from exc
     if isinstance(value, str):
         if _LITERAL.fullmatch(value) is None:
             raise PolygonParseError(f"bad coordinate literal {value!r}")
@@ -125,7 +133,15 @@ def _ratio(value) -> tuple[int, int]:
         if slash:
             g = math.gcd(int(p), int(q))
             return int(p) // g, int(q) // g
-        return decimal.Decimal(value).as_integer_ratio()
+        value = decimal.Decimal(value)
+    if isinstance(value, (float, decimal.Decimal)):
+        if cap is not None and isinstance(value, decimal.Decimal) and value \
+                and value.adjusted() >= cap:
+            raise PolygonParseError(_BEYOND_FLOAT_RANGE)
+        try:
+            return value.as_integer_ratio()
+        except (OverflowError, ValueError) as exc:  # infinities and NaNs
+            raise PolygonParseError(f"non-finite coordinate {value!r}") from exc
     raise PolygonParseError(f"unsupported coordinate type {type(value).__name__}")
 
 
@@ -142,13 +158,14 @@ class Point:
     __slots__ = ("X", "Y", "D", "xf", "yf")
 
     def __init__(self, x, y):
-        (xn, xd), (yn, yd) = _ratio(x), _ratio(y)
+        # 1e309 and up are beyond the float range, whatever their digits
+        (xn, xd), (yn, yd) = _ratio(x, 309), _ratio(y, 309)
         d = self.D = math.lcm(xd, yd)
         self.X, self.Y = xn * (d // xd), yn * (d // yd)
         try:
             self.xf, self.yf = self.X / d, self.Y / d
         except OverflowError as exc:
-            raise PolygonParseError("coordinate beyond the float range (about 1.8e308)") from exc
+            raise PolygonParseError(_BEYOND_FLOAT_RANGE) from exc
 
     @property
     def x(self) -> Fraction:
@@ -305,8 +322,9 @@ def _corner_signs(pts: list[Point], xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     """Exact sign of cross(p - prev, next - p) at every corner p of a ring:
     +1 a left turn, -1 a right turn, 0 a duplicate, straight or slit corner."""
     n = len(pts)
-    cr, err = corner_cross(np.roll(xs, 1), np.roll(ys, 1), xs, ys,
-                           np.roll(xs, -1), np.roll(ys, -1))
+    # the ring padded with its last and first vertex: corner i is lanes i .. i + 2
+    xe, ye = np.concatenate((xs[-1:], xs, xs[:1])), np.concatenate((ys[-1:], ys, ys[:1]))
+    cr, err = corner_cross(xe[:-2], ye[:-2], xs, ys, xe[2:], ye[2:])
 
     def exact_at(i: int) -> int:
         ux, uy, _ = exact_delta(pts[i - 1], pts[i])
@@ -388,23 +406,36 @@ def _on_segment(a: Point, b: Point, c: Point) -> bool:
     return ax * bx <= 0 and ay * by <= 0
 
 
-def _segments_touch(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff closed segments ab and cd share at least one point. Exact."""
-    o1 = orient_sign(a, b, c)
-    o2 = orient_sign(a, b, d)
-    o3 = orient_sign(c, d, a)
-    o4 = orient_sign(c, d, b)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and _on_segment(a, b, c):
-        return True
-    if o2 == 0 and _on_segment(a, b, d):
-        return True
-    if o3 == 0 and _on_segment(c, d, a):
-        return True
-    if o4 == 0 and _on_segment(c, d, b):
-        return True
-    return False
+# the rows of (a, b, c, d) that form the four orientation lanes of a contact test
+_CONTACT_ROWS = np.array([[0, 0, 2, 2], [1, 1, 3, 3], [2, 3, 0, 1]])
+
+
+def _contact_lanes(quads: np.ndarray) -> np.ndarray:
+    """The orientation lanes, shape (3, 4m), of the contact tests of
+    segments a-b and c-d, one for each column (a, b, c, d) of quads,
+    shape (4, m): c, then d, against a-b, then a, then b, against c-d."""
+    return quads[_CONTACT_ROWS].reshape(3, -1)
+
+
+def _touching(pts: list[Point], o: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Which closed segments pts[a]-pts[b] and pts[c]-pts[d], one pair for
+    each column (a, b, c, d) of quads, share a point. Exact.
+
+    o holds the exact signs of their _contact_lanes, shape (4, m).
+    Segments whose endpoints straddle each other touch; otherwise only an
+    endpoint collinear with the other segment (a zero lane) can touch,
+    and _on_segment tells whether it does.
+    """
+    o1, o2, o3, o4 = o
+    touch = (o1 != o2) & (o3 != o4)
+    collinear = ~touch & ~o.all(axis=0)
+    if collinear.any():
+        for i in np.flatnonzero(collinear).tolist():
+            p, q, r, s = (pts[k] for k in quads[:, i].tolist())
+            touch[i] = (o1[i] == 0 and _on_segment(p, q, r) or o2[i] == 0 and _on_segment(p, q, s)
+                        or o3[i] == 0 and _on_segment(r, s, p)
+                        or o4[i] == 0 and _on_segment(r, s, q))
+    return touch
 
 
 _BLOCK = 64
@@ -530,36 +561,77 @@ class _Status:
         keys.insert(b + 1, upper.key)
 
 
-def _validate_rings(rings: list[list[Point]]) -> None:
+def _validate_rings(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
+                    signs: list[np.ndarray]) -> None:
     """Reject any contact between edges of the rings other than the
     vertex two ring-consecutive edges share, and any hole (rings[1:])
-    outside the outer ring (rings[0]) or inside another hole.
+    outside the outer ring (rings[0]) or inside another hole. xs, ys and
+    signs are each ring's float mirrors and exact corner signs.
 
     One exact any-segment-intersection sweep over the edges of every
     ring (Shamos and Hoey 1976; de Berg et al., Computational Geometry,
-    ch. 2) with O(n log n) predicate calls. Events are the vertices in
-    exact lexicographic (x, y) order; the status holds the edges that
-    cross the sweep line, ordered by exact orient_sign, and every pair
-    of edges that becomes adjacent in it is tested with _segments_touch.
-    Only a leftmost vertex is located by search; edges that end are
-    found by their handles, and one orientation test against each
-    neighbour they leave checks that the status kept its order.
-    The first contact found is reported. Hole placement comes from the
-    same sweep: at a hole's leftmost vertex the edge just below decides
-    whether that vertex lies in the interior of the rings swept so far.
+    ch. 2) with O(n log n) work. Events are the vertices in exact
+    lexicographic (x, y) order; the status holds the edges that cross
+    the sweep line, in order along it. Only a leftmost vertex is located
+    by search, one scalar orient_sign per step; edges that end are found
+    by their handles, and the order of two edges starting at one vertex
+    is that vertex's corner sign. What only checks the sweep is deferred:
+    the contact test of every pair of edges that becomes adjacent in the
+    status, and the test that a vertex whose edges ended lies between
+    the two edges they leave. These checks become lanes of one filtered
+    predicate (_failed_check) when the sweep ends or raises, and the
+    first failing check in sweep order is reported, so the result is
+    that of testing each check as it comes. Hole placement comes from
+    the same sweep: at a hole's leftmost vertex the edge just below
+    decides whether that vertex lies in the interior of the rings swept
+    so far.
 
     When several faults are present, a self-intersection is reported
     before any hole placement fault.
     """
     try:
-        _sweep(rings)
+        _sweep(rings, xs, ys, signs)
     except HolePlacementError:
-        for pts in rings:  # one ring alone: raises only SelfIntersectionError
-            _sweep([pts])
+        for ring in zip(rings, xs, ys, signs):  # one ring alone: raises only SelfIntersectionError
+            _sweep(*([part] for part in ring))
         raise
 
 
-def _sweep(rings: list[list[Point]]) -> None:
+_LOST_ORDER = "sweep status lost the order of its edges"
+
+
+def _failed_check(touches: list[int], sides: list[int], pts: list[Point], xs: np.ndarray,
+                  ys: np.ndarray) -> tuple[int, int, bool] | None:
+    """The first check of the validation sweep that fails, or None.
+
+    touches holds four vertex indices per contact check, (e, nxt[e], f,
+    nxt[f]): edges e and f must not touch. sides holds seven integers
+    per order check, (lo[t], hi[t], v, side, e, t, c): vertex v, where
+    edge e ended, must lie strictly on side `side` (+1 left, -1 right)
+    of edge t, directed from lo[t] to hi[t]; c contact checks came
+    before it. Every check is a lane of one orient_lanes call. A failed
+    check is returned as (e, f, touch): touch is True if edges e and f
+    share a point (a vertex of e on t counts), and False if v lies
+    strictly on the wrong side of t.
+    """
+    if not touches and not sides:
+        return None
+    quads = np.array(touches, dtype=np.intp).reshape(-1, 4).T
+    rows = np.array(sides, dtype=np.intp).reshape(-1, 7).T
+    m = quads.shape[1]
+    o = orient_lanes(pts, xs, ys, np.concatenate((_contact_lanes(quads), rows[:3]), axis=1))
+    touch = np.flatnonzero(_touching(pts, o[:4 * m].reshape(4, m), quads))
+    wrong = np.flatnonzero(o[4 * m:] != rows[3])
+    if len(wrong) and (not len(touch) or rows[6, wrong[0]] <= touch[0]):
+        j = wrong[0]
+        return int(rows[4, j]), int(rows[5, j]), bool(o[4 * m + j] == 0)
+    if len(touch):
+        return int(quads[0, touch[0]]), int(quads[2, touch[0]]), True
+    return None
+
+
+def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
+           signs: list[np.ndarray]) -> None:
     pts = [p for ring in rings for p in ring]
     n = len(pts)
     ring_of: list[int] = []
@@ -574,9 +646,10 @@ def _sweep(rings: list[list[Point]]) -> None:
     prv = [0] * n
     for e in range(n):
         prv[nxt[e]] = e
+    xf, yf = np.concatenate(xs), np.concatenate(ys)
+    turn = np.concatenate(signs).tolist()
 
     # exact lexicographic order, equal points by index; x mirrors decide unless they tie
-    xf = np.fromiter((p.xf for p in pts), dtype=float, count=n)
     events, repeat = filtered_order(xf, np.zeros(n), pts.__getitem__, _lex_cmp)
     events = events.tolist()
     repeat = repeat.tolist()
@@ -601,76 +674,86 @@ def _sweep(rings: list[list[Point]]) -> None:
             return HolePlacementError(f"hole {b - 1} touches the outer boundary")
         return HolePlacementError(f"holes {a - 1} and {b - 1} touch")
 
+    touches: list[int] = []  # the checks, in _failed_check's form
+    sides: list[int] = []
+
     def check(e: int | None, f: int | None) -> None:
-        """Raise if edges e and f, new neighbours in the status, touch."""
+        """Check later that edges e and f, new neighbours in the status, do not touch."""
         if e is None or f is None or nxt[e] == f or nxt[f] == e:
             return
-        if _segments_touch(pts[e], pts[nxt[e]], pts[f], pts[nxt[f]]):
-            raise fault(e, f)
+        touches.extend((e, nxt[e], f, nxt[f]))
 
-    status = _Status(n)
-    seen = [False] * len(rings)
-    for k, v in enumerate(events):
-        if repeat[k]:
-            raise fault(v, events[k - 1])  # a repeated point: both edges leaving it touch
-        p = pts[v]
-        e_in, e_out = prv[v], v
+    raised = None
+    try:
+        status = _Status(n)
+        seen = [False] * len(rings)
+        for k, v in enumerate(events):
+            if repeat[k]:
+                raise fault(v, events[k - 1])  # a repeated point: both edges leaving it touch
+            p = pts[v]
+            e_in, e_out = prv[v], v
 
-        if hi[e_in] == v or hi[e_out] == v:
-            # remove the edges ending at v, found by handle, lower first
-            if hi[e_in] == v and hi[e_out] == v:
-                ending = sorted((e_in, e_out), key=status.place)
+            if hi[e_in] == v or hi[e_out] == v:
+                # remove the edges ending at v, found by handle, lower first
+                if hi[e_in] == v and hi[e_out] == v:
+                    ending = sorted((e_in, e_out), key=status.place)
+                else:
+                    ending = [e_in if hi[e_in] == v else e_out]
+                b, i = status.place(ending[0])
+                if len(ending) == 2 and status.at(b, i + 1) != ending[1]:
+                    raise RuntimeError(_LOST_ORDER)
+                for e in ending:
+                    b, i = status.pop(b, i)
+                # the edges found by handle must have held v's place: v lies
+                # above the edge below the gap and below the edge above it
+                for t, side in ((status.below(b, i), 1), (status.at(b, i), -1)):
+                    if t is not None:
+                        sides.extend((lo[t], hi[t], v, side, ending[0], t, len(touches) // 4))
             else:
-                ending = [e_in if hi[e_in] == v else e_out]
-            b, i = status.place(ending[0])
-            if len(ending) == 2 and status.at(b, i + 1) != ending[1]:
-                raise RuntimeError("sweep status lost the order of its edges")
-            for e in ending:
-                b, i = status.pop(b, i)
-            # the edges found by handle must have held v's place: v lies
-            # above the edge below the gap and below the edge above it
-            for t, side in ((status.below(b, i), 1), (status.at(b, i), -1)):
-                if t is not None:
+                # a leftmost vertex: both edges start here; locate v itself
+                def rel(t: int) -> int:
+                    """Side of t relative to v."""
                     o = orient_sign(pts[lo[t]], pts[hi[t]], p)
                     if o == 0:  # v lies on t
-                        raise fault(ending[0], t)
-                    if o != side:
-                        raise RuntimeError("sweep status lost the order of its edges")
-        else:
-            # a leftmost vertex: both edges start here; locate v itself
-            def rel(t: int) -> int:
-                """Side of t relative to v."""
-                o = orient_sign(pts[lo[t]], pts[hi[t]], p)
-                if o == 0:  # v lies on t
-                    raise fault(e_out, t)
-                return -o
+                        raise fault(e_out, t)
+                    return -o
 
-            b, i = status.locate(rel)
+                b, i = status.locate(rel)
 
-        # (b, i) is v's place in the status. An edge through v would have
-        # touched a neighbour of the edges ending at v already, so the
-        # edges starting at v go into the gap those leave.
-        below = status.below(b, i)
-        above = status.at(b, i)
-        if lo[e_in] == v and lo[e_out] == v:
-            s = orient_sign(p, pts[hi[e_in]], pts[hi[e_out]])
-            starting = [e_in, e_out] if s > 0 else [e_out, e_in]
-        elif lo[e_in] == v or lo[e_out] == v:
-            starting = [e_in if lo[e_in] == v else e_out]
-        else:
-            check(below, above)
-            continue
-        check(below, starting[0])
-        check(starting[-1], above)
-        status.insert(b, i, starting)
+            # (b, i) is v's place in the status. An edge through v would have
+            # touched a neighbour of the edges ending at v already, so the
+            # edges starting at v go into the gap those leave.
+            below = status.below(b, i)
+            above = status.at(b, i)
+            if lo[e_in] == v and lo[e_out] == v:
+                # the edge to the next vertex runs below the one to the
+                # previous iff the corner at v turns right
+                starting = [e_in, e_out] if turn[v] < 0 else [e_out, e_in]
+            elif lo[e_in] == v or lo[e_out] == v:
+                starting = [e_in if lo[e_in] == v else e_out]
+            else:
+                check(below, above)
+                continue
+            check(below, starting[0])
+            check(starting[-1], above)
+            status.insert(b, i, starting)
 
-        g = ring_of[v]
-        if not seen[g]:
-            seen[g] = True
-            if g and (below is None or not forward[below]):
-                where = "lies outside the outer ring" if below is None or not ring_of[below] \
-                    else f"is nested inside hole {ring_of[below] - 1}"
-                raise HolePlacementError(f"hole {g - 1} {where}")
+            g = ring_of[v]
+            if not seen[g]:
+                seen[g] = True
+                if g and (below is None or not forward[below]):
+                    where = "lies outside the outer ring" if below is None or not ring_of[below] \
+                        else f"is nested inside hole {ring_of[below] - 1}"
+                    raise HolePlacementError(f"hole {g - 1} {where}")
+    except Exception as exc:  # past a failed check the status may be out of order
+        raised = exc
+    # a check that failed before the sweep raised is the fault to report
+    failed = _failed_check(touches, sides, pts, xf, yf)
+    if failed is not None:
+        e, f, touch = failed
+        raise fault(e, f) if touch else RuntimeError(_LOST_ORDER)
+    if raised is not None:
+        raise raised
 
 
 class Polygon:
@@ -708,7 +791,7 @@ class Polygon:
             ys.append(y)
             signs.append(s)
         if validate:
-            _validate_rings(rings)
+            _validate_rings(rings, xs, ys, signs)
 
         self.outer = Ring(rings[0])
         self.holes = tuple(Ring(r) for r in rings[1:])

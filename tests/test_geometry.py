@@ -1,6 +1,7 @@
 """Polygon loading, validation, reflex detection, and cone construction."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,39 @@ def test_coordinates_below_float_range():
     assert Polygon(P.outer, validate=False).reflex_indices() == ()
     assert geometry._corner_signs(list(P.outer), *geometry._mirrors(list(P.outer))).tolist() \
         == [1, 1, 1]
+
+
+@pytest.mark.parametrize("text", [
+    '{"outer": [[0,0],[1,0],[0,1e4000000]]}',
+    '{"outer": [[0,0],[1,0],[0,"-1e4000000"]]}',
+    '{"outer": [[0,0],[1,0],[0,1e309]]}',
+])
+def test_coordinate_exponent_beyond_float_range(text):
+    """A decimal of 1e309 or more is refused by its exponent: its integer
+    ratio (13 million bits for 1e4000000) is never built."""
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "as_integer_ratio":
+            built.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        with pytest.raises(PolygonParseError, match="^coordinate beyond the float range"):
+            load_polygon(text)
+    finally:
+        sys.setprofile(None)
+    assert built == []
+
+
+def test_coordinate_exponent_cap_keeps_values_in_range():
+    """Zero, and decimals whose exponent is large but whose value is in
+    range, still load; a Direction takes any component."""
+    assert Point("0e4000000", 1) == Point(0, 1)
+    assert Point("0.0001e312", 0).x == 10 ** 308
+    with pytest.raises(PolygonParseError, match="^coordinate beyond the float range"):
+        Point("1.8e308", 0)  # exponent 308, value beyond the largest float
+    assert Direction("1e400", 1).canonical_pair() == (10 ** 400, 1)
 
 
 def test_clean_ring_skips_merge_loop(monkeypatch):

@@ -44,14 +44,19 @@ def _scan_calls(tree) -> list[int]:
             and node.func.attr in ("index", "remove")]
 
 
+# the validation sweep and every helper it is split into
+SWEEP_HELPERS = ("_validate_rings", "_sweep", "_failed_check", "_contact_lanes", "_touching")
+
+
 def test_sweeps_make_no_linear_scans():
     """The Reeb sweep and the validation sweep find known edges by their
     status handles: no list.index or list.remove, which scan the list."""
     package = Path(ruledpoly.__file__).parent
     reeb = ast.parse((package / "reeb.py").read_text(encoding="utf-8"))
     geometry = ast.parse((package / "geometry.py").read_text(encoding="utf-8"))
-    sweep = [node for node in geometry.body
-             if isinstance(node, ast.FunctionDef) and node.name == "_sweep"]
-    assert len(sweep) == 1
+    helpers = {node.name: node for node in geometry.body
+               if isinstance(node, ast.FunctionDef) and node.name in SWEEP_HELPERS}
+    assert sorted(helpers) == sorted(SWEEP_HELPERS)
     assert _scan_calls(reeb) == []
-    assert _scan_calls(sweep[0]) == []
+    assert {name: _scan_calls(node) for name, node in helpers.items()} == {
+        name: [] for name in SWEEP_HELPERS}
