@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -35,7 +36,12 @@ EXIT_DEGENERATE = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage problems; the contract wants 1."""
+    """argparse exits 2 on usage problems; the contract wants 1. A value
+    such as the direction -1,3 is not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -32,11 +32,14 @@ exactmath.filtered_order re-orders events whose radii overlap by exact
 cross product comparison, on integer vectors from the caller's one exact
 accessor: the cones' vectors, or edge vectors from the polygon's
 vertices (exactmath.exact_delta), each at a positive scale of its own.
+
+A witness is built, not searched for (_generic_witness): the simplest
+integer direction of the chosen open arc, checked once for genericity,
+and only if it ties two heights, an exact perturbation of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,8 +73,9 @@ class ComplexityResult:
     """Minimum leaf count over parallel rulings, with its witness.
 
     c_max is the interval coverage maximum, so the witness is always a
-    generic direction lying in exactly c_max cones and min_leaves is
-    attained by an actual ruling. degenerate means some isolated cone
+    generic integer direction lying in exactly c_max cones and
+    min_leaves is attained by an actual ruling; as_dict writes it as its
+    two coprime canonical integers. degenerate means some isolated cone
     boundary angle is covered by strictly more than c_max cones; that
     direction ties vertex heights and admits no valid ruling.
     """
@@ -89,7 +93,7 @@ class ComplexityResult:
             "c_max": self.c_max,
             "k": self.k,
             "h": self.h,
-            "witness": [float(self.witness.dx), float(self.witness.dy)],
+            "witness": list(self.witness.canonical_pair()),
             "degenerate": self.degenerate,
         }
 
@@ -272,76 +276,65 @@ def _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y,
     return _EventSet(sf, kind, radius, ids, exact_dir, init, seam_exits, seam_entries)
 
 
-def _strictly_inside_arc(fx: float, fy: float, lo: tuple[int, int],
-                         hi: tuple[int, int]) -> bool:
-    """Whether the float vector (fx, fy), read exactly as integers w over
-    one power of two, lies strictly inside the open arc lo -> hi.
+def _simplest_above(p0: int, q0: int, p1: int, q1: int) -> tuple[int, int]:
+    """(a, b), b / a the simplest fraction strictly between p0 / q0 >= 0
+    and p1 / q1 (q1 == 0: no upper bound), by continued-fraction descent.
 
-    lo and hi are sweep representatives less than 180 degrees apart, so
-    strict cross product tests against w or -w decide membership.
+    With n = floor(p0 / q0) it is n + 1 if that is below the upper bound,
+    else n + 1 / t, t the simplest fraction of (1 / (p1 / q1 - n),
+    1 / (p0 / q0 - n)). (b0 b1; a0 a1) composes the maps t -> n + 1 / t;
+    its determinant is +-1, so a and b are coprime.
     """
-    (a, c), (b, d) = fx.as_integer_ratio(), fy.as_integer_ratio()
-    w = a * (max(c, d) // c), b * (max(c, d) // d)
-
-    def inside(wx, wy):
-        return (lo[0] * wy - lo[1] * wx > 0) and (wx * hi[1] - wy * hi[0] > 0)
-
-    return inside(w[0], w[1]) or inside(-w[0], -w[1])
-
-
-def _dyadic_positions():
-    """1/4, 3/4, 1/8, 3/8, ...: deterministic bisection order."""
-    depth = 2
+    b0, b1, a0, a1 = 1, 0, 0, 1
     while True:
-        step = 1.0 / (1 << depth)
-        for odd in range(1, 1 << depth, 2):
-            yield odd * step
-        depth += 1
+        n = p0 // q0
+        if q1 == 0 or (n + 1) * q1 < p1:
+            return a0 * (n + 1) + a1, b0 * (n + 1) + b1
+        b0, b1, a0, a1 = b0 * n + b1, b0, a0 * n + a1, a0
+        p0, q0, p1, q1 = q1, p1 - n * q1, q0, p0 - n * q0
 
 
-def _rep_angle(vec: tuple[int, int]) -> float:
-    """Float sweep angle of an exact representative (for searching only)."""
-    fx, fy = float_direction(vec[0], vec[1])
-    return math.atan2(fx, -fy)
+def _simplest_in_arc(lo: tuple[int, int], hi: tuple[int, int]) -> tuple[int, int]:
+    """The simplest integer direction (a, b) strictly inside the open arc lo -> hi.
 
-
-def _generic_witness(P: Polygon, lo: tuple[int, int],
-                     hi: tuple[int, int], budget: int = 512) -> Direction:
-    """A generic direction strictly inside the open arc lo -> hi.
-
-    Tries the angular midpoint first, then the exact positive
-    combination lo + hi (always strictly inside), then bisects toward
-    either endpoint, verifying every candidate exactly, until some
-    candidate separates all vertex heights.
+    lo and hi are sweep representatives, so the arc is the open slope
+    interval (lo.y / lo.x, hi.y / hi.x) of directions with a > 0, x == 0
+    standing for -inf or +inf. b / a is its Stern-Brocot simplest
+    fraction (Graham, Knuth and Patashnik, Concrete Mathematics 4.5):
+    0 if it holds 0, else found on the positive side, mirrored if need be.
     """
-    s_lo = _rep_angle(lo)
-    s_hi = _rep_angle(hi)
+    (lx, ly), (hx, hy) = lo, hi
+    if (lx == 0 or ly < 0) and (hx == 0 or hy > 0):
+        return 1, 0
+    if hx and hy <= 0:
+        a, b = _simplest_above(-hy, hx, -ly, lx)
+        return a, -b
+    return _simplest_above(ly, lx, hy, hx)
 
-    def try_angle(s: float) -> Direction | None:
-        fx, fy = math.sin(s), -math.cos(s)
-        if (fx or fy) and _strictly_inside_arc(fx, fy, lo, hi):
-            cand = Direction(fx, fy)
-            if is_generic(P, cand):
-                return cand
-        return None
 
-    found = try_angle(0.5 * (s_lo + s_hi))
-    if found is not None:
-        return found
-    mx, my = lo[0] + hi[0], lo[1] + hi[1]
-    if mx or my:
-        cand = Direction(mx, my)
-        if is_generic(P, cand):
-            return cand
-    tried = 0
-    for t in _dyadic_positions():
-        found = try_angle(s_lo + (s_hi - s_lo) * t)
-        if found is not None:
-            return found
-        tried += 1
-        if tried >= budget:
-            raise ValueError(
-                "no generic direction found inside the optimal angular interval")
+def _generic_witness(P: Polygon, lo: tuple[int, int], hi: tuple[int, int]) -> Direction:
+    """A generic direction strictly inside the open arc lo -> hi, built.
+
+    The simplest direction w = (a, b) of the arc is checked once. If it
+    ties two heights, w' = q w + (-b, a) is generic and in the arc for q
+    above three bounds (symbolic perturbation; Edelsbrunner and Mucke,
+    Simulation of Simplicity, 1990). A vertex difference d tied under w
+    is parallel to (-b, a), which splits it. Any other d has
+    |<w, d>| >= 1 / lcm(D_i, D_j) and |<(-b, a), d>| lcm(D_i, D_j) <=
+    2 (|a| + |b|) max(|X|, |Y|) max D, so q keeps the sign of <w, d>.
+    cross(lo, w) >= 1 and |cross(lo, (-b, a))| = |<lo, w>| <=
+    (|a| + |b|) |lo|_1, so w' stays on w's side of lo, and so of hi.
+    """
+    a, b = _simplest_in_arc(lo, hi)
+    w = Direction(a, b)
+    if is_generic(P, w):
+        return w
+    pts = P._pts
+    coord = max(max(abs(p.X), abs(p.Y)) for p in pts)
+    scale = max(p.D for p in pts)
+    q = 1 + (abs(a) + abs(b)) * max(2 * coord * scale, abs(lo[0]) + abs(lo[1]),
+                                     abs(hi[0]) + abs(hi[1]))
+    return Direction(q * a - b, q * b + a)
 
 
 def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
@@ -349,8 +342,8 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
 
     Returns (c_max, witness). This is the pointwise count: two cones
     sharing a single boundary direction score 2 there. The witness
-    attains c_max, strictly inside an attaining arc when one exists,
-    otherwise the isolated boundary direction itself. It is not
+    attains c_max: the simplest direction of an attaining arc when one
+    exists, otherwise the isolated boundary direction itself. It is not
     genericity adjusted; that is the caller's concern.
     """
     if not cones:
@@ -361,13 +354,8 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
                     lambda i, which: cones[i]._d1 if which == 1 else cones[i]._d2)
     prof = _sweep_select(ev)
     skind, *data = prof.closed_sel
-    if skind == "interval":
-        lo, hi = data
-        witness = Direction(lo[0] + hi[0], lo[1] + hi[1])
-    else:
-        (vec,) = data
-        witness = Direction(vec[0], vec[1])
-    return prof.closed_max, witness
+    vec = _simplest_in_arc(*data) if skind == "interval" else data[0]
+    return prof.closed_max, Direction(*vec)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # filtered_sign_array signs inf lanes exactly
@@ -376,10 +364,10 @@ def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
 
     Builds the cone boundary events directly from the polygon's
     coordinate arrays (one vectorized pass plus exact fallback lanes)
-    and runs the angular sweep. The witness is always drawn from the
-    interior of a best open arc and perturbed within it until generic,
-    so reeb_graph(P, witness) realizes min_leaves even when the flag
-    marks a higher boundary-only pointwise count.
+    and runs the angular sweep. The witness is an integer direction
+    strictly inside a best open arc and generic by construction
+    (_generic_witness), so reeb_graph(P, witness) realizes min_leaves
+    even when the flag marks a higher boundary-only pointwise count.
     """
     reflex_ids = P.reflex_indices()
     k = len(reflex_ids)

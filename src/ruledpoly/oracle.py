@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .complexity import _strictly_inside_arc
 from .exactmath import exact_delta, sign
 from .geometry import Direction, Polygon
 from .reeb import reeb_graph
@@ -93,6 +92,23 @@ def _rep_and_angle(d: Direction) -> tuple[tuple[int, int, int], float]:
     if x < 0:
         return (-x, -y, m), math.atan2(-d.fdx, d.fdy)
     return (x, y, m), math.atan2(d.fdx, -d.fdy)
+
+
+def _strictly_inside_arc(fx: float, fy: float, lo: tuple[int, int],
+                         hi: tuple[int, int]) -> bool:
+    """Whether the float vector (fx, fy), read exactly as integers w over
+    one power of two, lies strictly inside the open arc lo -> hi.
+
+    lo and hi are sweep representatives less than 180 degrees apart, so
+    strict cross product tests against w or -w decide membership.
+    """
+    (a, c), (b, d) = fx.as_integer_ratio(), fy.as_integer_ratio()
+    w = a * (max(c, d) // c), b * (max(c, d) // d)
+
+    def inside(wx, wy):
+        return (lo[0] * wy - lo[1] * wx > 0) and (wx * hi[1] - wy * hi[0] > 0)
+
+    return inside(w[0], w[1]) or inside(-w[0], -w[1])
 
 
 def _interval_representative(lo_r, hi_r, s_lo: float, s_hi: float) -> Direction:

@@ -8,9 +8,9 @@ contain v become degree-3 branch nodes, and everything else is regular
 and contracts into an edge.
 
 Construction refuses non-generic directions (two vertices at equal
-height) instead of perturbing; callers that need a generic direction
-near a degenerate one perturb on their side, where the admissible
-angular interval is known.
+height) instead of perturbing. The complexity witness is generic by
+construction: complexity._generic_witness perturbs exactly, inside the
+open arc it must stay in, when its first direction ties two heights.
 
 The sweep keeps the active edges in the sweep status of validation
 (geometry._Status), found and removed by handle. Each edge bounds its

@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
-from ruledpoly import Polygon, annulus_polygon, as_fraction, dump_polygon
+from ruledpoly import (
+    FamilyParams,
+    Polygon,
+    annulus_polygon,
+    as_fraction,
+    comb_polygon,
+    dump_polygon,
+    lower_bound_polygon,
+    random_simple_polygon,
+)
 from ruledpoly.cli import run_cli
 
 
@@ -112,13 +121,6 @@ def test_render_subcommand(tmp_path, capsys, l_file):
     assert out.read_bytes().startswith(b"<?xml")
 
 
-def test_witness_search_failure_exits_two(monkeypatch, capsys, l_file):
-    """A witness search that runs out is a validation error, not a traceback."""
-    monkeypatch.setattr("ruledpoly.complexity.is_generic", lambda P, v: False)
-    assert run_cli(["complexity", l_file]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 def test_usage_errors_exit_one(capsys):
     assert run_cli([]) == 1
     assert run_cli(["frobnicate"]) == 1
@@ -142,18 +144,54 @@ def test_coordinate_beyond_float_range_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_huge_denominators_answered(tmp_path, capsys):
-    """Neighbouring vertices over distinct denominators near 1e160 give
-    integer edge vectors beyond float range; the witness search scales
-    them before taking angles."""
+def huge_denominator_l():
+    """The L with each vertex moved by 1/q over its own q near 1e160."""
     q = [10 ** 160 + 2 * i + 1 for i in range(6)]
     L = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
     ring = [[f"{x * d + 1}/{d}", f"{y * d + 1}/{d}"] for (x, y), d in zip(L, q)]
+    return json.dumps({"outer": ring, "holes": []})
+
+
+def test_huge_denominators_answered(tmp_path, capsys):
+    """Neighbouring vertices over distinct denominators near 1e160 give
+    integer edge vectors beyond float range; the sweep scales them before
+    taking angles, and the witness is built from the exact integers."""
     path = tmp_path / "L.json"
-    path.write_text(json.dumps({"outer": ring, "holes": []}))
+    path.write_text(huge_denominator_l())
     for command in ("complexity", "oracle"):
         code, doc = run_json(capsys, [command, str(path)])
         assert code == 0 and doc["min_leaves"] == 2
+
+
+ROUND_TRIP = {
+    "star7": lambda: dump_polygon(lower_bound_polygon(FamilyParams(7))),
+    "star31": lambda: dump_polygon(lower_bound_polygon(FamilyParams(31))),
+    "comb2": lambda: dump_polygon(comb_polygon(2)),
+    "comb20": lambda: dump_polygon(comb_polygon(20)),
+    "annulus": lambda: dump_polygon(annulus_polygon(10, 4)),
+    "annulus_thirds": lambda: dump_polygon(annulus_polygon("7/3", "1/3")),
+    **{f"random{seed}": (lambda seed=seed: dump_polygon(random_simple_polygon(9 + seed, seed)))
+       for seed in (1, 2, 3, 5, 8, 13)},
+    "huge_denominator_l": huge_denominator_l,
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
+def test_witness_round_trips_through_cli(tmp_path, capsys, name):
+    """The witness read back from the complexity JSON text, passed to
+    reeb --direction, gives a graph with min_leaves leaves; both entries
+    are JSON integers."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(ROUND_TRIP[name]())
+    assert run_cli(["complexity", str(path)]) in (0, 3)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    dx, dy = doc["witness"]
+    assert type(dx) is int and type(dy) is int
+    assert text.count(f"[{dx}, {dy}]") == 1
+    code, graph = run_json(capsys, ["reeb", str(path), "--direction", f"{dx},{dy}"])
+    assert code == 0
+    assert graph["l"] == doc["min_leaves"]
 
 
 @pytest.mark.parametrize("command", ["complexity", "oracle"])

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+import ruledpoly.complexity as complexity
 from ruledpoly import (
     Direction,
     Polygon,
+    annulus_polygon,
     brute_force_complexity,
     comb_polygon,
+    is_generic,
     max_cone_coverage,
     parallel_reeb_complexity,
     random_simple_polygon,
@@ -223,3 +226,118 @@ def test_max_cone_coverage_near_float_limit():
     P = Polygon([(-big, -big), (big, -big), (big, -big / 2), (-big * 9 / 10, 0),
                  (big, big / 2), (big, big), (-big, big)])
     assert max_cone_coverage(cones_of(P))[0] == 1
+
+
+# -- the witness by construction ---------------------------------------------
+
+def staircase(t):
+    """Integer staircase with t - 1 reflex corners, all on one diagonal."""
+    ring = [(0, 0)]
+    for i in range(t):
+        ring += [(t - i, i), (t - i, i + 1)]
+    return Polygon(ring + [(0, t)])
+
+
+def histogram(heights):
+    """Integer grid polygon: unit-wide bars of the given heights."""
+    ring = [(0, 0), (len(heights), 0)]
+    for i in reversed(range(len(heights))):
+        ring += [(i + 1, heights[i]), (i, heights[i])]
+    return Polygon(ring)
+
+
+def holes_grid(m):
+    """An m x m square with a unit square hole at every odd cell."""
+    holes = [[(x, y), (x, y + 1), (x + 1, y + 1), (x + 1, y)]
+             for x in range(1, m - 1, 2) for y in range(1, m - 1, 2)]
+    return Polygon([(0, 0), (m, 0), (m, m), (0, m)], holes)
+
+
+def tie_heavy():
+    return (
+        [Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+         Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+         annulus_polygon(10, 4), annulus_polygon(3, 1)]
+        + [staircase(t) for t in (2, 5, 20)]
+        + [comb_polygon(t) for t in (2, 4, 9, 20)]
+        + [histogram(h) for h in ([2, 1, 3], [1, 3, 1, 3, 1], [4, 2, 3, 1, 5, 2])]
+        + [holes_grid(m) for m in (3, 5, 7)]
+    )
+
+
+def inside_arc(v, lo, hi):
+    """Whether v or -v lies strictly inside the open arc lo -> hi."""
+    (a, b), (lx, ly), (hx, hy) = v, lo, hi
+    return any(lx * s * b - ly * s * a > 0 and s * a * hy - s * b * hx > 0 for s in (1, -1))
+
+
+def test_simplest_in_arc_matches_enumeration():
+    """Every arc between small sweep representatives, some scaled: the
+    answer is the smallest a > 0, then the smallest |b|, of all integer
+    directions (a, b) strictly inside, found by walking a upwards."""
+    reps = [(0, -1)] + [(x * m, y * m) for x in range(1, 6) for y in range(-6, 7)
+                        for m in (1, 3)] + [(0, 1)]
+
+    def slope(r):
+        return Fraction(r[1], r[0]) if r[0] else Fraction(r[1] * 10 ** 9)
+
+    for lo in reps:
+        for hi in reps:
+            if not slope(lo) < slope(hi):
+                continue
+            for a in range(1, 20):
+                # integers b with slope(lo) < b / a < slope(hi)
+                low = math.floor(a * slope(lo)) + 1 if lo[0] else -10 ** 9
+                high = math.ceil(a * slope(hi)) - 1 if hi[0] else 10 ** 9
+                if low <= high:
+                    want = (a, min(max(0, low), high))
+                    break
+            assert complexity._simplest_in_arc(lo, hi) == want, (lo, hi)
+            assert inside_arc(want, lo, hi)
+
+
+def test_perturbation_stays_in_a_narrow_arc():
+    """(1, 1) is the simplest direction of the arc of slopes (0.999, 1.001)
+    and ties two corners of the unit square; q above the arc's bound keeps
+    the perturbed direction inside, where the coordinate bound alone
+    would not."""
+    square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    lo, hi = (1001, 1000), (1000, 1001)
+    assert complexity._simplest_in_arc(lo, hi) == (1, 1)
+    w = complexity._generic_witness(square, lo, hi)
+    assert inside_arc(w.canonical_pair(), lo, hi)
+    assert is_generic(square, w)
+
+
+def test_witness_generic_by_construction(monkeypatch):
+    """On tie-heavy integer shapes the simplest direction of the optimal
+    arc is checked for genericity once; where it ties two heights, its
+    exact perturbation is generic and stays in the arc without a check."""
+    calls, arcs = [], []
+    sweep_select = complexity._sweep_select
+
+    def counting_is_generic(P, v):
+        calls.append(is_generic(P, v))
+        return calls[-1]
+
+    def recording_sweep_select(ev):
+        prof = sweep_select(ev)
+        arcs.append(prof.interior_arc)
+        return prof
+
+    monkeypatch.setattr(complexity, "is_generic", counting_is_generic)
+    monkeypatch.setattr(complexity, "_sweep_select", recording_sweep_select)
+    perturbed = 0
+    for P in tie_heavy():
+        calls.clear()
+        arcs.clear()
+        res = parallel_reeb_complexity(P)
+        assert len(calls) <= 1
+        perturbed += calls == [False]
+        a, b = res.as_dict()["witness"]
+        assert type(a) is int and type(b) is int
+        assert Direction(a, b) == res.witness
+        assert inside_arc((a, b), *(arcs[0] if arcs else (complexity._V0, complexity._V0_END)))
+        assert is_generic(P, res.witness)
+        assert reeb_graph(P, res.witness).l == res.min_leaves
+    assert perturbed > 0

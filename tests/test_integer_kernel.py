@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ruledpoly import (
     Direction,
@@ -85,29 +85,44 @@ def test_corner_signs(xys):
     assert _corner_signs(pts, *_mirrors(pts)).tolist() == want
 
 
+# a nonzero pair, by construction: (0, 0) becomes (1, 0)
+nonzero = xy.map(lambda v: v if v[0] or v[1] else (Fraction(1), v[1]))
+
+
 @st.composite
 def directions(draw, xys):
-    """(dx, dy) Fractions: drawn freely, or the normal of a difference of
-    two points, at a drawn scale, so that heights tie."""
-    if draw(st.booleans()) and len(xys) > 1:
-        (ax, ay), (bx, by) = draw(st.sampled_from(xys)), draw(st.sampled_from(xys))
+    """(dx, dy) Fractions: drawn freely, or the normal of the difference
+    of two distinct points, at a drawn scale, so that heights tie."""
+    distinct = list(dict.fromkeys(xys))
+    if draw(st.booleans()) and len(distinct) > 1:
+        i = draw(st.integers(0, len(distinct) - 1))
+        j = draw(st.integers(0, len(distinct) - 2))
+        (ax, ay), (bx, by) = distinct[i], distinct[j + (j >= i)]
         t = draw(st.sampled_from([Fraction(1), Fraction(-3, 7), Fraction(10 ** 50, PRIMES[0])]))
-        v = (t * (ay - by), t * (bx - ax))
-    else:
-        v = draw(xy)
-    assume(v[0] or v[1])
-    return v
+        return t * (ay - by), t * (bx - ax)
+    return draw(nonzero)
+
+
+@st.composite
+def corners(draw):
+    """(apex, prv, nxt), never collinear: nxt - apex = t d1 + u d1', for
+    d1 = prv - apex, its normal d1' and u != 0, so the turn is u |d1|^2.
+    |t| + |u| <= 1 keeps every coordinate in float range."""
+    apex, d1 = draw(xy), draw(nonzero)
+    t = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 3)]))
+    u = draw(st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 10 ** 30),
+                              Fraction(-3, 7 * 10 ** 25)]))
+    d2 = (t * d1[0] - u * d1[1], t * d1[1] + u * d1[0])
+    return apex, (apex[0] + d1[0], apex[1] + d1[1]), (apex[0] + d2[0], apex[1] + d2[1])
 
 
 @settings(max_examples=200, deadline=None)
-@given(point_lists(min_size=3, max_size=3), st.data())
+@given(corners(), st.data())
 def test_double_cone_contains(xys, data):
     apex, prv, nxt = xys
     d1 = (prv[0] - apex[0], prv[1] - apex[1])
     d2 = (nxt[0] - apex[0], nxt[1] - apex[1])
-    turn = d1[0] * d2[1] - d1[1] * d2[0]
-    assume(turn)
-    if turn < 0:
+    if d1[0] * d2[1] - d1[1] * d2[0] < 0:
         (prv, d1), (nxt, d2) = (nxt, d2), (prv, d1)
     cone = DoubleCone(Point(*apex), Point(*prv), Point(*nxt))
     for _ in range(4):
