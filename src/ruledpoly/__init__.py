@@ -30,7 +30,6 @@ from .geometry import (
     TooFewVerticesError,
     as_fraction,
     dump_polygon,
-    is_reflex,
     load_polygon,
 )
 from .oracle import (
@@ -84,7 +83,6 @@ __all__ = [
     "comb_polygon",
     "dump_polygon",
     "is_generic",
-    "is_reflex",
     "load_polygon",
     "lower_bound_polygon",
     "max_cone_coverage",

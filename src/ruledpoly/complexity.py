@@ -319,21 +319,24 @@ def _generic_witness(P: Polygon, lo: tuple[int, int], hi: tuple[int, int]) -> Di
     ties two heights, w' = q w + (-b, a) is generic and in the arc for q
     above three bounds (symbolic perturbation; Edelsbrunner and Mucke,
     Simulation of Simplicity, 1990). A vertex difference d tied under w
-    is parallel to (-b, a), which splits it. Any other d has
-    |<w, d>| >= 1 / lcm(D_i, D_j) and |<(-b, a), d>| lcm(D_i, D_j) <=
-    2 (|a| + |b|) max(|X|, |Y|) max D, so q keeps the sign of <w, d>.
-    cross(lo, w) >= 1 and |cross(lo, (-b, a))| = |<lo, w>| <=
-    (|a| + |b|) |lo|_1, so w' stays on w's side of lo, and so of hi.
+    is parallel to (-b, a), which splits it. Any other d, as the integers
+    (x, y) of exact_delta, has |<w, (x, y)>| >= 1 and |<(-b, a), (x, y)>|
+    <= (|a| + |b|) max(|x|, |y|), so q keeps the sign of <w, d>. Equal
+    scales give |x| <= 2 max |X|; distinct ones |X_j D_i - X_i D_j| <=
+    |X_j| D_i + |X_i| D_j, each term at most |X| times the largest scale
+    other than the point's own. cross(lo, w) >= 1 and |cross(lo, (-b,
+    a))| = |<lo, w>| <= (|a| + |b|) |lo|_1, so w' stays on w's side of
+    lo, and so of hi.
     """
     a, b = _simplest_in_arc(lo, hi)
     w = Direction(a, b)
     if is_generic(P, w):
         return w
     pts = P._pts
-    coord = max(max(abs(p.X), abs(p.Y)) for p in pts)
-    scale = max(p.D for p in pts)
-    q = 1 + (abs(a) + abs(b)) * max(2 * coord * scale, abs(lo[0]) + abs(lo[1]),
-                                     abs(hi[0]) + abs(hi[1]))
+    top = max(p.D for p in pts)
+    second = max((p.D for p in pts if p.D != top), default=1)
+    diff = 2 * max(max(abs(p.X), abs(p.Y)) * (second if p.D == top else top) for p in pts)
+    q = 1 + (abs(a) + abs(b)) * max(diff, abs(lo[0]) + abs(lo[1]), abs(hi[0]) + abs(hi[1]))
     return Direction(q * a - b, q * b + a)
 
 

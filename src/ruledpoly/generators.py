@@ -9,7 +9,9 @@ seeded random simple polygons for differential tests.
 Trigonometric coordinates are rounded to 12 decimal digits before
 emission so that serialized polygons round-trip byte for byte; every
 downstream predicate operates on the rounded rationals, never the
-unrounded reals.
+unrounded reals. Every star is proved simple by one exact O(n)
+certificate (radial monotonicity about the origin and a crossing
+count) instead of the validation sweep.
 """
 
 from __future__ import annotations
@@ -79,9 +81,15 @@ def _certify_star_shaped(ring: list[Point]) -> None:
 
     Requires every adjacent pair of position vectors to span a nonzero
     oriented angle of consistent sign (exact cross product test, float
-    filtered) and the total turning to be exactly one revolution. The
-    boundary is then the graph of a radial function, hence simple, with
-    the origin strictly inside.
+    filtered) and the ring to wind exactly once about the origin. Each
+    step then turns by less than 180 degrees one way, so the winding
+    number is the count of steps that cross one ray from the origin
+    (the crossing-number rule, O'Rourke, Computational Geometry in C,
+    7.4): those that enter the half-turn of angles [0, 180) from outside
+    it, which cross the ray along +x on a counterclockwise ring and the
+    ray along -x on a clockwise one. Signs of the integers decide which
+    points lie in the half-turn. The boundary is then the graph of a
+    radial function, hence simple, with the origin strictly inside.
     """
     n = len(ring)
     xf = np.fromiter((p.xf for p in ring), dtype=float, count=n)
@@ -95,18 +103,13 @@ def _certify_star_shaped(ring: list[Point]) -> None:
         raise PolygonError("star certificate failed: adjacent radial collinearity")
     if not (np.all(signs == 1) or np.all(signs == -1)):
         raise PolygonError("star certificate failed: inconsistent turning")
-    angles = np.arctan2(yf, xf)
-    steps = np.diff(np.concatenate([angles, angles[:1]]))
-    steps = np.mod(steps * signs[0], 2.0 * math.pi)
-    # exact steps lie in (0, pi); anything near 2*pi is a wrapped rounding
-    steps = np.where(steps > 1.5 * math.pi, steps - 2.0 * math.pi, steps)
-    winding = float(np.sum(steps)) / (2.0 * math.pi)
-    if abs(winding - 1.0) > 0.25:
+    # a correctly rounded mirror has the sign of its integer unless it is 0
+    zero = np.zeros(n)
+    sy = filtered_sign_array(yf, zero, lambda i: ring[i].Y)
+    sx = filtered_sign_array(xf, zero, lambda i: ring[i].X)
+    upper = (sy > 0) | ((sy == 0) & (sx > 0))  # angle in [0, 180)
+    if np.count_nonzero(~upper & np.roll(upper, -1)) != 1:
         raise PolygonError("star certificate failed: winding is not one turn")
-
-
-# above this size an O(n) star certificate stands in for the validation sweep
-_VALIDATE_LIMIT = 4096
 
 
 def lower_bound_polygon(params: FamilyParams) -> Polygon:
@@ -115,7 +118,8 @@ def lower_bound_polygon(params: FamilyParams) -> Polygon:
     Outer vertices sit on the radius-r1 circle at angles 2*pi*i/n from
     north, inner vertices on the radius-r2 circle at the midway angles;
     the boundary alternates tip, notch, tip, notch. Every inner vertex
-    is reflex, so k = n and h = 0.
+    is reflex, so k = n and h = 0. The ring is proved simple by the
+    exact star certificate, in O(n), instead of the validation sweep.
     """
     n = params.n
     idx = np.arange(n, dtype=float)
@@ -133,8 +137,6 @@ def lower_bound_polygon(params: FamilyParams) -> Polygon:
         ring.append(Point(ox[i], oy[i]))
         ring.append(Point(ix[i], iy[i]))
 
-    if 2 * n <= _VALIDATE_LIMIT:
-        return Polygon(ring)
     _certify_star_shaped(ring)
     return Polygon(ring, validate=False)
 

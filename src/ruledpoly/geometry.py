@@ -73,7 +73,6 @@ __all__ = [
     "DoubleCone",
     "load_polygon",
     "dump_polygon",
-    "is_reflex",
     "as_fraction",
 ]
 
@@ -131,8 +130,13 @@ def _ratio(value, cap: int | None = None) -> tuple[int, int]:
             raise PolygonParseError(f"bad coordinate literal {value!r}")
         p, slash, q = value.partition("/")
         if slash:
-            g = math.gcd(int(p), int(q))
-            return int(p) // g, int(q) // g
+            try:
+                p, q = int(p), int(q)
+            except ValueError as exc:  # beyond the interpreter's digit limit
+                raise PolygonParseError(
+                    f"coordinate literal of {len(value)} characters has too many digits") from exc
+            g = math.gcd(p, q)
+            return p // g, q // g
         value = decimal.Decimal(value)
     if isinstance(value, (float, decimal.Decimal)):
         if cap is not None and isinstance(value, decimal.Decimal) and value \
@@ -711,14 +715,21 @@ def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
                         sides.extend((lo[t], hi[t], v, side, ending[0], t, len(touches) // 4))
             else:
                 # a leftmost vertex: both edges start here; locate v itself
+                through = set()
+
                 def rel(t: int) -> int:
                     """Side of t relative to v."""
                     o = orient_sign(pts[lo[t]], pts[hi[t]], p)
                     if o == 0:  # v lies on t
-                        raise fault(e_out, t)
+                        through.add(t)
                     return -o
 
                 b, i = status.locate(rel)
+                # locate compared the edge at v's place, which is the lowest
+                # edge through v if any, whatever the status's block layout
+                t = status.at(b, i)
+                if t in through:
+                    raise fault(e_out, t)
 
             # (b, i) is v's place in the status. An edge through v would have
             # touched a neighbour of the edges ending at v already, so the
@@ -851,13 +862,6 @@ class Polygon:
 
     def __repr__(self):
         return f"Polygon(n={self.n}, h={self.h})"
-
-
-def is_reflex(P: Polygon, i: int) -> bool:
-    """Whether the interior angle at global vertex index i exceeds 180 degrees."""
-    if not 0 <= i < P.n:
-        raise IndexError(i)
-    return bool(P._reflex[i])
 
 
 # -- file format ----------------------------------------------------------

@@ -10,13 +10,18 @@ are edge normals, i.e. orthogonals of adjacent vertex pairs, so the
 all-pairs orthogonal set already contains them; it also contains every
 direction that ties two vertex heights, which makes each interval
 representative automatically generic.
+
+Everything is integer: each event direction is its coprime pair, and
+each interval's representative is the sum of the pairs at its two ends,
+each taken with the sign that points into the sweep's half-turn. The
+ends are less than 180 degrees apart, so the sum lies strictly inside
+the interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 
 from .exactmath import exact_delta, sign
@@ -64,66 +69,32 @@ class EventPartition:
 
 
 def build_event_partition(P: Polygon) -> EventPartition:
-    """Every direction orthogonal to some vertex-pair difference, sorted;
-    each keeps the exact values of the first normal (x / s, y / s) found."""
+    """Every direction orthogonal to some vertex-pair difference, as its
+    coprime canonical integer pair, sorted along the sweep."""
     pts = P._pts
-    seen = {}
+    seen = set()
     for i in range(P.n):
         a = pts[i]
         for j in range(i + 1, P.n):
-            dx, dy, s = exact_delta(a, pts[j])
+            dx, dy, _ = exact_delta(a, pts[j])
             if dx == 0 and dy == 0:
                 continue
             g = math.gcd(dx, dy)
             x, y = -dy // g, dx // g
             if y < 0 or (y == 0 and x < 0):
                 x, y = -x, -y
-            seen.setdefault((x, y), (-dy, dx, s))
+            seen.add((x, y))
     order = sorted(seen, key=cmp_to_key(_sweep_cmp))
-    return EventPartition(tuple(Direction(Fraction(x, s), Fraction(y, s))
-                                for x, y, s in map(seen.get, order)))
+    return EventPartition(tuple(Direction(x, y) for x, y in order))
 
 
-def _rep_and_angle(d: Direction) -> tuple[tuple[int, int, int], float]:
-    """Sweep representative (x, y, s), the vector (x / s, y / s), and angle."""
-    x, y, m = d._ints
+def _sweep_rep(d: Direction) -> tuple[int, int]:
+    """The integer pair of d that points into the sweep's half-turn:
+    (0, -1) for the vertical-line normal, otherwise the one with dx > 0."""
+    x, y = d.canonical_pair()
     if x == 0:
-        return (0, -1, 1), 0.0
-    if x < 0:
-        return (-x, -y, m), math.atan2(-d.fdx, d.fdy)
-    return (x, y, m), math.atan2(d.fdx, -d.fdy)
-
-
-def _strictly_inside_arc(fx: float, fy: float, lo: tuple[int, int],
-                         hi: tuple[int, int]) -> bool:
-    """Whether the float vector (fx, fy), read exactly as integers w over
-    one power of two, lies strictly inside the open arc lo -> hi.
-
-    lo and hi are sweep representatives less than 180 degrees apart, so
-    strict cross product tests against w or -w decide membership.
-    """
-    (a, c), (b, d) = fx.as_integer_ratio(), fy.as_integer_ratio()
-    w = a * (max(c, d) // c), b * (max(c, d) // d)
-
-    def inside(wx, wy):
-        return (lo[0] * wy - lo[1] * wx > 0) and (wx * hi[1] - wy * hi[0] > 0)
-
-    return inside(w[0], w[1]) or inside(-w[0], -w[1])
-
-
-def _interval_representative(lo_r, hi_r, s_lo: float, s_hi: float) -> Direction:
-    """Deterministic direction strictly inside one open interval.
-
-    The float angular midpoint is snapped to exact rationals and
-    verified strictly inside by cross products; the exact positive
-    combination of the endpoints backs it up for degenerate widths.
-    """
-    s_mid = 0.5 * (s_lo + s_hi)
-    vx, vy = math.sin(s_mid), -math.cos(s_mid)
-    if (vx or vy) and _strictly_inside_arc(vx, vy, lo_r[:2], hi_r[:2]):
-        return Direction(vx, vy)
-    (x1, y1, s1), (x2, y2, s2) = lo_r, hi_r
-    return Direction(Fraction(x1 * s2 + x2 * s1, s1 * s2), Fraction(y1 * s2 + y2 * s1, s1 * s2))
+        return 0, -1
+    return (-x, -y) if x < 0 else (x, y)
 
 
 @dataclass(frozen=True)
@@ -143,7 +114,7 @@ class OracleResult:
     def as_dict(self) -> dict:
         return {
             "min_leaves": self.min_leaves,
-            "witness": [float(self.witness.dx), float(self.witness.dy)],
+            "witness": list(self.witness.canonical_pair()),
             "intervals_evaluated": self.intervals_evaluated,
             "boundary_beats_interior": self.boundary_beats_interior,
         }
@@ -162,18 +133,17 @@ def brute_force_complexity(P: Polygon, cap: int = 64) -> OracleResult:
             f"polygon has {P.n} vertices, oracle cap is {cap}; raise cap to force")
     part = build_event_partition(P)
     m = len(part.angles)
-    reps = [_rep_and_angle(a) for a in part.angles]
+    reps = [_sweep_rep(a) for a in part.angles]
+    # the wrap interval ends at the first representative turned by 180
+    # degrees; any two ends are less than 180 degrees apart (a polygon
+    # has at least 3 event angles), so the sum of the two ends lies
+    # strictly inside the open interval between them
+    ends = reps[1:] + [(-reps[0][0], -reps[0][1])]
 
     best = None
     witness = None
-    for j in range(m):
-        lo_r, s_lo = reps[j]
-        if j + 1 < m:
-            hi_r, s_hi = reps[j + 1]
-        else:
-            r0, s0 = reps[0]
-            hi_r, s_hi = (-r0[0], -r0[1], r0[2]), s0 + math.pi
-        v = _interval_representative(lo_r, hi_r, s_lo, s_hi)
+    for (x1, y1), (x2, y2) in zip(reps, ends):
+        v = Direction(x1 + x2, y1 + y2)
         leaves = reeb_graph(P, v).l
         if best is None or leaves < best:
             best = leaves

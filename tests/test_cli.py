@@ -173,6 +173,10 @@ ROUND_TRIP = {
     **{f"random{seed}": (lambda seed=seed: dump_polygon(random_simple_polygon(9 + seed, seed)))
        for seed in (1, 2, 3, 5, 8, 13)},
     "huge_denominator_l": huge_denominator_l,
+    # a tie-heavy square whose vertex differences are small integers over
+    # 1e4400: its perturbed witness fits the integer-to-text digit limit
+    "tiny_square": lambda: json.dumps(
+        {"outer": [[0, 0], ["1e-4400", 0], ["1e-4400", "1e-4400"], [0, "1e-4400"]]}),
 }
 
 

@@ -7,16 +7,19 @@ import pytest
 from ruledpoly import (
     Direction,
     FamilyParams,
+    Point,
     Polygon,
+    PolygonError,
     annulus_polygon,
     comb_polygon,
     dump_polygon,
-    is_reflex,
     load_polygon,
     lower_bound_polygon,
     parallel_reeb_complexity,
     reeb_graph,
 )
+
+from ruledpoly.generators import _certify_star_shaped
 
 from conftest import nudge_generic
 
@@ -66,14 +69,47 @@ def test_lower_bound_min_leaves_bound():
 
 
 def test_lower_bound_large_certificate_path():
-    """Past the full-validation size cutoff the generator certifies
-    star-shapedness instead; reconstructing with the generic validator
-    must agree that the ring is simple."""
+    """The generator proves every star simple by its certificate instead
+    of the validation sweep; reconstructing with the validator must agree
+    that the ring is simple."""
     P = lower_bound_polygon(FamilyParams(2500))
     assert P.n == 5000
     Q = Polygon([(pt.x, pt.y) for pt in P.outer.vertices])
     assert Q.n == P.n
     assert len(P.reflex_indices()) == 2500
+
+
+def _ring(coords):
+    return [Point(x, y) for x, y in coords]
+
+
+@pytest.mark.parametrize("coords, message", [
+    # the second and third vertices lie on one line through the origin
+    ([(2, 0), (0, 2), (0, 1), (-2, 0), (0, -2)], "adjacent radial collinearity"),
+    # turns counterclockwise, then back clockwise
+    ([(2, 0), (0, 2), (-2, 0), (1, 1), (0, -2)], "inconsistent turning"),
+    # a triangle and a square about the origin, each wound twice
+    ([(2, 0), (-1, 2), (-1, -2)] * 2, "winding is not one turn"),
+    ([(2, 0), (0, 2), (-2, 0), (0, -2)] * 2, "winding is not one turn"),
+])
+def test_star_certificate_failures(coords, message):
+    with pytest.raises(PolygonError, match=f"^star certificate failed: {message}$"):
+        _certify_star_shaped(_ring(coords))
+
+
+@pytest.mark.parametrize("coords", [
+    [(2, 0), (0, 2), (-2, 0), (0, -2)],    # on both axes, counterclockwise
+    [(0, -2), (-2, 0), (0, 2), (2, 0)],    # the same ring clockwise
+    [(-4, 0), (-1, -3), (2, -1), (3, 0), (1, 2), (-1, 1)],  # starts on -x
+    # (-1, 1e-400) lies above the x-axis, though its y mirror is 0.0, and
+    # turns less far than (-1e100, 1e-301): float signs count two entries
+    [(2, 0), (0, 1), (-1, "1e-400"), ("-1e100", "1e-301"), (0, -1)],
+])
+def test_star_certificate_accepts(coords):
+    """Rings that wind once about the origin, turning one way at every
+    step, in either orientation and with vertices exactly on the x-axis."""
+    _certify_star_shaped(_ring(coords))
+    _certify_star_shaped(_ring(list(reversed(coords))))
 
 
 def test_lower_bound_custom_radii():
@@ -123,7 +159,7 @@ def test_annulus_shape(annulus):
     assert annulus.h == 1
     assert len(annulus.reflex_indices()) == 4
     hole = annulus.holes[0]
-    assert all(is_reflex(annulus, i) == (i >= 4) for i in range(8))
+    assert all((i in annulus.reflex_indices()) == (i >= 4) for i in range(8))
     assert len(hole.vertices) == 4
 
 

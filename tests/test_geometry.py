@@ -21,7 +21,6 @@ from ruledpoly import (
     TooFewVerticesError,
     as_fraction,
     dump_polygon,
-    is_reflex,
     load_polygon,
     lower_bound_polygon,
 )
@@ -205,6 +204,18 @@ def test_parse_error_named():
         load_polygon('{"holes": []}')
 
 
+def test_rational_literal_beyond_digit_limit_named():
+    """A "p/q" literal with more digits than int() converts under the
+    interpreter's limit, where it has one, is a PolygonParseError."""
+    text = json.dumps({"outer": [[0, 0], ["1/1" + "0" * 5000, 0], [0, 1]]})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or limit > 5001:
+        assert load_polygon(text).vertex(1).x == Fraction(1, 10 ** 5000)
+        return
+    with pytest.raises(PolygonParseError, match="too many digits"):
+        load_polygon(text)
+
+
 def test_nonfinite_coordinates_rejected():
     with pytest.raises(PolygonError):
         Polygon([(0, 0), (float("nan"), 0), (1, 1)])
@@ -240,7 +251,7 @@ def test_non_decimal_rational_round_trip():
 def test_convex_polygon_has_no_reflex():
     P = Polygon([(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)])
     assert P.reflex_indices() == ()
-    assert all(not is_reflex(P, i) for i in range(P.n))
+    assert all(i not in P.reflex_indices() for i in range(P.n))
 
 
 def test_l_polygon_reflex_vertex():
@@ -262,7 +273,7 @@ def test_convex_hole_corners_all_reflex():
 def test_reflex_plus_convex_is_n(l_poly, annulus):
     for P in (l_poly, annulus):
         k = len(P.reflex_indices())
-        convex = sum(1 for i in range(P.n) if not is_reflex(P, i))
+        convex = sum(1 for i in range(P.n) if i not in P.reflex_indices())
         assert k + convex == P.n
 
 

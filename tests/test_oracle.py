@@ -1,7 +1,10 @@
 """Event-partition enumeration oracle and the random polygon generator."""
 
+import json
+
 import pytest
 
+from ruledpoly import oracle
 from ruledpoly import (
     Direction,
     FamilyParams,
@@ -9,6 +12,7 @@ from ruledpoly import (
     Polygon,
     brute_force_complexity,
     build_event_partition,
+    comb_polygon,
     dump_polygon,
     is_generic,
     lower_bound_polygon,
@@ -16,6 +20,7 @@ from ruledpoly import (
     random_simple_polygon,
     reeb_graph,
 )
+from ruledpoly.cli import run_cli
 
 
 def test_partition_contains_cone_boundaries(l_poly):
@@ -65,6 +70,52 @@ def test_oracle_export_contract(l_poly):
     d = brute_force_complexity(l_poly).as_dict()
     assert set(d) == {"min_leaves", "witness", "intervals_evaluated",
                       "boundary_beats_interior"}
+
+
+def _inside(a, b, u):
+    """Whether direction u lies strictly inside the open arc of directions
+    swept counterclockwise from a to b (mod 180 degrees), by exact
+    cross products of the integer pairs."""
+    def cross(p, q):
+        return p[0] * q[1] - p[1] * q[0]
+    if cross(a, b) < 0:
+        b = (-b[0], -b[1])
+    return any(cross(a, w) > 0 and cross(w, b) > 0 for w in (u, (-u[0], -u[1])))
+
+
+@pytest.mark.parametrize("name", ["l", "annulus", "comb", *(f"random{s}" for s in range(1, 7))])
+def test_representatives_strictly_inside(monkeypatch, l_poly, annulus, name):
+    """The oracle evaluates one direction per interval, in order, each
+    strictly inside its interval, the wrap interval included."""
+    P = {"l": l_poly, "annulus": annulus, "comb": comb_polygon(3)}.get(name) \
+        or random_simple_polygon(8 + int(name[6:]), int(name[6:]))
+    seen = []
+
+    def spy(Q, v):
+        seen.append(v.canonical_pair())
+        return reeb_graph(Q, v)
+
+    monkeypatch.setattr(oracle, "reeb_graph", spy)
+    brute_force_complexity(P)
+    part = build_event_partition(P)
+    assert len(seen) == len(part.intervals) >= 3
+    for (lo, hi), u in zip(part.intervals, seen):
+        assert _inside(lo.canonical_pair(), hi.canonical_pair(), u)
+
+
+@pytest.mark.parametrize("name", ["l", "annulus", "star9"])
+def test_oracle_witness_through_cli(tmp_path, capsys, l_poly, annulus, name):
+    """The oracle's JSON witness is two integers; passed to reeb
+    --direction it gives a graph with min_leaves leaves."""
+    P = {"l": l_poly, "annulus": annulus}.get(name) or lower_bound_polygon(FamilyParams(9))
+    path = tmp_path / f"{name}.json"
+    path.write_text(dump_polygon(P))
+    assert run_cli(["oracle", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    dx, dy = doc["witness"]
+    assert type(dx) is int and type(dy) is int
+    assert run_cli(["reeb", str(path), "--direction", f"{dx},{dy}"]) == 0
+    assert json.loads(capsys.readouterr().out)["l"] == doc["min_leaves"]
 
 
 def test_oracle_convex():

@@ -11,7 +11,6 @@ from ruledpoly import (
     comb_polygon,
     dump_polygon,
     is_generic,
-    is_reflex,
     load_polygon,
     max_cone_coverage,
     parallel_reeb_complexity,
@@ -137,7 +136,7 @@ def test_dump_load_exact_under_rational_scaling(n, seed, p, q):
 def test_reflex_partition(n, seed):
     P = poly(n, seed)
     k = len(P.reflex_indices())
-    assert k + sum(1 for i in range(P.n) if not is_reflex(P, i)) == P.n
+    assert k + sum(1 for i in range(P.n) if i not in P.reflex_indices()) == P.n
 
 
 @given(n=sizes, seed=seeds, rot=st.sampled_from(ROTATIONS),

@@ -222,12 +222,12 @@ def _reference_sweep(rings):
                         raise RuntimeError("sweep status lost the order of its edges")
         else:
             def rel(t):
-                o = orient_sign(pts[lo[t]], pts[hi[t]], p)
-                if o == 0:
-                    raise fault(e_out, t)
-                return -o
+                return -orient_sign(pts[lo[t]], pts[hi[t]], p)
 
             b, i = status.locate(rel)
+            t = status.at(b, i)
+            if t is not None and rel(t) == 0:  # the lowest edge through v
+                raise fault(e_out, t)
         below, above = status.below(b, i), status.at(b, i)
         if lo[e_in] == v and lo[e_out] == v:
             s = orient_sign(p, pts[hi[e_in]], pts[hi[e_out]])
@@ -270,6 +270,8 @@ scales = st.sampled_from([(1, 0), (Fraction(1, 3), 0), (1, 2 ** 60)])
 # the two crossings pinned for test_validation_matches_brute_force
 @example(outer=[(4, 2), (3, 3), (1, 1), (1, 3), (0, 4)], holes=[], scale=(1, 0))
 @example(outer=[(3, 3), (5, 1), (4, 0), (2, 1), (4, 1), (2, 3)], holes=[], scale=(1, 0))
+# a located vertex on two edges: the fault names the lower, whatever the blocks
+@example(outer=[(0, 0), (2, 1), (0, 1), (2, 2), (2, 1), (3, 0)], holes=[], scale=(1, 0))
 @settings(max_examples=400, deadline=None)
 def test_deferred_checks_match_sequential_sweep(outer, holes, scale):
     """Error class and message, or acceptance, are those of the sweep
