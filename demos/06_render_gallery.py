@@ -24,19 +24,17 @@ star = lower_bound_polygon(FamilyParams(7))
 jobs = [
     ("L_cones.svg", RenderSpec(polygon=L, show_cones=True)),
     ("L_reeb.svg", RenderSpec(polygon=L, direction=Direction(1024, 1025),
-                              show_reeb=True, show_ruling=True,
-                              ruling_line_count=12)),
+                              show_reeb=True, ruling_line_count=12)),
     ("comb_vertical.svg", RenderSpec(polygon=comb_polygon(4),
                                      direction=Direction(0, 1),
-                                     show_reeb=True, show_ruling=True,
-                                     ruling_line_count=16)),
+                                     show_reeb=True, ruling_line_count=16)),
     ("annulus.svg", RenderSpec(polygon=annulus_polygon(10, 4),
                                direction=Direction(3, 10),
                                show_reeb=True, show_cones=True)),
     ("star7_witness.svg", RenderSpec(
         polygon=star,
         direction=parallel_reeb_complexity(star).witness,
-        show_ruling=True, ruling_line_count=40)),
+        ruling_line_count=40)),
 ]
 
 for name, spec in jobs:

@@ -127,8 +127,7 @@ def _cmd_render(args) -> int:
         polygon=P,
         direction=v,
         show_cones=args.cones,
-        show_ruling=args.ruling is not None,
-        ruling_line_count=args.ruling if args.ruling is not None else 0,
+        ruling_line_count=args.ruling,
         show_reeb=args.reeb,
         output_path=args.out,
     )
@@ -178,7 +177,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--direction", default=None, metavar="DX,DY")
     p.add_argument("--cones", action="store_true")
-    p.add_argument("--ruling", type=int, default=None, metavar="N")
+    p.add_argument("--ruling", type=int, default=0, metavar="N")
     p.add_argument("--reeb", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_render)

@@ -22,16 +22,20 @@ A gap between the two maxima is reported as the degenerate flag, and
 max_cone_coverage (a pure stabbing query, no genericity constraint)
 reports the pointwise maximum.
 
-Both entry points share one front end that turns each cone's two
-apex-to-neighbor vectors into sweep events: max_cone_coverage reads them
-from materialized DoubleCone objects, parallel_reeb_complexity straight
-from the polygon's coordinate arrays, since constructing tens of
-thousands of exact cone objects would dominate the runtime budget.
-Angles are float keys with rigorous radii (exactmath.angle_filter);
+Both entry points share one front end (_event_set) that turns the 2k
+apex-to-neighbor vectors of k cones, stacked in one array, into sweep
+events: event i < k is cone i's entry, at the normal of the vector to
+its ring predecessor, and event k + i its exit, at the normal of the
+vector to its successor. max_cone_coverage reads the vectors from
+materialized DoubleCone objects, parallel_reeb_complexity straight from
+the polygon's coordinate arrays, since constructing tens of thousands
+of exact cone objects would dominate the runtime budget. Angles are
+float keys with rigorous radii (exactmath.angle_filter);
 exactmath.filtered_order re-orders events whose radii overlap by exact
-cross product comparison, on integer vectors from the caller's one exact
-accessor: the cones' vectors, or edge vectors from the polygon's
-vertices (exactmath.exact_delta), each at a positive scale of its own.
+cross product comparison, on integer vectors from the caller's one
+exact accessor of event ids: the cones' vectors, or edge vectors from
+the polygon's vertices (exactmath.exact_delta), each at a positive
+scale of its own.
 
 A witness is built, not searched for (_generic_witness): the simplest
 integer direction of the chosen open arc, checked once for genericity,
@@ -211,69 +215,48 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     return _SweepProfile(closed_max, interior_max, interior_arc, closed_sel)
 
 
-def _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y,
-               exact_d: Callable[[int, int], tuple]) -> _EventSet:
+def _event_set(dx, dy, ex, ey, exact_d: Callable[[int], tuple]) -> _EventSet:
     """The 2k sweep events of k cones, one entry and one exit each.
 
-    Cone i is given by the float vectors d1, d2 from its apex to its ring
-    predecessor and successor, with absolute error bounds e*, and by
-    exact_d(i, 1) or exact_d(i, 2), the same vector exactly, as integers
-    at any positive scale. Signs and directions are scale-free, so this one
-    accessor serves the signs, the tie clusters and the arc endpoints.
-    Event id i is cone i's entry, at the normal of d1; k + i its exit.
+    Event i < k is cone i's entry, at the normal of the float vector
+    (dx[i], dy[i]) from its apex to its ring predecessor; event k + i is
+    its exit, at the normal of the vector to its successor. ex and ey
+    are absolute error bounds, and exact_d(i) is event i's vector
+    exactly, as integers at any positive scale. Signs and directions are
+    scale-free, so this one accessor serves the signs, the tie clusters
+    and the arc endpoints.
     """
-    k = len(d1x)
-    s1x = filtered_sign_array(d1x, e1x, lambda i: exact_d(i, 1)[0])
-    s1y = filtered_sign_array(d1y, e1y, lambda i: exact_d(i, 1)[1])
-    s2x = filtered_sign_array(d2x, e2x, lambda i: exact_d(i, 2)[0])
-    s2y = filtered_sign_array(d2y, e2y, lambda i: exact_d(i, 2)[1])
+    k = len(dx) // 2
+    sx = filtered_sign_array(dx, ex, lambda i: exact_d(i)[0])
+    sy = filtered_sign_array(dy, ey, lambda i: exact_d(i)[1])
 
     # v0 = (0,-1) lies in the cone iff sign(d1y) * sign(d2y) <= 0
-    init = int(np.count_nonzero(s1y * s2y <= 0))
+    init = int(np.count_nonzero(sy[:k] * sy[k:] <= 0))
 
-    # raw normals: entry (d1y, -d1x), exit (d2y, -d2x); canonical flip when
-    # the y component is negative, or zero with negative x component
-    def build(dy, dx, sy, sx, e_dx, e_dy):
-        # event direction raw = (dy, -dx): x error is e_dy, y error is e_dx
-        flip = (sx > 0) | ((sx == 0) & (sy < 0))
-        fsign = np.where(flip, -1.0, 1.0)
-        cx = fsign * dy
-        cy = fsign * (-dx)
-        seam = sy == 0
-        phase = np.where(flip, -sy, sy).astype(np.float64)
-        return cx, cy, e_dy, e_dx, phase, seam
-
-    en_cx, en_cy, en_xe, en_ye, en_ph, en_seam = build(d1y, d1x, s1y, s1x, e1x, e1y)
-    ex_cx, ex_cy, ex_xe, ex_ye, ex_ph, ex_seam = build(d2y, d2x, s2y, s2x, e2x, e2y)
-
-    seam_entries = int(np.count_nonzero(en_seam))
-    seam_exits = int(np.count_nonzero(ex_seam))
-
-    keep_en = ~en_seam
-    keep_ex = ~ex_seam
-    cx = np.concatenate([en_cx[keep_en], ex_cx[keep_ex]])
-    cy = np.concatenate([en_cy[keep_en], ex_cy[keep_ex]])
-    x_err = np.concatenate([en_xe[keep_en], ex_xe[keep_ex]])
-    y_err = np.concatenate([en_ye[keep_en], ex_ye[keep_ex]])
-    phase = np.concatenate([en_ph[keep_en], ex_ph[keep_ex]])
-    kind = np.concatenate([
-        np.ones(int(np.count_nonzero(keep_en)), dtype=np.int8),
-        -np.ones(int(np.count_nonzero(keep_ex)), dtype=np.int8),
-    ])
-    ids = np.concatenate([np.flatnonzero(keep_en), k + np.flatnonzero(keep_ex)])
+    # the event at the normal (dy, -dx), flipped to canonical when its y
+    # component is negative, or zero with a negative x component; a normal
+    # with no x component sits on the seam
+    flip = (sx > 0) | ((sx == 0) & (sy < 0))
+    seam = sy == 0
+    ids = np.flatnonzero(~seam)
+    fsign = np.where(flip, -1.0, 1.0)[ids]
+    cx = fsign * dy[ids]
+    cy = fsign * (-dx[ids])
+    phase = np.where(flip, -sy, sy)[ids].astype(np.float64)
+    kind = np.where(ids < k, 1, -1).astype(np.int8)
     # the angle of (-R.y, R.x) for the sweep representative R = phase * (cx, cy);
     # R.x >= 0 is clamped at 0 so rounding never wraps it across the seam
-    sf, radius = angle_filter(np.maximum(phase * cx, 0.0), -(phase * cy), x_err, y_err)
+    sf, radius = angle_filter(np.maximum(phase * cx, 0.0), -(phase * cy), ey[ids], ex[ids])
 
     def exact_dir(event_id: int) -> tuple:
-        i, which = (event_id, 1) if event_id < k else (event_id - k, 2)
-        dx, dy = exact_d(i, which)
+        dx, dy = exact_d(event_id)
         vx, vy = dy, -dx
         if vy < 0 or (vy == 0 and vx < 0):
             vx, vy = -vx, -vy
         return (vx, vy)
 
-    return _EventSet(sf, kind, radius, ids, exact_dir, init, seam_exits, seam_entries)
+    return _EventSet(sf, kind, radius, ids, exact_dir, init,
+                     int(np.count_nonzero(seam[k:])), int(np.count_nonzero(seam[:k])))
 
 
 def _simplest_above(p0: int, q0: int, p1: int, q1: int) -> tuple[int, int]:
@@ -351,10 +334,10 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
     """
     if not cones:
         return 0, Direction(1, 0)
+    vecs = [c._d1 for c in cones] + [c._d2 for c in cones]
     # any positive scale of each vector will do, so none overflows a float
-    d = np.array([float_direction(*c._d1) + float_direction(*c._d2) for c in cones])
-    ev = _event_set(*d.T, *mirror_error_bound(d).T,
-                    lambda i, which: cones[i]._d1 if which == 1 else cones[i]._d2)
+    d = np.array([float_direction(*u) for u in vecs])
+    ev = _event_set(*d.T, *mirror_error_bound(d).T, vecs.__getitem__)
     prof = _sweep_select(ev)
     skind, *data = prof.closed_sel
     vec = _simplest_in_arc(*data) if skind == "interval" else data[0]
@@ -380,21 +363,16 @@ def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
         return ComplexityResult(2 - 2 * h, witness, 0, 0, h, False)
 
     r = np.array(reflex_ids, dtype=np.intp)
+    apex = np.concatenate((r, r))
+    neighbor = np.concatenate((P._prev[r], P._next[r]))  # entries, then exits
     X = P._coords[:, 0]
     Y = P._coords[:, 1]
-    rp = P._prev[r]
-    rn = P._next[r]
-    d1x = X[rp] - X[r]
-    d1y = Y[rp] - Y[r]
-    d2x = X[rn] - X[r]
-    d2y = Y[rn] - Y[r]
-    e1x = diff_error_bound(d1x, X[rp], X[r])
-    e1y = diff_error_bound(d1y, Y[rp], Y[r])
-    e2x = diff_error_bound(d2x, X[rn], X[r])
-    e2y = diff_error_bound(d2y, Y[rn], Y[r])
-    pts, apex, neighbor = P._pts, r.tolist(), (None, rp.tolist(), rn.tolist())
-    ev = _event_set(d1x, d1y, d2x, d2y, e1x, e1y, e2x, e2y,
-                    lambda i, which: exact_delta(pts[apex[i]], pts[neighbor[which][i]])[:2])
+    dx = X[neighbor] - X[apex]
+    dy = Y[neighbor] - Y[apex]
+    ex = diff_error_bound(dx, X[neighbor], X[apex])
+    ey = diff_error_bound(dy, Y[neighbor], Y[apex])
+    pts, apex, neighbor = P._pts, apex.tolist(), neighbor.tolist()
+    ev = _event_set(dx, dy, ex, ey, lambda i: exact_delta(pts[apex[i]], pts[neighbor[i]])[:2])
     prof = _sweep_select(ev)
     c_max = prof.interior_max
     witness = _generic_witness(P, *prof.interior_arc)

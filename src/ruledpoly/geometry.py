@@ -31,6 +31,10 @@ outside every other hole. Only locating a new vertex in the sweep
 status calls a scalar predicate; the contact and order checks wait
 until the sweep ends and are then decided together, as the lanes of
 one filtered predicate, the first failing check in sweep order winning.
+
+The sweep status (_Status) is shared with the Reeb sweep of reeb.py,
+in one frame, and its point location (_Status.locate) is the one
+scalar orient_sign call of both sweeps.
 """
 
 from __future__ import annotations
@@ -452,9 +456,23 @@ class _Block(list):
     __slots__ = ("key",)
 
 
+def _forward(order: np.ndarray, nxt) -> list[bool]:
+    """Whether each edge e, from vertex e to vertex nxt[e], runs forward
+    in the event order: e comes before nxt[e] in order, a permutation."""
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return (rank < rank[nxt]).tolist()
+
+
 class _Status:
-    """Edges crossing the sweep line, in order along it, with a handle
-    for every edge.
+    """Edges crossing a sweep line, in order along it, with a handle for
+    every edge, and the one point location of both planar sweeps.
+
+    Edge e joins vertex e to vertex nxt[e] and is directed in event
+    order: from e to nxt[e] iff forward[e]. The status runs from the
+    edges a point on the sweep line lies strictly left of to those it
+    does not: from bottom to top when the sweep line moves right, and
+    from right to left looking along the sweep direction in general.
 
     Held as a list of short blocks (each at most 2 * _BLOCK long), so an
     insert or delete at a known position moves O(_BLOCK) entries and
@@ -469,25 +487,43 @@ class _Status:
     therefore costs no predicate; only locate compares.
     """
 
-    __slots__ = ("blocks", "keys", "home")
+    __slots__ = ("blocks", "keys", "home", "pts", "nxt", "forward")
 
-    def __init__(self, n: int):
-        """An empty status for edges 0 .. n-1."""
+    def __init__(self, pts: Sequence[Point], nxt: list[int], forward: list[bool]):
+        """An empty status for the edges of the vertices pts, edge e
+        running forward from e to nxt[e] iff forward[e]."""
         self.blocks: list[_Block] = []
         self.keys: list[int] = []
-        self.home: list[_Block | None] = [None] * n
+        self.home: list[_Block | None] = [None] * len(nxt)
+        self.pts, self.nxt, self.forward = pts, nxt, forward
 
-    def locate(self, rel) -> tuple[int, int]:
-        """Position of the first edge t with rel(t) >= 0, or the end.
+    def locate(self, p: Point) -> tuple[int, int, bool]:
+        """(b, i, on): the position of the first edge that p does not lie
+        strictly left of, or the end, and whether p lies on that edge.
 
-        rel(t) is the side of t relative to the sought place: negative
-        before it, positive after it; it must not decrease along the status.
+        In a status in order, that edge is the first through p when p
+        lies on any edge. The search compares the edge at the position
+        whatever the block layout, so on costs no predicate of its own.
         """
+        pts, nxt, forward = self.pts, self.nxt, self.forward
+        on = []
+
+        def rel(t: int) -> int:
+            """Side of edge t, directed in event order, relative to p: -1
+            if p lies strictly left of t. The sign is exact, so a swap of
+            t's ends negates it."""
+            o = orient_sign(pts[t], pts[nxt[t]], p)
+            if not o:
+                on.append(t)
+            return -o if forward[t] else o
+
         blocks = self.blocks
         b = bisect_left(blocks, 0, key=lambda blk: rel(blk[-1]))
         if b == len(blocks):
-            return (b - 1, len(blocks[-1])) if blocks else (0, 0)
-        return b, bisect_left(blocks[b], 0, 0, len(blocks[b]) - 1, key=rel)
+            return (b - 1, len(blocks[-1]), False) if blocks else (0, 0, False)
+        blk = blocks[b]
+        i = bisect_left(blk, 0, 0, len(blk) - 1, key=rel)
+        return b, i, blk[i] in on
 
     def place(self, e: int) -> tuple[int, int]:
         """Position of edge e, which must be in the status."""
@@ -655,17 +691,15 @@ def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
 
     # exact lexicographic order, equal points by index; x mirrors decide unless they tie
     events, repeat = filtered_order(xf, np.zeros(n), pts.__getitem__, _lex_cmp)
-    events = events.tolist()
-    repeat = repeat.tolist()
-    rank = [0] * n
-    for k, v in enumerate(events):
-        rank[v] = k
     # edge e runs from vertex e to nxt[e]; lo/hi are its first/last endpoints
     # in event order. The interior lies left of every edge, so above an
-    # edge that runs forward in event order.
-    forward = [rank[e] < rank[nxt[e]] for e in range(n)]
+    # edge that runs forward in event order, and the status runs upward.
+    forward = _forward(events, nxt)
+    events = events.tolist()
+    repeat = repeat.tolist()
     lo = [e if forward[e] else nxt[e] for e in range(n)]
     hi = [nxt[e] if forward[e] else e for e in range(n)]
+    status = _Status(pts, nxt, forward)
 
     def fault(e: int, f: int) -> PolygonError:
         re, rf = ring_of[e], ring_of[f]
@@ -689,12 +723,10 @@ def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
 
     raised = None
     try:
-        status = _Status(n)
         seen = [False] * len(rings)
         for k, v in enumerate(events):
             if repeat[k]:
                 raise fault(v, events[k - 1])  # a repeated point: both edges leaving it touch
-            p = pts[v]
             e_in, e_out = prv[v], v
 
             if hi[e_in] == v or hi[e_out] == v:
@@ -715,21 +747,9 @@ def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
                         sides.extend((lo[t], hi[t], v, side, ending[0], t, len(touches) // 4))
             else:
                 # a leftmost vertex: both edges start here; locate v itself
-                through = set()
-
-                def rel(t: int) -> int:
-                    """Side of t relative to v."""
-                    o = orient_sign(pts[lo[t]], pts[hi[t]], p)
-                    if o == 0:  # v lies on t
-                        through.add(t)
-                    return -o
-
-                b, i = status.locate(rel)
-                # locate compared the edge at v's place, which is the lowest
-                # edge through v if any, whatever the status's block layout
-                t = status.at(b, i)
-                if t in through:
-                    raise fault(e_out, t)
+                b, i, on = status.locate(pts[v])
+                if on:  # v lies on the edge at its place, the lowest through v
+                    raise fault(e_out, status.at(b, i))
 
             # (b, i) is v's place in the status. An edge through v would have
             # touched a neighbour of the edges ending at v already, so the
@@ -822,14 +842,19 @@ class Polygon:
 
     # -- vertex addressing ------------------------------------------------
 
+    def _index(self, i: int) -> int:
+        """i itself, a global vertex index; IndexError outside 0 .. n-1."""
+        if not 0 <= i < self.n:
+            raise IndexError(f"vertex index {i} out of range for {self.n} vertices")
+        return i
+
     def vertex(self, i: int) -> Point:
         """Point at global vertex index i."""
-        return self._pts[i]
+        return self._pts[self._index(i)]
 
     def neighbors(self, i: int) -> tuple[int, int]:
         """Global indices of the ring-previous and ring-next vertices."""
-        if not 0 <= i < self.n:
-            raise IndexError(i)
+        i = self._index(i)
         return int(self._prev[i]), int(self._next[i])
 
     @property
@@ -850,7 +875,7 @@ class Polygon:
 
     def cone(self, i: int) -> DoubleCone:
         """DoubleCone at reflex vertex i (cached)."""
-        c = self._cones.get(i)
+        c = self._cones.get(self._index(i))
         if c is None:
             if not self._reflex[i]:
                 raise NonReflexVertexError(f"vertex {i} at {self._pts[i]!r} is not reflex")

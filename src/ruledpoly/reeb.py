@@ -13,13 +13,16 @@ construction: complexity._generic_witness perturbs exactly, inside the
 open arc it must stay in, when its first direction ties two heights.
 
 The sweep keeps the active edges in the sweep status of validation
-(geometry._Status), found and removed by handle. Each edge bounds its
-level-set interval on one side for its whole life, fixed by whether it
-runs up or down the ring, so an interval needs no object of its own. The
-sweep needs only the order of the heights, which exact integer heights
-refine only where float heights cannot decide it; a node works its
-exact Fraction height out on access, and the export rounds it once from
-integers.
+(geometry._Status), in validation's order and frame: the height order
+is the event order, each edge is directed up, and the status runs from
+right to left looking along v. Edges are found and removed by handle;
+only a local minimum is located, by _Status.locate. Each edge bounds
+its level-set interval on one side for its whole life, fixed by whether
+it runs up or down the ring, so an interval needs no object of its own.
+The sweep needs only the order of the heights, which exact integer
+heights refine only where float heights cannot decide it; a node works
+its exact Fraction height out on access, and the export rounds it once
+from integers.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import dot_filter, filtered_order, orient_sign, sign
-from .geometry import Direction, Point, Polygon, _Status
+from .exactmath import dot_filter, filtered_order, sign
+from .geometry import Direction, Point, Polygon, _forward, _Status
 
 __all__ = [
     "NonGenericDirectionError",
@@ -142,24 +145,23 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
     """Reeb graph of f_v over P; v must be generic.
 
     One pass over the vertices in height order. The status holds the
-    active edges, those crossing the level line, from left to right
-    looking along v; edge i runs from vertex i to its ring successor. The
-    interior lies left of every ring edge, so an edge running down the
-    ring bounds its interval on the left and one running up bounds it on
-    the right, for the edge's whole life, and left and right edges
-    alternate in the status. Only a local minimum is located, with one
-    orient_sign per search step, and the edge just left of it tells
-    inside from outside. Every other event finds its edges by handle: a
-    regular vertex puts its born edge in its dying edge's place, a leaf
-    closes two adjacent edges, and a merge removes the right edge of one
-    interval and the left edge of the next. The node at the bottom of an
-    interval's current arc is kept with the interval's left edge.
+    active edges, those crossing the level line, in validation's order:
+    each edge directed up, the status runs from right to left looking
+    along v (geometry._Status); edge i runs from vertex i to its ring
+    successor. The interior lies left of every ring edge, so an edge
+    running down the ring bounds its interval on the left and one
+    running up bounds it on the right, for the edge's whole life, and
+    right and left edges alternate in the status. Only a local minimum
+    is located (_Status.locate), and the edge just left of it, the one
+    at its place, tells inside from outside. Every other event finds its
+    edges by handle: a regular vertex puts its born edge in its dying
+    edge's place, a leaf closes two adjacent edges, and a merge removes
+    the left edge of one interval and the right edge of the next. The
+    node at the bottom of an interval's current arc is kept with the
+    interval's left edge.
     """
-    order = _height_order(P, v).tolist()
-    n = P.n
-    ranks = [0] * n
-    for k, g in enumerate(order):
-        ranks[g] = k
+    order = _height_order(P, v)
+    forward = _forward(order, P._next)  # edge e runs up the ring: a right edge
     reflex = P._reflex.tolist()
     prev = P._prev.tolist()
     nxt = P._next.tolist()
@@ -167,36 +169,32 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
 
     nodes: list[ReebNode] = []
     edges: list[tuple[int, int]] = []
-    status = _Status(n)
-    arc = [0] * n  # for a left edge: the node at the bottom of its interval's arc
+    status = _Status(pts, nxt, forward)
+    arc = [0] * P.n  # for a left edge: the node at the bottom of its interval's arc
 
-    for gid in order:
-        pt = pts[gid]
+    for gid in order.tolist():
         pr = prev[gid]
-        up_p = ranks[pr] > ranks[gid]
-        up_n = ranks[nxt[gid]] > ranks[gid]
         # edge pr runs from prev to gid, edge gid from gid to next
+        up_in, up_out = forward[pr], forward[gid]
 
-        if up_p and up_n:
+        if up_in == up_out:
+            # regular: one edge dies, the other takes its place and its side
+            dying, born = (pr, gid) if up_out else (gid, pr)
+            status.replace(dying, born)
+            arc[born] = arc[dying]
+        elif up_out:
             # local minimum: both edges are born here, pr a left and gid a right edge
-            def rel(t: int) -> int:
-                """Side of pt relative to active edge t: -1 right of it, +1 left."""
-                a, b = t, nxt[t]
-                if ranks[a] > ranks[b]:
-                    a, b = b, a
-                s = orient_sign(pts[a], pts[b], pt)
-                if s == 0:
-                    raise RuntimeError("event vertex lies on an active edge")
-                return s
-
-            b, i = status.locate(rel)
-            left = status.below(b, i)
-            inside = left is not None and ranks[left] > ranks[nxt[left]]
+            pt = pts[gid]
+            b, i, on = status.locate(pt)
+            if on:
+                raise RuntimeError("event vertex lies on an active edge")
+            left = status.at(b, i)
+            inside = left is not None and not forward[left]
             if not reflex[gid]:
                 if inside:
                     raise RuntimeError("opening vertex inside an existing interval")
                 nodes.append(ReebNode("leaf", pt, gid, v))
-                status.insert(b, i, [pr, gid])
+                status.insert(b, i, [gid, pr])
                 arc[pr] = len(nodes) - 1
             else:
                 if not inside:
@@ -204,35 +202,31 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
                 nodes.append(ReebNode("branch", pt, gid, v))
                 nid = len(nodes) - 1
                 edges.append((arc[left], nid))
-                status.insert(b, i, [gid, pr])
+                status.insert(b, i, [pr, gid])
                 arc[left] = arc[pr] = nid
-        elif not up_p and not up_n:
-            # local maximum: both edges die here, gid a left and pr a right edge
-            if not reflex[gid]:
-                b, i = status.place(gid)
-                if status.at(b, i + 1) != pr:
-                    raise RuntimeError("closing edges span two intervals")
-                nodes.append(ReebNode("leaf", pt, gid, v))
-                edges.append((arc[gid], len(nodes) - 1))
-            else:
-                b, i = status.place(pr)
-                if status.at(b, i + 1) != gid:
-                    b, i = status.place(gid)
-                    if status.at(b, i + 1) == pr:
-                        raise RuntimeError("merging vertex closes a single interval")
-                    raise RuntimeError("merging intervals are not adjacent")
-                left = status.below(b, i)
-                nodes.append(ReebNode("branch", pt, gid, v))
-                nid = len(nodes) - 1
-                edges.append((arc[left], nid))
-                edges.append((arc[gid], nid))
-                arc[left] = nid
+        elif not reflex[gid]:
+            # local maximum closing an interval: gid its left and pr its right edge
+            b, i = status.place(pr)
+            if status.at(b, i + 1) != gid:
+                raise RuntimeError("closing edges span two intervals")
+            nodes.append(ReebNode("leaf", pts[gid], gid, v))
+            edges.append((arc[gid], len(nodes) - 1))
             status.pop(*status.pop(b, i))
         else:
-            # regular: one edge dies, the other takes its place and its side
-            dying, born = (pr, gid) if up_n else (gid, pr)
-            status.replace(dying, born)
-            arc[born] = arc[dying]
+            # local maximum merging two intervals: gid the left edge of the
+            # right one and pr the right edge of the left one
+            b, i = status.place(gid)
+            if status.at(b, i + 1) != pr:
+                b, i = status.place(pr)
+                if status.at(b, i + 1) == gid:
+                    raise RuntimeError("merging vertex closes a single interval")
+                raise RuntimeError("merging intervals are not adjacent")
+            left = status.at(*status.pop(*status.pop(b, i)))
+            nodes.append(ReebNode("branch", pts[gid], gid, v))
+            nid = len(nodes) - 1
+            edges.append((arc[left], nid))
+            edges.append((arc[gid], nid))
+            arc[left] = nid
 
     if status.blocks:
         raise RuntimeError("sweep ended with open intervals")

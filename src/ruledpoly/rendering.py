@@ -31,8 +31,7 @@ class RenderSpec:
     polygon: Polygon
     direction: Optional[Direction] = None
     show_cones: bool = False
-    show_ruling: bool = False
-    ruling_line_count: int = 0
+    ruling_line_count: int = 0  # ruling lines drawn; none when 0
     show_reeb: bool = False
     output_path: Optional[str] = None
 
@@ -146,7 +145,7 @@ def render_svg(spec: RenderSpec) -> bytes:
     margin = 0.1 * max(w, h)
     diag = math.hypot(w, h)
 
-    need_direction = spec.show_ruling or spec.show_reeb
+    need_direction = spec.ruling_line_count > 0 or spec.show_reeb
     v = spec.direction
     if v is None and need_direction:
         # the complexity witness is generic, so default pictures show the optimal ruling
@@ -190,7 +189,7 @@ def render_svg(spec: RenderSpec) -> bytes:
                     f'<polygon points="{pts}" fill="#d98943" '
                     f'fill-opacity="0.3" stroke="none"/>')
 
-    if spec.show_ruling and v is not None:
+    if spec.ruling_line_count > 0:
         for (x1, y1), (x2, y2) in _ruling_segments(P, v, spec.ruling_line_count):
             sx1, sy1 = mapper(x1, y1)
             sx2, sy2 = mapper(x2, y2)

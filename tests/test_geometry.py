@@ -270,6 +270,31 @@ def test_convex_hole_corners_all_reflex():
     assert all(P.vertex(i).x in (1, 3) for i in refl)
 
 
+STAR14 = lower_bound_polygon(FamilyParams(7))  # 14 vertices, the even ones reflex
+
+
+@pytest.mark.parametrize("i", [-1, -14, 14])
+def test_vertex_index_out_of_range(i):
+    with pytest.raises(IndexError):
+        STAR14.vertex(i)
+
+
+@pytest.mark.parametrize("i", [-1, -14, 14])
+def test_neighbors_index_out_of_range(i):
+    with pytest.raises(IndexError):
+        STAR14.neighbors(i)
+
+
+@pytest.mark.parametrize("i", [-2, -14, 14])
+def test_cone_index_out_of_range(i):
+    """A negative index names no second cone of a vertex, and caches none."""
+    P = lower_bound_polygon(FamilyParams(7))
+    assert P.n == 14 and P.cone(12) is P.cone(12)
+    with pytest.raises(IndexError):
+        P.cone(i)
+    assert list(P._cones) == [12]
+
+
 def test_reflex_plus_convex_is_n(l_poly, annulus):
     for P in (l_poly, annulus):
         k = len(P.reflex_indices())

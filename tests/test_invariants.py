@@ -60,3 +60,31 @@ def test_sweeps_make_no_linear_scans():
     assert _scan_calls(reeb) == []
     assert {name: _scan_calls(node) for name, node in helpers.items()} == {
         name: [] for name in SWEEP_HELPERS}
+
+
+def _orient_sign_names(tree) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "orient_sign"
+            or isinstance(node, ast.alias) and node.name == "orient_sign"
+            or isinstance(node, ast.Attribute) and node.attr == "orient_sign"]
+
+
+def _orient_sign_calls(tree) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "orient_sign"]
+
+
+def test_one_scalar_point_location():
+    """Both planar sweeps locate a point through _Status.locate: reeb.py
+    does not name orient_sign, and geometry.py calls it once, there."""
+    package = Path(ruledpoly.__file__).parent
+    reeb = ast.parse((package / "reeb.py").read_text(encoding="utf-8"))
+    geometry = ast.parse((package / "geometry.py").read_text(encoding="utf-8"))
+    status = next(node for node in geometry.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_Status")
+    locate = next(node for node in status.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "locate")
+    assert _orient_sign_names(reeb) == []
+    assert len(_orient_sign_calls(geometry)) == 1
+    assert _orient_sign_calls(geometry) == _orient_sign_calls(locate)

@@ -442,7 +442,7 @@ def test_sweep_cost_is_n_log_n_in_orientation_tests(monkeypatch):
         calls += 1
         return orient_sign(a, b, c)
 
-    monkeypatch.setattr(reeb, "orient_sign", counted)
+    monkeypatch.setattr(geometry, "orient_sign", counted)  # _Status.locate's predicate
     g = reeb_graph(P, res.witness)
     assert P.n == 20_000 and g.l == res.min_leaves
     assert 0 < calls <= P.n * math.ceil(math.log2(P.n))

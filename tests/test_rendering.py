@@ -30,7 +30,7 @@ def test_cones_draw_double_wedges(l_poly):
 
 
 def test_ruling_lines_counted(l_poly):
-    spec = RenderSpec(l_poly, show_ruling=True, ruling_line_count=8)
+    spec = RenderSpec(l_poly, ruling_line_count=8)
     svg = render_svg(spec).decode()
     assert svg.count("#7a9e52") == 8
 
@@ -54,6 +54,5 @@ def test_render_spec_validation(square):
 
 
 def test_render_deterministic(comb4):
-    spec = RenderSpec(comb4, show_cones=True, show_ruling=True,
-                      ruling_line_count=12, show_reeb=True)
+    spec = RenderSpec(comb4, show_cones=True, ruling_line_count=12, show_reeb=True)
     assert render_svg(spec) == render_svg(spec)

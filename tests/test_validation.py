@@ -196,7 +196,7 @@ def _reference_sweep(rings):
         if segments_touch(pts[e], pts[nxt[e]], pts[f], pts[nxt[f]]):
             raise fault(e, f)
 
-    status = geometry._Status(n)
+    status = geometry._Status(pts, nxt, forward)
     seen = [False] * len(rings)
     for k, v in enumerate(events):
         if repeat[k]:
@@ -221,13 +221,18 @@ def _reference_sweep(rings):
                     if o != side:
                         raise RuntimeError("sweep status lost the order of its edges")
         else:
-            def rel(t):
-                return -orient_sign(pts[lo[t]], pts[hi[t]], p)
-
-            b, i = status.locate(rel)
-            t = status.at(b, i)
-            if t is not None and rel(t) == 0:  # the lowest edge through v
-                raise fault(e_out, t)
+            # a linear scan up the status, not _Status.locate: v's place is
+            # at the first edge that v does not lie strictly above
+            places = [(b, i) for b, blk in enumerate(status.blocks) for i in range(len(blk))]
+            b, i = (places[-1][0], places[-1][1] + 1) if places else (0, 0)
+            for place in places:
+                t = status.at(*place)
+                o = orient_sign(pts[lo[t]], pts[hi[t]], p)
+                if o == 0:  # the lowest edge through v
+                    raise fault(e_out, t)
+                if o < 0:
+                    b, i = place
+                    break
         below, above = status.below(b, i), status.at(b, i)
         if lo[e_in] == v and lo[e_out] == v:
             s = orient_sign(p, pts[hi[e_in]], pts[hi[e_out]])
@@ -341,10 +346,11 @@ def test_only_point_location_calls_scalar_predicate(monkeypatch):
 def test_status_finds_every_edge_by_handle():
     """With blocks of one or two edges, inserts at the front (until the
     block keys must be respaced), the back and the middle, then replaces
-    and pops by handle: the handles keep giving each edge's position."""
+    and pops by handle: the handles keep giving each edge's position.
+    An insert goes at the place of the edge it goes before, or at the end."""
     n = 300
     with patch.object(geometry, "_BLOCK", 1):
-        status = geometry._Status(2 * n)
+        status = geometry._Status([None] * 2 * n, list(range(2 * n)), [True] * 2 * n)
         order = []
 
         def check():
@@ -355,7 +361,13 @@ def test_status_finds_every_edge_by_handle():
 
         for e in range(n):
             k = 0 if e < n // 2 else (len(order), len(order) // 2)[e % 2]
-            b, i = status.locate(lambda t: -1 if order.index(t) < k else 1)
+            if k < len(order):
+                b, i = status.place(order[k])
+            elif order:
+                b, i = status.place(order[-1])
+                i += 1
+            else:
+                b, i = 0, 0
             assert status.below(b, i) == (order[k - 1] if k else None)
             status.insert(b, i, [e])
             order.insert(k, e)
