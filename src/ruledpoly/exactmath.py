@@ -14,7 +14,10 @@ a sum or a difference, which is then exact. mirror_error_bound,
 diff_error_bound, cross_filter (orient_sign, orient_lanes,
 corner_cross), dot_filter (reeb's heights) and angle_filter (sweep
 angles) apply it; filtered_sign_array and filtered_order let exact
-values decide the rest.
+values decide the rest. static_cross_bound is cross_filter's bound at
+the largest mirror magnitude of a polygon, one number that dominates
+the bound of every triple of its points: the static first stage of the
+point location that both planar sweeps share (geometry._Status).
 """
 
 from __future__ import annotations
@@ -75,16 +78,40 @@ def cross_filter(ax, ay, bx, by, cx, cy):
     wx, wy = bx - cx, by - cy
     t1, t2 = ux * wy, uy * wx
     det = t1 - t2
-    aux, auy, awx, awy = abs(ux), abs(uy), abs(wx), abs(wy)
-    kcx, kcy = abs(cx) + _K, abs(cy) + _K
+    return det, _cross_error(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), abs(ux),
+                             abs(uy), abs(wx), abs(wy), abs(t1), abs(t2), abs(det))
+
+
+def _cross_error(ax, ay, bx, by, cx, cy, ux, uy, wx, wy, t1, t2, det):
+    """cross_filter's bound from the magnitudes of its mirrors a, b, c,
+    differences u = a - c, w = b - c, products t1 = ux wy, t2 = uy wx and
+    det = t1 - t2. It only adds and multiplies nonnegative floats, and
+    rounding is monotone, so no magnitude made larger makes it smaller."""
+    kcx, kcy = cx + _K, cy + _K
     # each difference: its own rounding plus the two mirrors' errors
-    eux = U * (aux + abs(ax) + kcx)
-    euy = U * (auy + abs(ay) + kcy)
-    ewx = U * (awx + abs(bx) + kcx)
-    ewy = U * (awy + abs(by) + kcy)
+    eux = U * (ux + ax + kcx)
+    euy = U * (uy + ay + kcy)
+    ewx = U * (wx + bx + kcx)
+    ewy = U * (wy + by + kcy)
     # the roundings of t1, t2 and det, and the operand errors in each product
-    return det, (U * (abs(t1) + abs(t2) + abs(det) + _K) + eux * awy + (aux + eux) * ewy
-                 + euy * awx + (auy + euy) * ewx)
+    return (U * (t1 + t2 + det + _K) + eux * wy + (ux + eux) * ewy
+            + euy * wx + (uy + euy) * ewx)
+
+
+def static_cross_bound(m: float) -> float:
+    """A bound on cross_filter's error over every triple of mirrors at
+    most m in magnitude, and so a first stage in front of it: a float
+    det beyond this bound has the exact sign.
+
+    _cross_error at |a| = m, |a - c| <= 2m, products at most 4m^2 and
+    |det| at most 8m^2: rounding is monotone, so every rounded magnitude
+    in cross_filter is at most its value here, and the bound at least
+    cross_filter's, rounding for rounding. About 48 U m^2; inf when 2m
+    or 4m^2 overflows, so that no det clears it.
+    """
+    d = m + m
+    t = d * d
+    return _cross_error(m, m, m, m, m, m, d, d, d, d, t, t, t + t)
 
 
 def orient_sign(a, b, c) -> int:

@@ -33,8 +33,12 @@ until the sweep ends and are then decided together, as the lanes of
 one filtered predicate, the first failing check in sweep order winning.
 
 The sweep status (_Status) is shared with the Reeb sweep of reeb.py,
-in one frame, and its point location (_Status.locate) is the one
-scalar orient_sign call of both sweeps.
+in one frame, and its point location (_Status.locate) is the only one
+of both sweeps. Each of its comparisons is a three-stage filter: the
+plain float determinant against one static bound per polygon
+(exactmath.static_cross_bound, kept on the Polygon), then the one
+scalar orient_sign call of both sweeps, which has its own float filter
+and falls back to the integers.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .exactmath import (
     float_direction,
     orient_lanes,
     orient_sign,
+    static_cross_bound,
 )
 
 __all__ = [
@@ -466,7 +471,8 @@ def _forward(order: np.ndarray, nxt) -> list[bool]:
 
 class _Status:
     """Edges crossing a sweep line, in order along it, with a handle for
-    every edge, and the one point location of both planar sweeps.
+    every edge, and the one point location of both planar sweeps, whose
+    comparisons a static bound from the caller decides first.
 
     Edge e joins vertex e to vertex nxt[e] and is directed in event
     order: from e to nxt[e] iff forward[e]. The status runs from the
@@ -487,15 +493,18 @@ class _Status:
     therefore costs no predicate; only locate compares.
     """
 
-    __slots__ = ("blocks", "keys", "home", "pts", "nxt", "forward")
+    __slots__ = ("blocks", "keys", "home", "pts", "nxt", "forward", "bound")
 
-    def __init__(self, pts: Sequence[Point], nxt: list[int], forward: list[bool]):
+    def __init__(self, pts: Sequence[Point], nxt: list[int], forward: list[bool],
+                 bound: float):
         """An empty status for the edges of the vertices pts, edge e
-        running forward from e to nxt[e] iff forward[e]."""
+        running forward from e to nxt[e] iff forward[e]; bound is
+        exactmath.static_cross_bound of the largest mirror magnitude
+        among pts and the points to be located (inf: no first stage)."""
         self.blocks: list[_Block] = []
         self.keys: list[int] = []
         self.home: list[_Block | None] = [None] * len(nxt)
-        self.pts, self.nxt, self.forward = pts, nxt, forward
+        self.pts, self.nxt, self.forward, self.bound = pts, nxt, forward, bound
 
     def locate(self, p: Point) -> tuple[int, int, bool]:
         """(b, i, on): the position of the first edge that p does not lie
@@ -504,17 +513,31 @@ class _Status:
         In a status in order, that edge is the first through p when p
         lies on any edge. The search compares the edge at the position
         whatever the block layout, so on costs no predicate of its own.
+
+        Each comparison is a three-stage filter (Devillers and Pion 2003;
+        Shewchuk 1997): the float determinant of orient_sign's filter
+        decides when it clears the status's static bound, then
+        orient_sign decides, by its own filter or the integers.
         """
-        pts, nxt, forward = self.pts, self.nxt, self.forward
+        pts, nxt, forward, bound = self.pts, self.nxt, self.forward, self.bound
+        px, py = p.xf, p.yf
         on = []
 
         def rel(t: int) -> int:
             """Side of edge t, directed in event order, relative to p: -1
             if p lies strictly left of t. The sign is exact, so a swap of
             t's ends negates it."""
-            o = orient_sign(pts[t], pts[nxt[t]], p)
-            if not o:
-                on.append(t)
+            a, b = pts[t], pts[nxt[t]]
+            # cross_filter's det, term for term, so its bound covers it; NaN falls through
+            det = (a.xf - px) * (b.yf - py) - (a.yf - py) * (b.xf - px)
+            if det > bound:
+                o = 1
+            elif det < -bound:
+                o = -1
+            else:
+                o = orient_sign(a, b, p)
+                if not o:
+                    on.append(t)
             return -o if forward[t] else o
 
         blocks = self.blocks
@@ -602,18 +625,19 @@ class _Status:
 
 
 def _validate_rings(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
-                    signs: list[np.ndarray]) -> None:
+                    signs: list[np.ndarray], bound: float) -> None:
     """Reject any contact between edges of the rings other than the
     vertex two ring-consecutive edges share, and any hole (rings[1:])
     outside the outer ring (rings[0]) or inside another hole. xs, ys and
-    signs are each ring's float mirrors and exact corner signs.
+    signs are each ring's float mirrors and exact corner signs; bound is
+    the static bound of the status (_Status) for all rings.
 
     One exact any-segment-intersection sweep over the edges of every
     ring (Shamos and Hoey 1976; de Berg et al., Computational Geometry,
     ch. 2) with O(n log n) work. Events are the vertices in exact
     lexicographic (x, y) order; the status holds the edges that cross
     the sweep line, in order along it. Only a leftmost vertex is located
-    by search, one scalar orient_sign per step; edges that end are found
+    by search, one filtered comparison per step; edges that end are found
     by their handles, and the order of two edges starting at one vertex
     is that vertex's corner sign. What only checks the sweep is deferred:
     the contact test of every pair of edges that becomes adjacent in the
@@ -630,10 +654,10 @@ def _validate_rings(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.
     before any hole placement fault.
     """
     try:
-        _sweep(rings, xs, ys, signs)
+        _sweep(rings, xs, ys, signs, bound)
     except HolePlacementError:
         for ring in zip(rings, xs, ys, signs):  # one ring alone: raises only SelfIntersectionError
-            _sweep(*([part] for part in ring))
+            _sweep(*([part] for part in ring), bound)
         raise
 
 
@@ -671,7 +695,7 @@ def _failed_check(touches: list[int], sides: list[int], pts: list[Point], xs: np
 
 
 def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
-           signs: list[np.ndarray]) -> None:
+           signs: list[np.ndarray], bound: float) -> None:
     pts = [p for ring in rings for p in ring]
     n = len(pts)
     ring_of: list[int] = []
@@ -699,7 +723,7 @@ def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
     repeat = repeat.tolist()
     lo = [e if forward[e] else nxt[e] for e in range(n)]
     hi = [nxt[e] if forward[e] else e for e in range(n)]
-    status = _Status(pts, nxt, forward)
+    status = _Status(pts, nxt, forward, bound)
 
     def fault(e: int, f: int) -> PolygonError:
         re, rf = ring_of[e], ring_of[f]
@@ -803,7 +827,10 @@ class Polygon:
     exact sweep (_validate_rings): SelfIntersectionError when two edges
     of one ring share a point other than the vertex between consecutive
     edges, HolePlacementError when rings touch or a hole lies outside the
-    outer ring or inside another hole. validate=False skips that sweep;
+    outer ring or inside another hole. Construction also takes the
+    static bound of point location over all of P's mirrors
+    (exactmath.static_cross_bound), which validation and every Reeb sweep
+    of P share. validate=False skips the validation sweep;
     it exists for generators that certify simplicity structurally. Such
     rings are still merged and oriented, but their simplicity and
     nesting are trusted: on a ring that is not simple the orientation,
@@ -811,7 +838,7 @@ class Polygon:
     """
 
     __slots__ = ("outer", "holes", "n", "h", "_pts", "_prev", "_next", "_coords",
-                 "_reflex", "_cones")
+                 "_bound", "_reflex", "_cones")
 
     def __init__(self, outer, holes: Iterable = (), *, validate: bool = True):
         rings, xs, ys, signs = [], [], [], []
@@ -821,8 +848,11 @@ class Polygon:
             xs.append(x)
             ys.append(y)
             signs.append(s)
+        coords = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+        # the first stage of every point location in P, validation's and the Reeb sweep's
+        bound = static_cross_bound(float(np.abs(coords).max()))
         if validate:
-            _validate_rings(rings, xs, ys, signs)
+            _validate_rings(rings, xs, ys, signs, bound)
 
         self.outer = Ring(rings[0])
         self.holes = tuple(Ring(r) for r in rings[1:])
@@ -836,7 +866,8 @@ class Polygon:
         self._next[ends - 1] = starts
         self._prev = np.arange(-1, self.n - 1)
         self._prev[starts] = ends - 1
-        self._coords = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+        self._coords = coords
+        self._bound = bound
         self._reflex = np.concatenate(signs) < 0
         self._cones = {}
 

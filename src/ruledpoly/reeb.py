@@ -152,8 +152,10 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
     running down the ring bounds its interval on the left and one
     running up bounds it on the right, for the edge's whole life, and
     right and left edges alternate in the status. Only a local minimum
-    is located (_Status.locate), and the edge just left of it, the one
-    at its place, tells inside from outside. Every other event finds its
+    is located (_Status.locate, its comparisons first decided by P's
+    static bound, taken once per Polygon, so repeated sweeps of one
+    polygon share it), and the edge just left of it, the one at its
+    place, tells inside from outside. Every other event finds its
     edges by handle: a regular vertex puts its born edge in its dying
     edge's place, a leaf closes two adjacent edges, and a merge removes
     the left edge of one interval and the right edge of the next. The
@@ -169,7 +171,7 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
 
     nodes: list[ReebNode] = []
     edges: list[tuple[int, int]] = []
-    status = _Status(pts, nxt, forward)
+    status = _Status(pts, nxt, forward, P._bound)
     arc = [0] * P.n  # for a left edge: the node at the bottom of its interval's arc
 
     for gid in order.tolist():

@@ -1,9 +1,14 @@
-"""Shared fixtures: canonical polygons and the acceptance report hook."""
+"""Shared fixtures: canonical polygons, a recorder of point-location
+comparisons and the acceptance report hook."""
 
+import bisect
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
+import ruledpoly.geometry as geometry
 from ruledpoly import (
     FamilyParams,
     Polygon,
@@ -80,3 +85,33 @@ def nudge_generic(P: Polygon, dx, dy, budget: int = 64):
             if is_generic(P, cand):
                 return cand
     raise RuntimeError("no generic direction near the requested one")
+
+
+@contextmanager
+def recorded_comparisons():
+    """Record every comparison of _Status.locate, in both sweeps, as
+    (status, p, t, value): rel's value for edge t and the point p being
+    located. The comparisons run unchanged; only the key that the status
+    bisects with is wrapped."""
+    seen = []
+    locating = []
+    locate = geometry._Status.locate
+
+    def spy_locate(self, p):
+        locating[:] = [self, p]
+        return locate(self, p)
+
+    def spy_bisect(a, x, lo=0, hi=None, *, key=None):
+        if key is None:
+            return bisect.bisect_left(a, x, lo, hi)
+
+        def keyed(item):  # a block is compared by its last edge
+            value = key(item)
+            seen.append((*locating, item[-1] if isinstance(item, list) else item, value))
+            return value
+
+        return bisect.bisect_left(a, x, lo, hi, key=keyed)
+
+    with patch.object(geometry._Status, "locate", spy_locate), \
+            patch.object(geometry, "bisect_left", spy_bisect):
+        yield seen

@@ -13,11 +13,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from ruledpoly import Direction, NonGenericDirectionError, Point
 from ruledpoly.reeb import _height_order
 from ruledpoly.exactmath import (
+    U,
     cross_filter,
     filtered_order,
     mirror_error_bound,
     orient_sign,
     sign,
+    static_cross_bound,
 )
 
 SCALES = st.sampled_from([Fraction(1), Fraction(1, 2 ** 60), Fraction(1, 10 ** 12),
@@ -118,6 +120,61 @@ def test_height_order_is_exact(pts, dx, dy):
         assert height[info.value.first] == height[info.value.second]
     else:
         assert [height[i] for i in _height_order(P, v)] == sorted(height)
+
+
+# magnitudes for triples at the edge of a box: subnormal, around 1, where
+# 4 M^2 nears overflow, and where 2 M overflows
+EDGE_SCALES = st.sampled_from([2.0 ** -1070, 1e-300, 1.0, 3.0, 1e150, 1e154, 1e300, 1e308])
+EDGE_STEPS = st.sampled_from([1.0, -1.0, 1 - 2.0 ** -53, -0.5, 2.0 ** -30, 0.0])
+
+
+@st.composite
+def box_triples(draw):
+    """Triples whose coordinates are floats at most M in magnitude, most
+    of them on the box's edge, where cross_filter's error is largest."""
+    m = draw(EDGE_SCALES)
+    out = []
+    for _ in range(draw(st.integers(1, 10))):
+        xy = [m * draw(EDGE_STEPS) for _ in range(6)]
+        out.append((Point(*xy[:2]), Point(*xy[2:4]), Point(*xy[4:])))
+    return out
+
+
+def check_static_bound(trips):
+    """static_cross_bound at the triple's largest mirror magnitude is at
+    least cross_filter's bound, and a det beyond it has the exact sign."""
+    for a, b, c in trips:
+        bound = static_cross_bound(max(abs(f) for p in (a, b, c) for f in (p.xf, p.yf)))
+        det, err = cross_filter(a.xf, a.yf, b.xf, b.yf, c.xf, c.yf)
+        assert not err > bound  # a NaN err (an overflowed det) decides nothing either
+        if abs(det) > bound:
+            assert sign(det) == sign(exact_orient(a, b, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(triples(), box_triples()))
+# a = b = (M, M), c = (-M, -M): error 40 U M^2 against a bound of 48 U M^2
+@example([(Point(1, 1), Point(1, 1), Point(-1, -1))])
+@example([(Point(3, 3), Point(3, 3), Point(-3, -3))])
+@example([(Point("1e-400", "-1e-400"), Point("1e-400", "1e-400"), Point("-1e-400", "1e-400"))])
+@example([(Point("1e308", "-1e308"), Point("-1e308", "1e308"), Point("1e308", "1e308"))])
+def test_static_bound_dominates_cross_filter(trips):
+    """Random, near-collinear and box-edge triples, 1e-400 coordinates
+    (zero or subnormal mirrors) and 1e308 ones (where the bound is inf)."""
+    check_static_bound(trips)
+
+
+@pytest.mark.parametrize("m", [1.0, 3.0, 2.0 ** 500, 1e-100])
+def test_static_bound_at_extreme_triple(m):
+    """The extreme triple a = b = (M, M), c = (-M, -M) nearly attains the
+    bound: its error is 40 U M^2, the bound 48 U M^2."""
+    det, err = cross_filter(m, m, m, m, -m, -m)
+    bound = static_cross_bound(m)
+    assert det == 0
+    assert err == pytest.approx(40 * U * m * m, rel=1e-12)
+    assert bound == pytest.approx(48 * U * m * m, rel=1e-12)
+    assert static_cross_bound(0.0) > 0
+    assert static_cross_bound(1e154) == static_cross_bound(1e308) == float("inf")
 
 
 def test_filtered_order_wide_lane_reaches_back():

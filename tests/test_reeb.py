@@ -27,7 +27,7 @@ from ruledpoly import (
 )
 from ruledpoly.exactmath import orient_sign
 
-from conftest import nudge_generic
+from conftest import nudge_generic, recorded_comparisons
 
 
 def adjacency(g):
@@ -430,19 +430,13 @@ def test_unvalidated_crossing_ring_raises(ring, message):
         reeb_graph(P, Direction(1, 7))
 
 
-def test_sweep_cost_is_n_log_n_in_orientation_tests(monkeypatch):
+def test_sweep_cost_is_n_log_n_in_orientation_tests():
     """On a 20 000-vertex star at its witness only local minima are
-    located: at most n * ceil(log2 n) orient_sign calls in all."""
+    located: at most n * ceil(log2 n) orientation tests in all, each one
+    comparison of _Status.locate, whichever stage decides it."""
     P = lower_bound_polygon(FamilyParams(10_000))
     res = parallel_reeb_complexity(P)
-    calls = 0
-
-    def counted(a, b, c):
-        nonlocal calls
-        calls += 1
-        return orient_sign(a, b, c)
-
-    monkeypatch.setattr(geometry, "orient_sign", counted)  # _Status.locate's predicate
-    g = reeb_graph(P, res.witness)
+    with recorded_comparisons() as seen:
+        g = reeb_graph(P, res.witness)
     assert P.n == 20_000 and g.l == res.min_leaves
-    assert 0 < calls <= P.n * math.ceil(math.log2(P.n))
+    assert 0 < len(seen) <= P.n * math.ceil(math.log2(P.n))

@@ -1,5 +1,7 @@
 """Polygon validation against a brute-force reference and against the
-sequential sweep it defers checks from, and its cost."""
+sequential sweep it defers checks from, and its cost; the point
+location that validation shares with the Reeb sweep, and its static
+first stage."""
 
 import math
 import sys
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import ruledpoly.exactmath as exactmath
 import ruledpoly.geometry as geometry
 from ruledpoly import (
+    Direction,
     FamilyParams,
     HolePlacementError,
     Point,
@@ -19,11 +22,16 @@ from ruledpoly import (
     PolygonError,
     SelfIntersectionError,
     dump_polygon,
+    is_generic,
     load_polygon,
     lower_bound_polygon,
+    parallel_reeb_complexity,
+    reeb_graph,
 )
 from ruledpoly.exactmath import filtered_order, orient_sign
 from ruledpoly.generators import _find_contact
+
+from conftest import recorded_comparisons
 
 
 def _turn(a, b, c):
@@ -196,7 +204,7 @@ def _reference_sweep(rings):
         if segments_touch(pts[e], pts[nxt[e]], pts[f], pts[nxt[f]]):
             raise fault(e, f)
 
-    status = geometry._Status(pts, nxt, forward)
+    status = geometry._Status(pts, nxt, forward, math.inf)  # never locates
     seen = [False] * len(rings)
     for k, v in enumerate(events):
         if repeat[k]:
@@ -327,9 +335,11 @@ def test_validation_cost_is_linear_in_contact_tests(monkeypatch):
 
 def test_only_point_location_calls_scalar_predicate(monkeypatch):
     """Loading the 20 000-vertex star calls the scalar orient_sign only
-    to locate leftmost vertices (the key of _Status.locate): the contact,
-    order and starting-order checks make no scalar call. The sequential
-    sweep made 8.47 calls per vertex on this star."""
+    to locate leftmost vertices (the key of _Status.locate, behind its
+    static first stage): the contact, order and starting-order checks
+    make no scalar call, and locating makes at most 6 comparisons per
+    vertex. The sequential sweep made 8.47 scalar calls per vertex on
+    this star."""
     text = dump_polygon(lower_bound_polygon(FamilyParams(10_000)))
     callers = []
 
@@ -338,9 +348,10 @@ def test_only_point_location_calls_scalar_predicate(monkeypatch):
         return orient_sign(a, b, c)
 
     monkeypatch.setattr(geometry, "orient_sign", counted)
-    P = load_polygon(text)
-    assert set(callers) == {"rel"}
-    assert len(callers) <= 6 * P.n
+    with recorded_comparisons() as seen:
+        P = load_polygon(text)
+    assert set(callers) <= {"rel"}
+    assert 0 < len(seen) <= 6 * P.n
 
 
 def test_status_finds_every_edge_by_handle():
@@ -350,7 +361,7 @@ def test_status_finds_every_edge_by_handle():
     An insert goes at the place of the edge it goes before, or at the end."""
     n = 300
     with patch.object(geometry, "_BLOCK", 1):
-        status = geometry._Status([None] * 2 * n, list(range(2 * n)), [True] * 2 * n)
+        status = geometry._Status([None] * 2 * n, list(range(2 * n)), [True] * 2 * n, math.inf)
         order = []
 
         def check():
@@ -380,3 +391,92 @@ def test_status_finds_every_edge_by_handle():
             status.pop(*status.place(e))
             order.remove(e)
         check()
+
+
+def first_stage_count(seen) -> int:
+    """Check every recorded comparison of _Status.locate against
+    orient_sign, and count those that its static first stage decided:
+    the float determinant beyond the status's bound."""
+    first = 0
+    for status, p, t, value in seen:
+        a, b = status.pts[t], status.pts[status.nxt[t]]
+        o = orient_sign(a, b, p)
+        assert value == (-o if status.forward[t] else o)
+        det = (a.xf - p.xf) * (b.yf - p.yf) - (a.yf - p.yf) * (b.xf - p.xf)
+        first += abs(det) > status.bound
+    return first
+
+
+def both_sweeps(outer, holes, directions):
+    """The comparisons of validating the polygon and, if it is valid, of
+    its Reeb sweep at each generic one of the directions."""
+    with recorded_comparisons() as seen:
+        try:
+            P = Polygon(outer, holes)
+        except PolygonError:
+            return seen
+        for dx, dy in directions:
+            if is_generic(P, Direction(dx, dy)):
+                reeb_graph(P, Direction(dx, dy))
+    return seen
+
+
+@given(outer=rings, holes=st.lists(rings, max_size=2), scale=scales)
+@settings(max_examples=200, deadline=None)
+def test_first_stage_signs_match_orient_sign_on_grids(outer, holes, scale):
+    """Every sign of a located point, decided by the static first stage
+    or not, is orient_sign's, in validation and in the Reeb sweep; on
+    the 2^60 offset the mirrors of neighbouring grid points tie."""
+    step, offset = scale
+    outer, *holes = [[Point(offset + step * x, step * y) for x, y in ring]
+                     for ring in [outer, *holes]]
+    first_stage_count(both_sweeps(outer, holes, [(1, 7), (-3, 2), (5, -1)]))
+
+
+def test_first_stage_signs_match_orient_sign_across_scales():
+    """A 1000-square with a notch, a unit hole and two 1e-400 holes, one
+    at the origin's mirrors and one at (1, 1)'s: the static bound decides
+    the comparisons of the large features, and those that the tiny holes
+    take part in, whose mirrors coincide, fall through to orient_sign."""
+    tiny = ["1e-400", "2e-400"]
+    seen = both_sweeps(
+        [(0, 0), (1000, 0), (1000, 400), (500, 500), (1000, 600), (1000, 1000), (0, 1000)],
+        [[(10, 10), (11, 10), (11, 11), (10, 11)],
+         [Point(x, y) for x, y in [(tiny[0], tiny[0]), (tiny[1], tiny[0]),
+                                   (tiny[1], tiny[1]), (tiny[0], tiny[1])]],
+         [Point(1 + Fraction(x), 1 + Fraction(y)) for x, y in [
+             ("1e-400", "1e-400"), ("3e-400", "1e-400"), ("2e-400", "2e-400")]]],
+        [(1, 7), (-3, 2), (5, -1), (7, 1)])
+    first = first_stage_count(seen)
+    assert 0 < first < len(seen)
+
+
+def test_first_stage_steps_aside_at_1e308():
+    """On a notched pentagon at 1e308 the static bound overflows to inf,
+    so orient_sign decides every comparison, in both sweeps."""
+    pentagon = [(-1e308, -1e308), (1e308, -1e308), (0, 0), (1e308, 1e308), (-1e308, 1e308)]
+    seen = both_sweeps(pentagon, [], [(7, 1)])
+    assert {status.bound for status, *_ in seen} == {math.inf}
+    assert len({id(status) for status, *_ in seen}) == 2
+    assert first_stage_count(seen) == 0
+
+
+def test_star_sweeps_never_reach_scalar_predicate(monkeypatch):
+    """The fast path: on the 20 000-vertex star the static first stage
+    decides every comparison of both sweeps, validation's and the Reeb
+    sweep's at the witness, and neither calls the scalar orient_sign."""
+    P = lower_bound_polygon(FamilyParams(10_000))
+    res = parallel_reeb_complexity(P)
+    text = dump_polygon(P)
+    calls = []
+
+    def counted(a, b, c):
+        calls.append((a, b, c))
+        return orient_sign(a, b, c)
+
+    monkeypatch.setattr(geometry, "orient_sign", counted)
+    with recorded_comparisons() as seen:
+        g = reeb_graph(load_polygon(text), res.witness)
+    assert g.l == res.min_leaves
+    assert len({id(status) for status, *_ in seen}) == 2
+    assert calls == []
