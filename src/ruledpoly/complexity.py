@@ -32,10 +32,13 @@ the polygon's coordinate arrays, since constructing tens of thousands
 of exact cone objects would dominate the runtime budget. Angles are
 float keys with rigorous radii (exactmath.angle_filter);
 exactmath.filtered_order re-orders events whose radii overlap by exact
-cross product comparison, on integer vectors from the caller's one
-exact accessor of event ids: the cones' vectors, or edge vectors from
-the polygon's vertices (exactmath.exact_delta), each at a positive
-scale of its own.
+slope comparison. The sweep has one exact accessor, from event lanes to
+the integer sweep representatives of their normals, lane by lane. It
+reads the caller's event vectors as integer rows at a positive scale of
+each: the cones' vectors, or the polygon's edge vectors as
+exactmath.delta_lanes gives them, exact_delta's own integers. On a
+point-symmetric polygon every event ties with its antipodal twin, and
+all such two-lane chains take one gather and one lane-wise comparison.
 
 A witness is built, not searched for (_generic_witness): the simplest
 integer direction of the chosen open arc, checked once for genericity,
@@ -51,13 +54,12 @@ import numpy as np
 
 from .exactmath import (
     angle_filter,
+    delta_lanes,
     diff_error_bound,
-    exact_delta,
     filtered_order,
     filtered_sign_array,
     float_direction,
     mirror_error_bound,
-    sign,
 )
 from .geometry import Direction, DoubleCone, Polygon
 from .reeb import is_generic
@@ -116,32 +118,24 @@ class ComplexityResult:
 
 @dataclass(frozen=True)
 class _EventSet:
-    """Non-seam events plus the exact accessor for tie resolution."""
+    """Non-seam events plus the one exact accessor of the sweep."""
 
     sf: np.ndarray
     kind: np.ndarray
     radius: np.ndarray
-    ids: np.ndarray
-    exact_dir: Callable[[int], tuple[int, int]]  # event id -> canonical integer (dx, dy)
+    # event lanes (indices into sf) -> rows (x, y) of the sweep
+    # representatives R of their normals, integers, x > 0
+    exact: Callable[[np.ndarray], np.ndarray]
     init_count: int
     seam_exits: int
     seam_entries: int
 
 
-def _cmp_canonical(u, w) -> int:
-    """Exact sweep order of two canonical non-seam integer direction vectors."""
-    pu = 0 if u[0] < 0 else 1
-    pw = 0 if w[0] < 0 else 1
-    if pu != pw:
-        return pu - pw
-    return -sign(u[0] * w[1] - u[1] * w[0])
-
-
-def _sweep_rep(vec: tuple[int, int]) -> tuple[int, int]:
-    """Exact sweep representative R of a canonical non-seam direction."""
-    if vec[0] < 0:
-        return (-vec[0], -vec[1])
-    return vec
+def _cmp_sweep(u, w):
+    """Exact sweep order of sweep representatives u, w (x > 0), by slope:
+    negative, zero or positive as u comes before, with or after w. Lane
+    by lane on rows of them, too."""
+    return u[1] * w[0] - w[1] * u[0]
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ class _SweepProfile:
     closed_max: int     # counts isolated event angles (entries before exits)
     interior_max: int   # best coverage over open arcs between events
     interior_arc: tuple  # (lo_R, hi_R): first open arc attaining interior_max
-    closed_sel: tuple   # ("interval", lo, hi) or ("point", canonical vec)
+    closed_sel: tuple   # ("interval", lo, hi) or ("point", R)
 
 
 def _sweep_select(ev: _EventSet) -> _SweepProfile:
@@ -161,7 +155,7 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     may be v0 + 180 degrees); the arc is never empty because seam events
     were stripped, so every event group sits strictly between the two.
     closed_sel prefers an arc and falls back to the first isolated
-    angle, canonical components, when only points attain closed_max.
+    angle, its sweep representative, when only points attain closed_max.
     """
     init0 = ev.init_count - ev.seam_exits
     if len(ev.sf) == 0:
@@ -169,8 +163,7 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
         full = ("interval", _V0, _V0_END)
         return _SweepProfile(ev.init_count, ev.init_count, (_V0, _V0_END), full)
 
-    order, tie = filtered_order(ev.sf, ev.radius,
-                                lambda t: ev.exact_dir(int(ev.ids[t])), _cmp_canonical)
+    order, tie = filtered_order(ev.sf, ev.radius, ev.exact, _cmp_sweep)
     kinds = ev.kind[order]
     starts = np.flatnonzero(~tie)  # one event group per exact angle
     ent = np.add.reduceat((kinds > 0).astype(np.int64), starts)
@@ -189,15 +182,16 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     closed_max = max(ev.init_count, int(point_cov.max()))
     interior_max = max(init0, int(interval_cov.max()))
 
-    def group_vec(g: int) -> tuple[int, int]:
-        return ev.exact_dir(int(ev.ids[int(order[starts[g]])]))
-
     n_groups = len(starts)
+
+    def group_reps(groups: list[int]) -> list[tuple[int, int]]:
+        return [tuple(r) for r in ev.exact(order[starts[groups]]).T.tolist()]
 
     def arc_after(g: int):
         # the open arc following event group g; g == -1 is the arc from v0
-        lo = _V0 if g < 0 else _sweep_rep(group_vec(g))
-        hi = _V0_END if g == n_groups - 1 else _sweep_rep(group_vec(g + 1))
+        ends = group_reps([h for h in (g, g + 1) if 0 <= h < n_groups])
+        lo = _V0 if g < 0 else ends.pop(0)
+        hi = _V0_END if g == n_groups - 1 else ends.pop(0)
         return lo, hi
 
     if init0 == interior_max:
@@ -211,51 +205,43 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
         closed_sel = ("point", _V0_END)
     else:
         g = int(np.flatnonzero(point_cov == closed_max)[0])
-        closed_sel = ("point", group_vec(g))
+        closed_sel = ("point", group_reps([g])[0])
     return _SweepProfile(closed_max, interior_max, interior_arc, closed_sel)
 
 
-def _event_set(dx, dy, ex, ey, exact_d: Callable[[int], tuple]) -> _EventSet:
+def _event_set(dx, dy, ex, ey, exact_d: Callable[[np.ndarray], np.ndarray]) -> _EventSet:
     """The 2k sweep events of k cones, one entry and one exit each.
 
     Event i < k is cone i's entry, at the normal of the float vector
     (dx[i], dy[i]) from its apex to its ring predecessor; event k + i is
     its exit, at the normal of the vector to its successor. ex and ey
-    are absolute error bounds, and exact_d(i) is event i's vector
-    exactly, as integers at any positive scale. Signs and directions are
-    scale-free, so this one accessor serves the signs, the tie clusters
-    and the arc endpoints.
+    are absolute error bounds, and exact_d(events) gives those events'
+    vectors exactly, as the rows (x, y, ...) of integers at any positive
+    scale of each. Signs and directions are scale-free, so this one
+    accessor serves the signs, the tie chains and the arc endpoints.
     """
     k = len(dx) // 2
-    sx = filtered_sign_array(dx, ex, lambda i: exact_d(i)[0])
-    sy = filtered_sign_array(dy, ey, lambda i: exact_d(i)[1])
+    sy = filtered_sign_array(dy, ey, lambda events: exact_d(events)[1])
 
     # v0 = (0,-1) lies in the cone iff sign(d1y) * sign(d2y) <= 0
     init = int(np.count_nonzero(sy[:k] * sy[k:] <= 0))
 
-    # the event at the normal (dy, -dx), flipped to canonical when its y
-    # component is negative, or zero with a negative x component; a normal
-    # with no x component sits on the seam
-    flip = (sx > 0) | ((sx == 0) & (sy < 0))
+    # the event at the normal (dy, -dx) has the sweep representative
+    # R = sign(dy) (dy, -dx) = (|dy|, -sign(dy) dx); a normal with no x
+    # component sits on the seam
     seam = sy == 0
     ids = np.flatnonzero(~seam)
-    fsign = np.where(flip, -1.0, 1.0)[ids]
-    cx = fsign * dy[ids]
-    cy = fsign * (-dx[ids])
-    phase = np.where(flip, -sy, sy)[ids].astype(np.float64)
+    s = sy[ids]
     kind = np.where(ids < k, 1, -1).astype(np.int8)
-    # the angle of (-R.y, R.x) for the sweep representative R = phase * (cx, cy);
-    # R.x >= 0 is clamped at 0 so rounding never wraps it across the seam
-    sf, radius = angle_filter(np.maximum(phase * cx, 0.0), -(phase * cy), ey[ids], ex[ids])
+    # the angle of (-R.y, R.x); R.x >= 0 is clamped at 0 so rounding never
+    # wraps it across the seam
+    sf, radius = angle_filter(np.maximum(s * dy[ids], 0.0), s * dx[ids], ey[ids], ex[ids])
 
-    def exact_dir(event_id: int) -> tuple:
-        dx, dy = exact_d(event_id)
-        vx, vy = dy, -dx
-        if vy < 0 or (vy == 0 and vx < 0):
-            vx, vy = -vx, -vy
-        return (vx, vy)
+    def exact(lanes: np.ndarray) -> np.ndarray:
+        x, y = exact_d(ids[lanes])[:2]
+        return np.array((abs(y), -s[lanes] * x))
 
-    return _EventSet(sf, kind, radius, ids, exact_dir, init,
+    return _EventSet(sf, kind, radius, exact, init,
                      int(np.count_nonzero(seam[k:])), int(np.count_nonzero(seam[:k])))
 
 
@@ -337,7 +323,8 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
     vecs = [c._d1 for c in cones] + [c._d2 for c in cones]
     # any positive scale of each vector will do, so none overflows a float
     d = np.array([float_direction(*u) for u in vecs])
-    ev = _event_set(*d.T, *mirror_error_bound(d).T, vecs.__getitem__)
+    exact = np.array(vecs, dtype=object).T
+    ev = _event_set(*d.T, *mirror_error_bound(d).T, lambda events: exact[:, events])
     prof = _sweep_select(ev)
     skind, *data = prof.closed_sel
     vec = _simplest_in_arc(*data) if skind == "interval" else data[0]
@@ -371,8 +358,8 @@ def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     dy = Y[neighbor] - Y[apex]
     ex = diff_error_bound(dx, X[neighbor], X[apex])
     ey = diff_error_bound(dy, Y[neighbor], Y[apex])
-    pts, apex, neighbor = P._pts, apex.tolist(), neighbor.tolist()
-    ev = _event_set(dx, dy, ex, ey, lambda i: exact_delta(pts[apex[i]], pts[neighbor[i]])[:2])
+    ends = np.array((apex, neighbor))
+    ev = _event_set(dx, dy, ex, ey, lambda events: delta_lanes(P._pts, ends[:, events]))
     prof = _sweep_select(ev)
     c_max = prof.interior_max
     witness = _generic_witness(P, *prof.interior_arc)

@@ -14,7 +14,13 @@ a sum or a difference, which is then exact. mirror_error_bound,
 diff_error_bound, cross_filter (orient_sign, orient_lanes,
 corner_cross), dot_filter (reeb's heights) and angle_filter (sweep
 angles) apply it; filtered_sign_array and filtered_order let exact
-values decide the rest. static_cross_bound is cross_filter's bound at
+values decide the rest. Both take one batch accessor, exact(lanes):
+for an index array of the lanes the floats leave undecided, their exact
+values in one array whose last axis runs over those lanes, object
+arrays of Python ints, so that every operation on them stays exact.
+integer_lanes gathers points' integers (X, Y, D) as such rows, and
+delta_lanes is exact_delta's lane form, as orient_lanes is
+orient_sign's. static_cross_bound is cross_filter's bound at
 the largest mirror magnitude of a polygon, one number that dominates
 the bound of every triple of its points: the static first stage of the
 point location that both planar sweeps share (geometry._Status).
@@ -54,6 +60,29 @@ def exact_delta(p, q) -> tuple[int, int, int]:
     if p.D == q.D:
         return q.X - p.X, q.Y - p.Y, p.D
     return q.X * p.D - p.X * q.D, q.Y * p.D - p.Y * q.D, p.D * q.D
+
+
+def integer_lanes(pts, lanes: np.ndarray) -> np.ndarray:
+    """The integers (X, Y, D) of pts[i] for every i of lanes, as the rows
+    of an object array: Python ints, so every operation on them is exact."""
+    sel = [pts[i] for i in lanes.tolist()]
+    out = np.empty((3, len(sel)), dtype=object)
+    out[0], out[1], out[2] = [p.X for p in sel], [p.Y for p in sel], [p.D for p in sel]
+    return out
+
+
+def delta_lanes(pts, lanes: np.ndarray) -> np.ndarray:
+    """exact_delta(pts[p], pts[q]) for every column (p, q) of lanes, shape
+    (2, m): the rows (x, y, s) of an object array, exact_delta's own
+    integers, equal scales again not multiplied."""
+    p, q = integer_lanes(pts, lanes[0]), integer_lanes(pts, lanes[1])
+    out = np.concatenate((q[:2] - p[:2], p[2:]))
+    apart = np.flatnonzero(p[2] != q[2])
+    if len(apart):
+        p, q = p[:, apart], q[:, apart]
+        out[:2, apart] = q[:2] * p[2] - p[:2] * q[2]
+        out[2, apart] = p[2] * q[2]
+    return out
 
 
 def mirror_error_bound(x):
@@ -147,13 +176,13 @@ def orient_lanes(pts, xs: np.ndarray, ys: np.ndarray, lanes: np.ndarray) -> np.n
         (ax, bx, cx), (ay, by, cy) = xs[block], ys[block]
         det, err = cross_filter(ax, ay, bx, by, cx, cy)
 
-        def exact_at(i: int) -> int:
-            a, b, c = block[:, i].tolist()
-            ux, uy, _ = exact_delta(pts[c], pts[a])
-            wx, wy, _ = exact_delta(pts[c], pts[b])
-            return ux * wy - uy * wx
+        def exact(undecided: np.ndarray) -> np.ndarray:
+            a, b, c = block[:, undecided]
+            ux, uy, _ = delta_lanes(pts, np.array((c, a)))
+            wx, wy, _ = delta_lanes(pts, np.array((c, b)))
+            return exact_cross(ux, uy, wx, wy)
 
-        out[start:start + _LANE_BLOCK] = filtered_sign_array(det, err, exact_at)
+        out[start:start + _LANE_BLOCK] = filtered_sign_array(det, err, exact)
     return out
 
 
@@ -219,32 +248,42 @@ def float_direction(x: int, y: int, d: int = 1) -> tuple[float, float]:
 
 
 def filtered_sign_array(vals: np.ndarray, errs: np.ndarray,
-                        exact_at: Callable[[int], object]) -> np.ndarray:
+                        exact: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Exact signs of float values with error bounds, lane by lane.
 
     The float sign decides every lane whose value clears its bound;
-    exact_at(i) computes the exact value of each remaining lane i.
+    exact(lanes) returns the exact values of the remaining lanes, an
+    index array, as one array (object arrays of Python ints keep them
+    exact), the same batch accessor as filtered_order's.
     """
     out = (vals > errs).astype(np.int64) - (vals < -errs)
-    undecided = ~(np.abs(vals) > errs)  # NaN lanes (overflow) too
-    if undecided.any():
-        for i in np.flatnonzero(undecided).tolist():
-            out[i] = sign(exact_at(i))
+    undecided = np.flatnonzero(~(np.abs(vals) > errs))  # NaN lanes (overflow) too
+    if len(undecided):
+        out[undecided] = np.sign(exact(undecided))
     return out
 
 
 def filtered_order(values: np.ndarray, radii: np.ndarray,
-                   exact: Callable[[int], object],
-                   cmp: Callable[[object, object], int]) -> tuple[np.ndarray, np.ndarray]:
+                   exact: Callable[[np.ndarray], np.ndarray],
+                   cmp: Callable[[object, object], object]) -> tuple[np.ndarray, np.ndarray]:
     """Exact ascending order of lanes, and which lanes tie exactly.
 
-    Lane i has the exact value exact(i), and values[i] lies within
-    radii[i] of it (after one positive scale common to all lanes);
-    cmp(p, q) is negative, zero or positive as p <, ==, > q exactly.
+    values[i] lies within radii[i] of lane i's exact value (after one
+    positive scale common to all lanes). The exact values come from the
+    batch accessor exact(lanes): for an index array of lanes, one array
+    whose last axis runs over them, lane lanes[j] at [..., j] (object
+    arrays of Python ints keep them exact). cmp(p, q) is negative, zero
+    or positive as p <, ==, > q exactly; written with operators only, it
+    compares whole arrays of values lane by lane and also one lane's
+    value, vals.T[j], with another's.
+
     Float order decides only across a cut that every interval below
-    clears; the lanes between two cuts are re-sorted by cmp, stably.
-    Returns (order, tie): tie[t] is True iff lane order[t] is exactly
-    equal to lane order[t - 1].
+    clears; the lanes between two cuts form a chain. All two-lane chains,
+    by far the common ones, take one exact call and one lane-wise cmp,
+    and numpy writes their swaps and ties. Longer chains take one exact
+    call together and are each re-sorted by cmp, stably. A call with no
+    chain makes no exact call. Returns (order, tie): tie[t] is True iff
+    lane order[t] is exactly equal to lane order[t - 1].
     """
     order = np.argsort(values, kind="stable")
     m = len(order)
@@ -256,19 +295,25 @@ def filtered_order(values: np.ndarray, radii: np.ndarray,
     if cut.all():
         return order, tie
     cuts = np.concatenate(([0], np.flatnonzero(cut) + 1, [m]))
-    chained = np.flatnonzero(np.diff(cuts) > 1)
-    for lo, hi in zip(cuts[chained].tolist(), cuts[chained + 1].tolist()):
-        lanes = order[lo:hi].tolist()
-        val = {i: exact(i) for i in lanes}
-        if hi - lo == 2:
-            # by far the common chain: one comparison settles it
-            c = cmp(val[lanes[0]], val[lanes[1]])
-            if c > 0:
-                order[lo], order[lo + 1] = lanes[1], lanes[0]
-            tie[lo + 1] = c == 0
-            continue
-        lanes.sort(key=cmp_to_key(lambda p, q: cmp(val[p], val[q])))
-        order[lo:hi] = lanes
-        for t in range(lo + 1, hi):
-            tie[t] = cmp(val[lanes[t - lo - 1]], val[lanes[t - lo]]) == 0
+    size = np.diff(cuts)
+    lo = cuts[:-1][size == 2]
+    if len(lo):
+        pair = exact(np.concatenate((order[lo], order[lo + 1])))
+        c = cmp(pair[..., :len(lo)], pair[..., len(lo):])
+        swap = lo[c > 0]
+        order[swap], order[swap + 1] = order[swap + 1], order[swap]
+        tie[lo + 1] = c == 0
+    long = size > 2
+    if long.any():
+        at = np.flatnonzero(np.repeat(long, size))  # the positions of every longer chain
+        lanes = order[at]
+        val = exact(lanes).T
+        start = 0
+        for n in size[long].tolist():
+            ranks = sorted(range(start, start + n),
+                           key=cmp_to_key(lambda a, b: cmp(val[a], val[b])))
+            pos = at[start:start + n]
+            order[pos] = lanes[ranks]
+            tie[pos[1:]] = [cmp(val[a], val[b]) == 0 for a, b in zip(ranks, ranks[1:])]
+            start += n
     return order, tie

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import corner_cross, exact_cross, filtered_sign_array, orient_lanes
+from .exactmath import corner_cross, exact_cross, filtered_sign_array, integer_lanes, orient_lanes
 from .geometry import (
     Point,
     Polygon,
@@ -97,16 +97,20 @@ def _certify_star_shaped(ring: list[Point]) -> None:
     # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i, p_{i+1}), which has
     # the sign of cross((X_i, Y_i), (X_{i+1}, Y_{i+1}))
     cr, err = corner_cross(0.0, 0.0, xf, yf, np.roll(xf, -1), np.roll(yf, -1))
-    signs = filtered_sign_array(cr, err, lambda i: exact_cross(
-        ring[i].X, ring[i].Y, ring[(i + 1) % n].X, ring[(i + 1) % n].Y))
+
+    def exact(lanes: np.ndarray) -> np.ndarray:
+        (x, y, _), (x1, y1, _) = integer_lanes(ring, lanes), integer_lanes(ring, (lanes + 1) % n)
+        return exact_cross(x, y, x1, y1)
+
+    signs = filtered_sign_array(cr, err, exact)
     if np.any(signs == 0):
         raise PolygonError("star certificate failed: adjacent radial collinearity")
     if not (np.all(signs == 1) or np.all(signs == -1)):
         raise PolygonError("star certificate failed: inconsistent turning")
     # a correctly rounded mirror has the sign of its integer unless it is 0
     zero = np.zeros(n)
-    sy = filtered_sign_array(yf, zero, lambda i: ring[i].Y)
-    sx = filtered_sign_array(xf, zero, lambda i: ring[i].X)
+    sy = filtered_sign_array(yf, zero, lambda lanes: integer_lanes(ring, lanes)[1])
+    sx = filtered_sign_array(xf, zero, lambda lanes: integer_lanes(ring, lanes)[0])
     upper = (sy > 0) | ((sy == 0) & (sx > 0))  # angle in [0, 180)
     if np.count_nonzero(~upper & np.roll(upper, -1)) != 1:
         raise PolygonError("star certificate failed: winding is not one turn")

@@ -50,18 +50,20 @@ import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .exactmath import (
     corner_cross,
+    delta_lanes,
     exact_cross,
     exact_delta,
     filtered_order,
     filtered_sign_array,
     float_direction,
+    integer_lanes,
     orient_lanes,
     orient_sign,
     static_cross_bound,
@@ -202,10 +204,16 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
-def _lex_cmp(p: Point, q: Point) -> int:
-    """Exact lexicographic (x, y) order of two points: -1, 0 or 1."""
-    c = p.X * q.D - q.X * p.D or p.Y * q.D - q.Y * p.D
-    return (c > 0) - (c < 0)
+def _lex_cmp(p, q):
+    """Exact lexicographic (x, y) order of points given as their integers
+    (X, Y, D) (exactmath.integer_lanes): negative, zero or positive as
+    p <, ==, > q. Operators only, so it serves single points and, lane by
+    lane, rows of them. The x difference cx decides unless it is 0: an
+    integer, it then outweighs the y difference cy, |cx (|cy| + 1)| > |cy|.
+    """
+    cx = p[0] * q[2] - q[0] * p[2]
+    cy = p[1] * q[2] - q[1] * p[2]
+    return cx * (abs(cy) + 1) + cy
 
 
 class Direction:
@@ -339,12 +347,12 @@ def _corner_signs(pts: list[Point], xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     xe, ye = np.concatenate((xs[-1:], xs, xs[:1])), np.concatenate((ys[-1:], ys, ys[:1]))
     cr, err = corner_cross(xe[:-2], ye[:-2], xs, ys, xe[2:], ye[2:])
 
-    def exact_at(i: int) -> int:
-        ux, uy, _ = exact_delta(pts[i - 1], pts[i])
-        wx, wy, _ = exact_delta(pts[i], pts[(i + 1) % n])
+    def exact(lanes: np.ndarray) -> np.ndarray:
+        ux, uy, _ = delta_lanes(pts, np.array(((lanes - 1) % n, lanes)))
+        wx, wy, _ = delta_lanes(pts, np.array((lanes, (lanes + 1) % n)))
         return exact_cross(ux, uy, wx, wy)
 
-    return filtered_sign_array(cr, err, exact_at)
+    return filtered_sign_array(cr, err, exact)
 
 
 def _merge_ring(pts: list[Point]) -> list[Point]:
@@ -404,8 +412,9 @@ def _normalize_ring(pts: list[Point], want: int) -> tuple[list[Point], np.ndarra
         xs, ys = _mirrors(pts)
         signs = _corner_signs(pts, xs, ys)
     # rounding is monotone, so the exact least x has the least mirror
-    low = np.flatnonzero(xs == xs.min()).tolist()
-    least = min(low, key=cmp_to_key(lambda i, j: _lex_cmp(pts[i], pts[j])))
+    low = np.flatnonzero(xs == xs.min())
+    ints = integer_lanes(pts, low).T
+    least = low[min(range(len(low)), key=cmp_to_key(lambda i, j: _lex_cmp(ints[i], ints[j])))]
     if signs[least] != want:
         return pts[::-1], xs[::-1], ys[::-1], -signs[::-1]
     return pts, xs, ys, signs
@@ -714,7 +723,7 @@ def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
     turn = np.concatenate(signs).tolist()
 
     # exact lexicographic order, equal points by index; x mirrors decide unless they tie
-    events, repeat = filtered_order(xf, np.zeros(n), pts.__getitem__, _lex_cmp)
+    events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, pts), _lex_cmp)
     # edge e runs from vertex e to nxt[e]; lo/hi are its first/last endpoints
     # in event order. The interior lies left of every edge, so above an
     # edge that runs forward in event order, and the status runs upward.

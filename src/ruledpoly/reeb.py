@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import dot_filter, filtered_order, sign
+from .exactmath import dot_filter, filtered_order, integer_lanes
 from .geometry import Direction, Point, Polygon, _forward, _Status
 
 __all__ = [
@@ -104,18 +104,22 @@ def _height_order(P: Polygon, v: Direction) -> np.ndarray:
 
     Float heights order almost everything (exactmath.filtered_order);
     exact ties are resolved on the integer pair (a, b) of v, a positive
-    multiple of it: vertex (X / D, Y / D) has height (aX + bY) / D, and
-    two heights compare by cross multiplication. The lowest exact tie
-    raises NonGenericDirectionError.
+    multiple of it: vertex (X / D, Y / D) has height (aX + bY) / D, the
+    tied lanes' pairs (aX + bY, D) are gathered at once, and two heights
+    compare by cross multiplication. The lowest exact tie raises
+    NonGenericDirectionError.
     """
     # a power of two at most 1 brings v below 1/8, so nothing overflows; one
     # above 1 would magnify the error of a component that underflowed
     scale = 2.0 ** -max(0, math.frexp(max(abs(v.fdx), abs(v.fdy)))[1] + 3)
     hts, err = dot_filter(P._coords[:, 0], P._coords[:, 1], v.fdx * scale, v.fdy * scale)
     a, b = v._pair
-    pts = P._pts
-    order, tie = filtered_order(hts, err, lambda i: (a * pts[i].X + b * pts[i].Y, pts[i].D),
-                                lambda g, h: sign(g[0] * h[1] - h[0] * g[1]))
+
+    def heights(lanes: np.ndarray) -> np.ndarray:
+        X, Y, D = integer_lanes(P._pts, lanes)
+        return np.array((a * X + b * Y, D))
+
+    order, tie = filtered_order(hts, err, heights, lambda g, h: g[0] * h[1] - h[0] * g[1])
     if tie.any():
         t = int(np.argmax(tie))
         raise NonGenericDirectionError(v, int(order[t - 1]), int(order[t]))

@@ -5,15 +5,19 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ruledpoly.complexity as complexity
 from ruledpoly import (
     Direction,
+    FamilyParams,
     Polygon,
+    PolygonError,
     annulus_polygon,
     brute_force_complexity,
     comb_polygon,
     is_generic,
+    lower_bound_polygon,
     max_cone_coverage,
     parallel_reeb_complexity,
     random_simple_polygon,
@@ -341,3 +345,68 @@ def test_witness_generic_by_construction(monkeypatch):
         assert is_generic(P, res.witness)
         assert reeb_graph(P, res.witness).l == res.min_leaves
     assert perturbed > 0
+
+
+def test_star_ties_resolve_as_two_lane_chains(monkeypatch):
+    """The 20 000-vertex star is point-symmetric, so every cone event
+    ties exactly with its antipodal twin. Every tie chain has two lanes:
+    filtered_order gathers their lanes in one call of the sweep's
+    accessor, and the whole computation makes at most two exact gathers
+    (those lanes, then the best arc's ends), not one per lane. The
+    result is the one pinned before chains were resolved as lanes."""
+    P = lower_bound_polygon(FamilyParams(10_000))
+    lanes, gathers, deltas = [], [], []
+    order, delta = complexity.filtered_order, complexity.delta_lanes
+
+    def recording_order(values, radii, exact, cmp):
+        def recorded(ids):
+            gathers.append(len(ids))
+            return exact(ids)
+        lanes.append(len(values))
+        return order(values, radii, recorded, cmp)
+
+    def counting_delta(pts, ends):
+        deltas.append(ends.shape[1])
+        return delta(pts, ends)
+
+    monkeypatch.setattr(complexity, "filtered_order", recording_order)
+    monkeypatch.setattr(complexity, "delta_lanes", counting_delta)
+    res = parallel_reeb_complexity(P)
+    assert (res.min_leaves, res.as_dict()["witness"]) == (9998, [-1, 9550])
+    # one gather: no chain of three or more; all lanes but the 24 that no
+    # other lane's radius reaches
+    assert lanes == [2 * res.k] and gathers == [2 * res.k - 24]
+    # then one gather of the arc's ends that are not v0 or its antipode
+    assert deltas[:1] == gathers and len(deltas) <= 2 and all(d <= 2 for d in deltas[1:])
+
+
+@st.composite
+def symmetric_polygons(draw):
+    """Centrally symmetric polygons on small integers, some with a
+    centrally symmetric hole. Antipodal edges are parallel, so their
+    cone events tie exactly; a hole's corners are reflex, and the edge
+    between two of them is one cone's exit and the next one's entry."""
+    m = draw(st.integers(2, 5))
+    half = []
+    for i in range(m):
+        t = math.pi * (i + draw(st.sampled_from([0.25, 0.5, 0.75]))) / m
+        r = draw(st.sampled_from([8, 11, 14]))
+        half.append((round(r * math.cos(t)), round(r * math.sin(t))))
+    outer = half + [(-x, -y) for x, y in half]
+    hole = draw(st.sampled_from([None, [(1, 1), (-1, 1), (-1, -1), (1, -1)],
+                                 [(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)],
+                                 [(2, 1), (-1, 2), (-2, -1), (1, -2)]]))
+    try:
+        return Polygon(outer, [hole] if hole else [])
+    except PolygonError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_polygons())
+def test_symmetric_polygons_match_oracle(P):
+    """Where events tie exactly, antipodal ones and coinciding entries
+    and exits, the sweep's minimum is the brute-force oracle's."""
+    res = parallel_reeb_complexity(P)
+    assert res.min_leaves == brute_force_complexity(P).min_leaves
+    assert reeb_graph(P, res.witness).l == res.min_leaves

@@ -4,6 +4,7 @@ below 2^-1022, and sums of two of them, with repeated and collinear
 points."""
 
 from fractions import Fraction
+from functools import cmp_to_key
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,8 @@ from ruledpoly.reeb import _height_order
 from ruledpoly.exactmath import (
     U,
     cross_filter,
+    delta_lanes,
+    exact_delta,
     filtered_order,
     mirror_error_bound,
     orient_sign,
@@ -61,12 +64,12 @@ def exact_orient(a, b, c):
 
 
 def cmp(p, q):
-    return (p > q) - (p < q)
+    return p - q
 
 
 def check_order(values, radii, exact):
     """filtered_order sorts by exact value, and tie is exact equality."""
-    order, tie = filtered_order(values, radii, exact.__getitem__, cmp)
+    order, tie = filtered_order(values, radii, np.array(exact, dtype=object).__getitem__, cmp)
     assert sorted(order.tolist()) == list(range(len(exact)))
     assert [exact[i] for i in order] == sorted(exact)
     assert tie.tolist() == [t > 0 and exact[order[t]] == exact[order[t - 1]]
@@ -181,5 +184,61 @@ def test_filtered_order_wide_lane_reaches_back():
     """A wide interval sorted last by its float value still reaches below
     the earlier lanes, so no cut may separate them."""
     order, tie = filtered_order(np.array([0.1, 1.0, 1.5]), np.array([0.01, 0.01, 4.0]),
-                                [1, 10, 0].__getitem__, cmp)
+                                np.array([1, 10, 0], dtype=object).__getitem__, cmp)
     assert order.tolist() == [2, 0, 1] and not tie.any()
+
+
+@st.composite
+def clustered_lanes(draw):
+    """Exact values in clusters of one to four lanes, equal or apart by
+    less than their float mirrors show, so the float order leaves chains
+    of one, two and more lanes with exact ties inside; some lanes are
+    wide and float anywhere in their radius, so they reach back over
+    earlier clusters. Returns (values, radii, exact)."""
+    values, radii, exact = [], [], []
+    for center in draw(st.lists(st.integers(-12, 12), min_size=1, max_size=8)):
+        for _ in range(draw(st.integers(1, 4))):
+            x = Fraction(center) + Fraction(draw(st.integers(-2, 2)), 2 ** 60)
+            wide = draw(st.sampled_from([None] * 6 + [0.5, 4.0]))
+            if wide is None:
+                values.append(float(x))
+                radii.append(float(mirror_error_bound(float(x))))
+            else:
+                values.append(float(x) + draw(st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])) * wide)
+                radii.append(wide)
+            exact.append(x)
+    return np.array(values), np.array(radii), exact
+
+
+@settings(max_examples=400, deadline=None)
+@given(clustered_lanes())
+@example((np.array([1.0, 1.0]), np.array([0.0, 0.0]), [Fraction(1), Fraction(1)]))
+@example((np.array([1.0, 1.0, 2.0, 2.0]), np.array([0.0, 0.0, 0.0, 0.0]),
+          [1 + Fraction(1, 2 ** 60), Fraction(1), Fraction(2), 2 + Fraction(1, 2 ** 60)]))
+@example((np.array([0.1, 1.0, 1.5]), np.array([0.01, 0.01, 4.0]),
+          [Fraction(1), Fraction(10), Fraction(1)]))
+def test_filtered_order_matches_stable_sort(lanes):
+    """The batched chains give what one stable exact sort of the float
+    order gives: every lane sorted by cmp, equal lanes in float order,
+    and tie exactly where a lane equals the one before."""
+    values, radii, exact = lanes
+    order, tie = filtered_order(values, radii, np.array(exact, dtype=object).__getitem__, cmp)
+    want = sorted(np.argsort(values, kind="stable").tolist(),
+                  key=cmp_to_key(lambda i, j: cmp(exact[i], exact[j])))
+    assert order.tolist() == want
+    assert tie.tolist() == [t > 0 and exact[want[t]] == exact[want[t - 1]]
+                            for t in range(len(want))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(point, point), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=4))
+def test_delta_lanes_is_exact_delta(pairs, grid):
+    """The lanes of delta_lanes are exact_delta's own integers, also where
+    the two scales are equal and exact_delta does not multiply them."""
+    pairs = pairs + [(Point(x, y), Point(y, x)) for x, y in grid]
+    pts = [p for pair in pairs for p in pair]
+    lanes = np.arange(len(pts)).reshape(-1, 2).T
+    got = delta_lanes(pts, lanes)
+    assert got.shape == (3, len(pairs))
+    assert [tuple(col) for col in got.T.tolist()] == [exact_delta(p, q) for p, q in pairs]

@@ -6,6 +6,7 @@ first stage."""
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -28,7 +29,7 @@ from ruledpoly import (
     parallel_reeb_complexity,
     reeb_graph,
 )
-from ruledpoly.exactmath import filtered_order, orient_sign
+from ruledpoly.exactmath import filtered_order, integer_lanes, orient_sign
 from ruledpoly.generators import _find_contact
 
 from conftest import recorded_comparisons
@@ -178,7 +179,7 @@ def _reference_sweep(rings):
     for e in range(n):
         prv[nxt[e]] = e
     xf = np.array([p.xf for p in pts])
-    events, repeat = filtered_order(xf, np.zeros(n), pts.__getitem__, geometry._lex_cmp)
+    events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, pts), geometry._lex_cmp)
     events, repeat = events.tolist(), repeat.tolist()
     rank = [0] * n
     for k, v in enumerate(events):
