@@ -23,7 +23,8 @@ delta_lanes is exact_delta's lane form, as orient_lanes is
 orient_sign's. static_cross_bound is cross_filter's bound at
 the largest mirror magnitude of a polygon, one number that dominates
 the bound of every triple of its points: the static first stage of the
-point location that both planar sweeps share (geometry._Status).
+point location that both planar sweeps share (geometry._Status) and of
+orient_lanes.
 """
 
 from __future__ import annotations
@@ -167,22 +168,33 @@ def orient_lanes(pts, xs: np.ndarray, ys: np.ndarray, lanes: np.ndarray) -> np.n
     """orient_sign(pts[a], pts[b], pts[c]) for every column (a, b, c) of
     lanes, shape (3, m), indices into pts and its mirrors xs, ys. Exact.
 
-    cross_filter decides most lanes, _LANE_BLOCK at a time, so that its
-    two dozen float temporaries stay small; the integers decide the rest.
+    _LANE_BLOCK lanes at a time, so that float temporaries stay small,
+    in three stages: cross_filter's det, term for term, decides a lane
+    when it clears static_cross_bound at the largest magnitude among xs
+    and ys; cross_filter and its bound decide most of the rest, and the
+    integers decide what is left.
     """
     out = np.empty(lanes.shape[1], dtype=np.int64)
+    bound = static_cross_bound(float(max(np.abs(xs).max(), np.abs(ys).max())))
     for start in range(0, lanes.shape[1], _LANE_BLOCK):
         block = lanes[:, start:start + _LANE_BLOCK]
         (ax, bx, cx), (ay, by, cy) = xs[block], ys[block]
-        det, err = cross_filter(ax, ay, bx, by, cx, cy)
+        det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+        signs = (det > bound).astype(np.int64) - (det < -bound)
+        rest = np.flatnonzero(~(np.abs(det) > bound))  # NaN lanes too
+        if len(rest):
+            left = block[:, rest]
+            (ax, bx, cx), (ay, by, cy) = xs[left], ys[left]
+            det, err = cross_filter(ax, ay, bx, by, cx, cy)
 
-        def exact(undecided: np.ndarray) -> np.ndarray:
-            a, b, c = block[:, undecided]
-            ux, uy, _ = delta_lanes(pts, np.array((c, a)))
-            wx, wy, _ = delta_lanes(pts, np.array((c, b)))
-            return exact_cross(ux, uy, wx, wy)
+            def exact(undecided: np.ndarray) -> np.ndarray:
+                a, b, c = left[:, undecided]
+                ux, uy, _ = delta_lanes(pts, np.array((c, a)))
+                wx, wy, _ = delta_lanes(pts, np.array((c, b)))
+                return exact_cross(ux, uy, wx, wy)
 
-        out[start:start + _LANE_BLOCK] = filtered_sign_array(det, err, exact)
+            signs[rest] = filtered_sign_array(det, err, exact)
+        out[start:start + _LANE_BLOCK] = signs
     return out
 
 
@@ -201,6 +213,7 @@ def corner_cross(ax, ay, px, py, bx, by) -> tuple[np.ndarray, np.ndarray]:
 def dot_filter(x, y, wx, wy):
     """Float x * wx + y * wy of mirror arrays x, y, and a bound on its
     distance from W . (X, Y), for (wx, wy) within U |w| + ETA of W.
+    With wx, wy columns, one row per direction, both come out as rows.
     """
     t1, t2 = x * wx, y * wy
     h = t1 + t2

@@ -134,7 +134,9 @@ def _ratio(value, cap: int | None = None) -> tuple[int, int]:
     exponent, before its integers are built: those of 1e4000000 take
     seconds.
     """
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if type(value) is int:  # exact types first: JSON's int (its Decimal below), Fraction
+        return value, 1
+    if type(value) is Fraction:
         return value.numerator, value.denominator
     if isinstance(value, str):
         if _LITERAL.fullmatch(value) is None:
@@ -157,6 +159,8 @@ def _ratio(value, cap: int | None = None) -> tuple[int, int]:
             return value.as_integer_ratio()
         except (OverflowError, ValueError) as exc:  # infinities and NaNs
             raise PolygonParseError(f"non-finite coordinate {value!r}") from exc
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value.numerator, value.denominator
     raise PolygonParseError(f"unsupported coordinate type {type(value).__name__}")
 
 
@@ -221,28 +225,39 @@ class Direction:
 
     (dx, dy) and (-dx, -dy) name the same Direction; the canonical
     representative has dy > 0, or dy == 0 and dx > 0, at the caller's
-    scale. Its coprime integer pair, fixed at construction, decides
-    equality and every predicate; the float angle is only a sort key
-    that exact comparisons refine.
+    scale. It is kept as integers (a, b, m), (dx, dy) = (a / m, b / m),
+    built straight from two int components and through their exact
+    ratios otherwise; dx and dy are Fractions worked out on access. Its
+    coprime integer pair, fixed at construction, decides equality and
+    every predicate; the float angle is only a sort key that exact
+    comparisons refine.
     """
 
-    __slots__ = ("dx", "dy", "fdx", "fdy", "_ints", "_pair")
+    __slots__ = ("_ints", "_pair", "fdx", "fdy")
 
     def __init__(self, dx, dy):
-        dx = as_fraction(dx)
-        dy = as_fraction(dy)
-        if not dx and not dy:
+        if type(dx) is int and type(dy) is int:
+            a, b, m = dx, dy, 1
+        else:
+            dx, dy = as_fraction(dx), as_fraction(dy)
+            m = math.lcm(dx.denominator, dy.denominator)
+            a, b = dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator)
+        if not a and not b:
             raise ValueError("the zero vector has no direction")
-        if dy < 0 or (dy == 0 and dx < 0):
-            dx, dy = -dx, -dy
-        self.dx = dx
-        self.dy = dy
-        m = math.lcm(dx.denominator, dy.denominator)
-        a, b = dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator)
-        self._ints = (a, b, m)  # (dx, dy) == (a / m, b / m)
+        if b < 0 or (b == 0 and a < 0):
+            a, b = -a, -b
+        self._ints = (a, b, m)
         self.fdx, self.fdy = float_direction(a, b, m)  # a positive multiple of (dx, dy)
         g = math.gcd(a, b)
         self._pair = (a // g, b // g)
+
+    @property
+    def dx(self) -> Fraction:
+        return Fraction(self._ints[0], self._ints[2])
+
+    @property
+    def dy(self) -> Fraction:
+        return Fraction(self._ints[1], self._ints[2])
 
     def canonical_pair(self) -> tuple[int, int]:
         """Coprime integer representative of the direction; hash/equality key."""
@@ -470,12 +485,13 @@ class _Block(list):
     __slots__ = ("key",)
 
 
-def _forward(order: np.ndarray, nxt) -> list[bool]:
+def _forward(order: np.ndarray, nxt) -> list:
     """Whether each edge e, from vertex e to vertex nxt[e], runs forward
-    in the event order: e comes before nxt[e] in order, a permutation."""
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    return (rank < rank[nxt]).tolist()
+    in the event order: e comes before nxt[e] in order, a permutation,
+    or in each row of order, rows of permutations (then a list per row)."""
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(order.shape[-1]), axis=-1)
+    return (rank < rank[..., nxt]).tolist()
 
 
 class _Status:

@@ -16,6 +16,11 @@ each interval's representative is the sum of the pairs at its two ends,
 each taken with the sign that points into the sweep's half-turn. The
 ends are less than 180 degrees apart, so the sum lies strictly inside
 the interval.
+
+The representatives of one polygon are swept as one batch
+(reeb._reeb_graphs): their height orders come a block of directions at a
+time, one float pass and one row-wise sort per block with exact
+fallbacks, and then one Reeb sweep per representative.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from functools import cmp_to_key
 
 from .exactmath import exact_delta, sign
 from .geometry import Direction, Polygon
-from .reeb import reeb_graph
+from .reeb import _reeb_graphs
 
 __all__ = [
     "EventPartition",
@@ -140,13 +145,13 @@ def brute_force_complexity(P: Polygon, cap: int = 64) -> OracleResult:
     # strictly inside the open interval between them
     ends = reps[1:] + [(-reps[0][0], -reps[0][1])]
 
+    inside = [Direction(x1 + x2, y1 + y2) for (x1, y1), (x2, y2) in zip(reps, ends)]
+
     best = None
     witness = None
-    for (x1, y1), (x2, y2) in zip(reps, ends):
-        v = Direction(x1 + x2, y1 + y2)
-        leaves = reeb_graph(P, v).l
-        if best is None or leaves < best:
-            best = leaves
+    for v, g in zip(inside, _reeb_graphs(P, inside)):
+        if best is None or g.l < best:
+            best = g.l
             witness = v
 
     cones = [P.cone(i) for i in P.reflex_indices()]

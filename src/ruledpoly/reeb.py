@@ -23,16 +23,26 @@ The sweep needs only the order of the heights, which exact integer
 heights refine only where float heights cannot decide it; a node works
 its exact Fraction height out on access, and the export rounds it once
 from integers.
+
+Many directions of one polygon, the oracle's interval representatives,
+are swept as a batch (_reeb_graphs): their float heights are one
+dot_filter call and one row-wise stable sort per block of directions,
+sized so that its float temporaries stay small, and only a row whose
+floats leave a chain goes through filtered_order on its own. Every lane
+keeps its error bound and its exact fallback, so each order is the exact
+one. reeb_graph, is_generic and branch_witnesses are the batch of one
+direction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import exactmath
 from .exactmath import dot_filter, filtered_order, integer_lanes
 from .geometry import Direction, Point, Polygon, _forward, _Status
 
@@ -99,31 +109,71 @@ class ReebGraph:
         return len(self.edges) - len(self.nodes) + 1
 
 
-def _height_order(P: Polygon, v: Direction) -> np.ndarray:
-    """Global vertex indices sorted by exact height under v.
+def _height_orders(P: Polygon, directions: Sequence[Direction]) -> Iterator[np.ndarray]:
+    """Global vertex indices sorted by exact height under each direction,
+    as the rows of arrays, one array per block of directions in turn.
 
-    Float heights order almost everything (exactmath.filtered_order);
-    exact ties are resolved on the integer pair (a, b) of v, a positive
-    multiple of it: vertex (X / D, Y / D) has height (aX + bY) / D, the
-    tied lanes' pairs (aX + bY, D) are gathered at once, and two heights
-    compare by cross multiplication. The lowest exact tie raises
-    NonGenericDirectionError.
+    A block holds max(1, exactmath._LANE_BLOCK // n) directions, so its
+    float temporaries stay small, and they are gone before its orders
+    are yielded (_block_orders). The lowest exact tie under a direction
+    raises NonGenericDirectionError in that direction's turn: the rows
+    of every direction before it are yielded first.
     """
+    rows = max(1, exactmath._LANE_BLOCK // len(P._coords))
+    for start in range(0, len(directions), rows):
+        orders, tie = _block_orders(P, directions[start:start + rows])
+        if len(orders):
+            yield orders
+        if tie is not None:
+            raise tie
+
+
+def _block_orders(P: Polygon, block: Sequence[Direction]) \
+        -> tuple[np.ndarray, NonGenericDirectionError | None]:
+    """The exact height orders, as rows, of the directions of block up to
+    the first one that ties two heights, and that one's error, or None.
+
+    Float heights order almost everything: one dot_filter call gives
+    every lane of the block its height and bound, one stable sort orders
+    each row, and the cuts of exactmath.filtered_order, taken row by
+    row, find the rows whose floats leave a chain. Each such row goes
+    through filtered_order itself, whose exact ties are resolved on the
+    integer pair (a, b) of its direction, a positive multiple of it:
+    vertex (X / D, Y / D) has height (aX + bY) / D, the tied lanes'
+    pairs (aX + bY, D) are gathered at once, and two heights compare by
+    cross multiplication.
+    """
+    fdx = np.array([v.fdx for v in block])
+    fdy = np.array([v.fdy for v in block])
     # a power of two at most 1 brings v below 1/8, so nothing overflows; one
     # above 1 would magnify the error of a component that underflowed
-    scale = 2.0 ** -max(0, math.frexp(max(abs(v.fdx), abs(v.fdy)))[1] + 3)
-    hts, err = dot_filter(P._coords[:, 0], P._coords[:, 1], v.fdx * scale, v.fdy * scale)
-    a, b = v._pair
+    scale = np.ldexp(1.0, -np.maximum(0, np.frexp(np.maximum(abs(fdx), abs(fdy)))[1] + 3))
+    hts, err = dot_filter(P._coords[:, 0], P._coords[:, 1],
+                          (fdx * scale)[:, None], (fdy * scale)[:, None])
+    orders = np.argsort(hts, axis=1, kind="stable")
+    hs, rs = np.take_along_axis(hts, orders, 1), np.take_along_axis(err, orders, 1)
+    cut = (np.minimum.accumulate((hs - rs)[:, ::-1], axis=1)[:, ::-1][:, 1:]
+           > np.maximum.accumulate(hs + rs, axis=1)[:, :-1])
+    for j in np.flatnonzero(~cut.all(axis=1)).tolist():
+        a, b = block[j]._pair
 
-    def heights(lanes: np.ndarray) -> np.ndarray:
-        X, Y, D = integer_lanes(P._pts, lanes)
-        return np.array((a * X + b * Y, D))
+        def heights(lanes: np.ndarray) -> np.ndarray:
+            X, Y, D = integer_lanes(P._pts, lanes)
+            return np.array((a * X + b * Y, D))
 
-    order, tie = filtered_order(hts, err, heights, lambda g, h: g[0] * h[1] - h[0] * g[1])
-    if tie.any():
-        t = int(np.argmax(tie))
-        raise NonGenericDirectionError(v, int(order[t - 1]), int(order[t]))
-    return order
+        order, tie = filtered_order(hts[j], err[j], heights,
+                                    lambda g, h: g[0] * h[1] - h[0] * g[1])
+        if tie.any():
+            t = int(np.argmax(tie))
+            return orders[:j], NonGenericDirectionError(block[j], int(order[t - 1]), int(order[t]))
+        orders[j] = order
+    return orders, None
+
+
+def _height_order(P: Polygon, v: Direction) -> np.ndarray:
+    """Global vertex indices sorted by exact height under v; the lowest
+    exact tie raises NonGenericDirectionError (_height_orders)."""
+    return next(_height_orders(P, [v]))[0]
 
 
 def is_generic(P: Polygon, v: Direction) -> bool:
@@ -145,10 +195,13 @@ def branch_witnesses(P: Polygon, v: Direction) -> frozenset[int]:
     return frozenset(i for i in P.reflex_indices() if not P.cone(i).contains(v))
 
 
-def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
-    """Reeb graph of f_v over P; v must be generic.
+def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGraph]:
+    """The Reeb graph of f_v over P for each v of directions, in turn; a
+    v that is not generic raises NonGenericDirectionError in its turn.
 
-    One pass over the vertices in height order. The status holds the
+    The height orders come a block of directions at a time
+    (_height_orders), and P's arrays become lists once. Each graph is
+    one pass over the vertices in height order. The status holds the
     active edges, those crossing the level line, in validation's order:
     each edge directed up, the status runs from right to left looking
     along v (geometry._Status); edge i runs from vertex i to its ring
@@ -166,79 +219,88 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
     node at the bottom of an interval's current arc is kept with the
     interval's left edge.
     """
-    order = _height_order(P, v)
-    forward = _forward(order, P._next)  # edge e runs up the ring: a right edge
     reflex = P._reflex.tolist()
     prev = P._prev.tolist()
     nxt = P._next.tolist()
     pts = P._pts
+    n = P.n
+    done = 0
+    for orders in _height_orders(P, directions):
+        forwards = _forward(orders, P._next)  # edge e runs up the ring: a right edge
+        for order, forward in zip(orders, forwards):
+            v = directions[done]
+            done += 1
+            nodes: list[ReebNode] = []
+            edges: list[tuple[int, int]] = []
+            status = _Status(pts, nxt, forward, P._bound)
+            arc = [0] * n  # for a left edge: the node at the bottom of its interval's arc
 
-    nodes: list[ReebNode] = []
-    edges: list[tuple[int, int]] = []
-    status = _Status(pts, nxt, forward, P._bound)
-    arc = [0] * P.n  # for a left edge: the node at the bottom of its interval's arc
+            for gid in order.tolist():
+                pr = prev[gid]
+                # edge pr runs from prev to gid, edge gid from gid to next
+                up_in, up_out = forward[pr], forward[gid]
 
-    for gid in order.tolist():
-        pr = prev[gid]
-        # edge pr runs from prev to gid, edge gid from gid to next
-        up_in, up_out = forward[pr], forward[gid]
+                if up_in == up_out:
+                    # regular: one edge dies, the other takes its place and its side
+                    dying, born = (pr, gid) if up_out else (gid, pr)
+                    status.replace(dying, born)
+                    arc[born] = arc[dying]
+                elif up_out:
+                    # local minimum: both edges are born here, pr a left and gid a right edge
+                    pt = pts[gid]
+                    b, i, on = status.locate(pt)
+                    if on:
+                        raise RuntimeError("event vertex lies on an active edge")
+                    left = status.at(b, i)
+                    inside = left is not None and not forward[left]
+                    if not reflex[gid]:
+                        if inside:
+                            raise RuntimeError("opening vertex inside an existing interval")
+                        nodes.append(ReebNode("leaf", pt, gid, v))
+                        status.insert(b, i, [gid, pr])
+                        arc[pr] = len(nodes) - 1
+                    else:
+                        if not inside:
+                            raise RuntimeError("splitting vertex outside every interval")
+                        nodes.append(ReebNode("branch", pt, gid, v))
+                        nid = len(nodes) - 1
+                        edges.append((arc[left], nid))
+                        status.insert(b, i, [pr, gid])
+                        arc[left] = arc[pr] = nid
+                elif not reflex[gid]:
+                    # local maximum closing an interval: gid its left and pr its right edge
+                    b, i = status.place(pr)
+                    if status.at(b, i + 1) != gid:
+                        raise RuntimeError("closing edges span two intervals")
+                    nodes.append(ReebNode("leaf", pts[gid], gid, v))
+                    edges.append((arc[gid], len(nodes) - 1))
+                    status.pop(*status.pop(b, i))
+                else:
+                    # local maximum merging two intervals: gid the left edge of the
+                    # right one and pr the right edge of the left one
+                    b, i = status.place(gid)
+                    if status.at(b, i + 1) != pr:
+                        b, i = status.place(pr)
+                        if status.at(b, i + 1) == gid:
+                            raise RuntimeError("merging vertex closes a single interval")
+                        raise RuntimeError("merging intervals are not adjacent")
+                    left = status.at(*status.pop(*status.pop(b, i)))
+                    nodes.append(ReebNode("branch", pts[gid], gid, v))
+                    nid = len(nodes) - 1
+                    edges.append((arc[left], nid))
+                    edges.append((arc[gid], nid))
+                    arc[left] = nid
 
-        if up_in == up_out:
-            # regular: one edge dies, the other takes its place and its side
-            dying, born = (pr, gid) if up_out else (gid, pr)
-            status.replace(dying, born)
-            arc[born] = arc[dying]
-        elif up_out:
-            # local minimum: both edges are born here, pr a left and gid a right edge
-            pt = pts[gid]
-            b, i, on = status.locate(pt)
-            if on:
-                raise RuntimeError("event vertex lies on an active edge")
-            left = status.at(b, i)
-            inside = left is not None and not forward[left]
-            if not reflex[gid]:
-                if inside:
-                    raise RuntimeError("opening vertex inside an existing interval")
-                nodes.append(ReebNode("leaf", pt, gid, v))
-                status.insert(b, i, [gid, pr])
-                arc[pr] = len(nodes) - 1
-            else:
-                if not inside:
-                    raise RuntimeError("splitting vertex outside every interval")
-                nodes.append(ReebNode("branch", pt, gid, v))
-                nid = len(nodes) - 1
-                edges.append((arc[left], nid))
-                status.insert(b, i, [pr, gid])
-                arc[left] = arc[pr] = nid
-        elif not reflex[gid]:
-            # local maximum closing an interval: gid its left and pr its right edge
-            b, i = status.place(pr)
-            if status.at(b, i + 1) != gid:
-                raise RuntimeError("closing edges span two intervals")
-            nodes.append(ReebNode("leaf", pts[gid], gid, v))
-            edges.append((arc[gid], len(nodes) - 1))
-            status.pop(*status.pop(b, i))
-        else:
-            # local maximum merging two intervals: gid the left edge of the
-            # right one and pr the right edge of the left one
-            b, i = status.place(gid)
-            if status.at(b, i + 1) != pr:
-                b, i = status.place(pr)
-                if status.at(b, i + 1) == gid:
-                    raise RuntimeError("merging vertex closes a single interval")
-                raise RuntimeError("merging intervals are not adjacent")
-            left = status.at(*status.pop(*status.pop(b, i)))
-            nodes.append(ReebNode("branch", pts[gid], gid, v))
-            nid = len(nodes) - 1
-            edges.append((arc[left], nid))
-            edges.append((arc[gid], nid))
-            arc[left] = nid
+            if status.blocks:
+                raise RuntimeError("sweep ended with open intervals")
+            l = sum(1 for nd in nodes if nd.kind == "leaf")
+            b = len(nodes) - l
+            yield ReebGraph(tuple(nodes), tuple(edges), l, b, P.h)
 
-    if status.blocks:
-        raise RuntimeError("sweep ended with open intervals")
-    l = sum(1 for nd in nodes if nd.kind == "leaf")
-    b = len(nodes) - l
-    return ReebGraph(tuple(nodes), tuple(edges), l, b, P.h)
+
+def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
+    """Reeb graph of f_v over P; v must be generic (_reeb_graphs)."""
+    return next(_reeb_graphs(P, [v]))
 
 
 def reeb_to_dict(g: ReebGraph) -> dict:

@@ -6,12 +6,13 @@ points."""
 from fractions import Fraction
 from functools import cmp_to_key
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from ruledpoly import Direction, NonGenericDirectionError, Point
+from ruledpoly import Direction, NonGenericDirectionError, Point, exactmath
 from ruledpoly.reeb import _height_order
 from ruledpoly.exactmath import (
     U,
@@ -20,6 +21,7 @@ from ruledpoly.exactmath import (
     exact_delta,
     filtered_order,
     mirror_error_bound,
+    orient_lanes,
     orient_sign,
     sign,
     static_cross_bound,
@@ -165,6 +167,38 @@ def test_static_bound_dominates_cross_filter(trips):
     """Random, near-collinear and box-edge triples, 1e-400 coordinates
     (zero or subnormal mirrors) and 1e308 ones (where the bound is inf)."""
     check_static_bound(trips)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(triples(), box_triples()), st.sampled_from([5, 4096]))
+@example([(Point(1, 1), Point(1, 1), Point(-1, -1))] * 7, 5)
+@example([(Point("1e-400", "-1e-400"), Point("1e-400", "1e-400"), Point("-1e-400", "1e-400"))], 5)
+@example([(Point("1e308", "-1e308"), Point("-1e308", "1e308"), Point("1e308", "1e308"))], 5)
+def test_orient_lanes_is_exact(trips, block):
+    """orient_lanes, its lanes first decided by the static bound, gives
+    the exact signs, block by block: random, near-collinear and box-edge
+    triples, 1e-400 coordinates and 1e308 ones (where the bound is inf)."""
+    pts = [p for trip in trips for p in trip]
+    xs, ys = np.array([p.xf for p in pts]), np.array([p.yf for p in pts])
+    with patch.object(exactmath, "_LANE_BLOCK", block):
+        got = orient_lanes(pts, xs, ys, np.arange(len(pts)).reshape(-1, 3).T)
+    assert got.tolist() == [sign(exact_orient(a, b, c)) for a, b, c in trips]
+
+
+def test_orient_lanes_first_stage_decides_clear_lanes():
+    """Lanes whose determinant clears the static bound never reach
+    cross_filter; a collinear lane does."""
+    pts = [Point(0, 0), Point(3, 1), Point(1, 2), Point(6, 2)]
+    xs, ys = np.array([p.xf for p in pts]), np.array([p.yf for p in pts])
+    seen = []
+
+    def spy(ax, *rest):
+        seen.append(len(ax))
+        return cross_filter(ax, *rest)
+
+    with patch.object(exactmath, "cross_filter", spy):
+        got = orient_lanes(pts, xs, ys, np.array([[1, 2, 3], [2, 1, 1], [0, 0, 0]]))
+    assert got.tolist() == [1, -1, 0] and seen == [1]
 
 
 @pytest.mark.parametrize("m", [1.0, 3.0, 2.0 ** 500, 1e-100])

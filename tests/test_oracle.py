@@ -90,12 +90,13 @@ def test_representatives_strictly_inside(monkeypatch, l_poly, annulus, name):
     P = {"l": l_poly, "annulus": annulus, "comb": comb_polygon(3)}.get(name) \
         or random_simple_polygon(8 + int(name[6:]), int(name[6:]))
     seen = []
+    graphs = oracle._reeb_graphs
 
-    def spy(Q, v):
-        seen.append(v.canonical_pair())
-        return reeb_graph(Q, v)
+    def spy(Q, directions):
+        seen.extend(v.canonical_pair() for v in directions)
+        return graphs(Q, directions)
 
-    monkeypatch.setattr(oracle, "reeb_graph", spy)
+    monkeypatch.setattr(oracle, "_reeb_graphs", spy)
     brute_force_complexity(P)
     part = build_event_partition(P)
     assert len(seen) == len(part.intervals) >= 3
