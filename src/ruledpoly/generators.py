@@ -6,12 +6,15 @@ is exactly 2 despite arbitrarily many reflex vertices, and a square
 annulus for exercising the hole terms. random_simple_polygon draws
 seeded random simple polygons for differential tests.
 
-Trigonometric coordinates are rounded to 12 decimal digits before
-emission so that serialized polygons round-trip byte for byte; every
-downstream predicate operates on the rounded rationals, never the
-unrounded reals. Every star is proved simple by one exact O(n)
-certificate (radial monotonicity about the origin and a crossing
-count) instead of the validation sweep.
+Trigonometric and random coordinates are rounded to 12 decimal digits
+before emission so that serialized polygons round-trip byte for byte;
+every downstream predicate operates on the rounded rationals, never the
+unrounded reals. The rounding works on integer arrays (int64 while the
+scaled coordinates stay below 2**53, Python ints beyond) and each point
+is built from its canonical integers, so generation makes no Fraction.
+Every star is proved simple by one exact O(n) certificate (radial
+monotonicity about the origin and a crossing count) instead of the
+validation sweep.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from .geometry import (
     Point,
     Polygon,
     PolygonError,
+    _EXACT_FLOAT,
     _contact_lanes,
     _mirrors,
+    _points_from_ints,
     _touching,
     as_fraction,
 )
@@ -43,6 +48,7 @@ __all__ = [
 ]
 
 _SCALE = 10 ** 12
+_MAX_RADIUS = 10 ** 300  # float() of a smaller r1 is finite; a larger r1 fails anyway
 
 
 class UntangleError(RuntimeError):
@@ -55,6 +61,8 @@ class FamilyParams:
 
     n is the spike count; r1 and r2 are the outer and inner radii of the
     two concentric circles carrying the spike tips and notch corners.
+    Coordinates are rounded as floats times 10**12, so r1 * 10**12 must
+    lie in the float range: r1 below about 1.8e296.
     """
 
     n: int
@@ -69,14 +77,36 @@ class FamilyParams:
         if not self.r1 > self.r2 > 0:
             raise ValueError(
                 f"radii must satisfy r1 > r2 > 0, got r1={self.r1}, r2={self.r2}")
+        # the tip at angle 0 is (0, r1), rounded as float(r1) * 10**12
+        if self.r1 > _MAX_RADIUS or math.isinf(float(self.r1) * _SCALE):
+            raise ValueError("r1 times 10**12 must lie in the float range (about 1.8e308), "
+                             "so r1 below about 1.8e296")
 
 
-def _round12(values: np.ndarray) -> list[Fraction]:
-    scaled = np.round(values * float(_SCALE))
-    return [Fraction(int(s), _SCALE) for s in scaled]
+def _round12(xs: np.ndarray, ys: np.ndarray) -> tuple[list[Point], np.ndarray, np.ndarray]:
+    """The Points (x, y) rounded to 12 decimal digits, for x, y in the
+    float arrays xs, ys, and their mirror arrays.
+
+    Each coordinate is n / 10**12 for the integer n nearest to its float
+    times 10**12; dividing n and 10**12 by their gcd, then taking the
+    lcm of the two denominators, gives the point's canonical integers.
+    In int64 while every |n| is below 2**53, so nothing wraps; beyond
+    that, as Python ints.
+    """
+    sx, sy = np.round(xs * float(_SCALE)), np.round(ys * float(_SCALE))
+    if max(np.abs(sx).max(), np.abs(sy).max()) < _EXACT_FLOAT:
+        sx, sy, scale = sx.astype(np.int64), sy.astype(np.int64), np.int64(_SCALE)
+    else:
+        sx, sy = (np.array([int(v) for v in a.tolist()], dtype=object) for a in (sx, sy))
+        scale = _SCALE
+    gx, gy = np.gcd(sx, scale), np.gcd(sy, scale)
+    dx, dy = scale // gx, scale // gy
+    d = np.lcm(dx, dy)
+    return _points_from_ints(sx // gx * (d // dx), sy // gy * (d // dy), d)
 
 
-def _certify_star_shaped(ring: list[Point]) -> None:
+def _certify_star_shaped(ring: list[Point], xf: np.ndarray | None = None,
+                         yf: np.ndarray | None = None) -> None:
     """Prove a ring simple by radial monotonicity about the origin.
 
     Requires every adjacent pair of position vectors to span a nonzero
@@ -90,10 +120,11 @@ def _certify_star_shaped(ring: list[Point]) -> None:
     ray along -x on a clockwise one. Signs of the integers decide which
     points lie in the half-turn. The boundary is then the graph of a
     radial function, hence simple, with the origin strictly inside.
+    xf and yf are the ring's mirror arrays, when the caller has them.
     """
     n = len(ring)
-    xf = np.fromiter((p.xf for p in ring), dtype=float, count=n)
-    yf = np.fromiter((p.yf for p in ring), dtype=float, count=n)
+    if xf is None:
+        xf, yf = _mirrors(ring)
     # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i, p_{i+1}), which has
     # the sign of cross((X_i, Y_i), (X_{i+1}, Y_{i+1}))
     cr, err = corner_cross(0.0, 0.0, xf, yf, np.roll(xf, -1), np.roll(yf, -1))
@@ -131,17 +162,11 @@ def lower_bound_polygon(params: FamilyParams) -> Polygon:
     phi = (2.0 * idx + 1.0) * math.pi / n
     r1 = float(params.r1)
     r2 = float(params.r2)
-    ox = _round12(r1 * np.sin(theta))
-    oy = _round12(r1 * np.cos(theta))
-    ix = _round12(r2 * np.sin(phi))
-    iy = _round12(r2 * np.cos(phi))
-
-    ring: list[Point] = []
-    for i in range(n):
-        ring.append(Point(ox[i], oy[i]))
-        ring.append(Point(ix[i], iy[i]))
-
-    _certify_star_shaped(ring)
+    # the ring alternates tip i and notch i
+    xs = np.stack((r1 * np.sin(theta), r2 * np.sin(phi)), axis=1).ravel()
+    ys = np.stack((r1 * np.cos(theta), r2 * np.cos(phi)), axis=1).ravel()
+    ring, xf, yf = _round12(xs, ys)
+    _certify_star_shaped(ring, xf, yf)
     return Polygon(ring, validate=False)
 
 
@@ -243,9 +268,7 @@ def random_simple_polygon(vertex_count: int, seed: int) -> Polygon:
     cy = float(np.mean(ys))
     order = np.lexsort((np.hypot(xs - cx, ys - cy),
                         np.arctan2(ys - cy, xs - cx)))
-    scale = 10 ** 12
-    pts = [Point(Fraction(int(round(xs[i] * scale)), scale),
-                 Fraction(int(round(ys[i] * scale)), scale)) for i in order]
+    pts = _round12(xs[order], ys[order])[0]
 
     budget = 60 * vertex_count * vertex_count
     while budget > 0:

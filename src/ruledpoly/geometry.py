@@ -16,9 +16,10 @@ with numbers given as JSON numbers, or as strings holding an optional
 sign and then a decimal literal with an optional exponent ("-1.25",
 ".5", "3e-7") or a fraction of unsigned integers ("1/3"). Both parse
 exactly, to integer ratios. Emission
-writes a decimal number when the coordinate has a terminating decimal
-expansion and a "p/q" string otherwise, so every dump -> load cycle is
-exact and a generate -> load -> emit cycle is byte identical.
+writes each coordinate from its point's integers: a decimal number when
+it has a terminating decimal expansion and a "p/q" string otherwise, so
+every dump -> load cycle is exact and a generate -> load -> emit cycle
+is byte identical.
 
 Vertices are addressed by a single global index (the outer ring first,
 then each hole in order); edge i joins vertex i to the next vertex of
@@ -121,6 +122,7 @@ _LITERAL = re.compile(
 
 
 _BEYOND_FLOAT_RANGE = "coordinate beyond the float range (about 1.8e308)"
+_EXACT_FLOAT = 2 ** 53  # every integer of smaller magnitude is a float
 
 
 def _ratio(value, cap: int | None = None) -> tuple[int, int]:
@@ -206,6 +208,28 @@ class Point:
 
     def __repr__(self):
         return f"Point({self.x}, {self.y})"
+
+
+def _points_from_ints(X: np.ndarray, Y: np.ndarray, D: np.ndarray) -> tuple[
+        list[Point], np.ndarray, np.ndarray]:
+    """The Points (X / D, Y / D) of canonical integers, given as int64
+    arrays or object arrays of Python ints, and their mirror arrays.
+
+    The mirrors are divided in numpy when every |X|, |Y| and D is below
+    2**53: both operands then convert exactly, so the quotient is
+    correctly rounded, as Python's int / int always is. Otherwise they
+    are divided as Python ints.
+    """
+    if not all(-_EXACT_FLOAT < v.min() and v.max() < _EXACT_FLOAT for v in (X, Y, D)):
+        X, Y, D = X.astype(object), Y.astype(object), D.astype(object)
+    xs, ys = np.asarray(X / D, dtype=float), np.asarray(Y / D, dtype=float)
+    new = Point.__new__
+    pts = []
+    for x, y, d, xf, yf in zip(X.tolist(), Y.tolist(), D.tolist(), xs.tolist(), ys.tolist()):
+        p = new(Point)
+        p.X, p.Y, p.D, p.xf, p.yf = x, y, d, xf, yf
+        pts.append(p)
+    return pts, xs, ys
 
 
 def _lex_cmp(p, q):
@@ -992,36 +1016,50 @@ def _parse_ring_spec(spec, label: str) -> list[Point]:
     return pts
 
 
-def _format_coordinate(x: Fraction) -> str:
-    """Exact JSON rendering: a decimal number when the denominator is
-    2^a * 5^b, the string "p/q" otherwise."""
-    den = x.denominator
+def _decimal_form(den: int) -> tuple[int, int, int] | None:
+    """(e, 10**e, 10**e // den) for the least e with den dividing 10**e,
+    or None when den has a prime factor other than 2 and 5."""
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    if rest != 1:
+        return None
+    e = max(twos, fives)
+    return e, 10 ** e, 10 ** e // den
+
+
+def _coordinate_text(num: int, den: int, forms: dict) -> str:
+    """Exact JSON rendering of num / den, den > 0: a decimal number when
+    the reduced denominator is 2^a * 5^b, the string "p/q" otherwise.
+    forms caches _decimal_form by reduced denominator."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
     if den == 1:
-        return str(x.numerator)
-    d = den
-    exp2 = 0
-    while d % 2 == 0:
-        d //= 2
-        exp2 += 1
-    exp5 = 0
-    while d % 5 == 0:
-        d //= 5
-        exp5 += 1
-    if d != 1:
-        return f'"{x}"'
-    exp = max(exp2, exp5)
-    scaled = abs(x.numerator) * (10 ** exp) // den
-    whole, frac = divmod(scaled, 10 ** exp)
-    text = f"{whole}.{str(frac).rjust(exp, '0').rstrip('0')}"
-    return "-" + text if x.numerator < 0 else text
+        return str(num)
+    try:
+        form = forms[den]
+    except KeyError:
+        form = forms[den] = _decimal_form(den)
+    if form is None:
+        return f'"{num}/{den}"'
+    e, scale, factor = form
+    # den divides 10**e for no smaller e, so the last digit is not 0
+    whole, frac = divmod(abs(num) * factor, scale)
+    text = f"{whole}.{str(frac).rjust(e, '0')}"
+    return "-" + text if num < 0 else text
 
 
 def dump_polygon(P: Polygon) -> str:
     """Serialize to the polygon file format, exactly and deterministically."""
+    forms: dict = {}
 
     def ring_text(ring: Ring) -> str:
         return "[" + ",".join(
-            f"[{_format_coordinate(p.x)},{_format_coordinate(p.y)}]" for p in ring.vertices
+            f"[{_coordinate_text(p.X, p.D, forms)},{_coordinate_text(p.Y, p.D, forms)}]"
+            for p in ring.vertices
         ) + "]"
 
     holes_text = ",".join(ring_text(g) for g in P.holes)

@@ -13,6 +13,7 @@ from ruledpoly import (
     as_fraction,
     comb_polygon,
     dump_polygon,
+    load_polygon,
     lower_bound_polygon,
     random_simple_polygon,
 )
@@ -264,3 +265,25 @@ def test_coordinates_outside_the_grammar_exit_two(tmp_path, capsys, doc):
     path.write_text(doc)
     assert run_cli(["complexity", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r1", ["1e297", "1e400"])
+def test_generate_radius_beyond_float_range_exits_two(tmp_path, capsys, r1):
+    """The star's coordinates are rounded as r1 * 10**12 in floats: a
+    radius past that range is refused with its limit, not a traceback."""
+    out = tmp_path / "star.json"
+    assert run_cli(["generate", "lower-bound", "--n", "7", "--r1", r1, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1.8e296" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_generate_radius_near_float_limit(tmp_path, capsys):
+    """The largest radii that fit still build, through Python ints."""
+    out = tmp_path / "star.json"
+    assert run_cli(["generate", "lower-bound", "--n", "7", "--r1", "1e296",
+                    "--out", str(out)]) == 0
+    text = out.read_text()
+    assert dump_polygon(load_polygon(text)) == text

@@ -3,6 +3,7 @@ magnitudes: integers, a 1e-12 grid, values near 1e300 and 1e307, values
 below 2^-1022, and sums of two of them, with repeated and collinear
 points."""
 
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 from types import SimpleNamespace
@@ -199,6 +200,45 @@ def test_orient_lanes_first_stage_decides_clear_lanes():
     with patch.object(exactmath, "cross_filter", spy):
         got = orient_lanes(pts, xs, ys, np.array([[1, 2, 3], [2, 1, 1], [0, 0, 0]]))
     assert got.tolist() == [1, -1, 0] and seen == [1]
+
+
+def band_triples(count: int) -> list:
+    """Near-collinear triples of magnitude about 1 whose float det, as
+    orient_lanes' first stage computes it, lies above 1/64 of
+    static_cross_bound and within the bound, while the exact sign is 0
+    or the other one. A seeded search keeps about 1 draw in 200."""
+    rng = random.Random(15)
+    dens = [3, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+    def q():
+        return Fraction(rng.randint(-999, 999), 50 * rng.choice(dens))
+
+    out = []
+    for _ in range(40000):
+        (ax, ay), (cx, cy) = (q(), q()), (q(), q())
+        t = Fraction(rng.randint(-9, 9), rng.choice(dens))
+        e = rng.choice([0, Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30)])
+        trip = (Point(ax, ay), Point(cx + t * (ax - cx) + e, cy + t * (ay - cy)), Point(cx, cy))
+        (fax, fbx, fcx), (fay, fby, fcy) = zip(*((p.xf, p.yf) for p in trip))
+        det = (fax - fcx) * (fby - fcy) - (fay - fcy) * (fbx - fcx)
+        bound = static_cross_bound(max(abs(f) for p in trip for f in (p.xf, p.yf)))
+        if bound / 64 < abs(det) <= bound and sign(det) != sign(exact_orient(*trip)):
+            out.append(trip)
+            if len(out) == count:
+                break
+    return out
+
+
+def test_orient_lanes_first_stage_bound_is_not_too_small():
+    """Lanes that a first stage with a bound 64 times too small would
+    decide by the sign of a wrong float det: exact sign 0, and exact sign
+    opposite to the det's."""
+    trips = band_triples(32)
+    want = [sign(exact_orient(*trip)) for trip in trips]
+    assert len(trips) == 32 and 0 in want and any(want)
+    for trip, s in zip(trips, want):
+        xs, ys = np.array([p.xf for p in trip]), np.array([p.yf for p in trip])
+        assert orient_lanes(list(trip), xs, ys, np.array([[0], [1], [2]])).tolist() == [s]
 
 
 @pytest.mark.parametrize("m", [1.0, 3.0, 2.0 ** 500, 1e-100])

@@ -19,11 +19,15 @@ from hypothesis import given, settings, strategies as st
 from ruledpoly import (
     Direction,
     DoubleCone,
+    FamilyParams,
     NonGenericDirectionError,
     Point,
     Polygon,
+    dump_polygon,
     is_generic,
     load_polygon,
+    lower_bound_polygon,
+    random_simple_polygon,
     reeb_graph,
 )
 from ruledpoly.exactmath import orient_sign, sign
@@ -206,6 +210,8 @@ def test_no_fraction_in_load_sweeps_or_cones(monkeypatch):
     v = Direction(1, 3)  # heights 5 and 5 - 9e-30 tie as floats only
     cone = P.cone(P.reflex_indices()[0])
     others = [Direction(1, 0), Direction(0, 1), Direction(-2, 3), v]
+    # radii are public Fractions; the second star's integers pass 2**63
+    stars = [FamilyParams(31), FamilyParams(7, r1=10 ** 7)]
 
     made = _count_fractions(monkeypatch)
     load_polygon(doc)
@@ -217,3 +223,10 @@ def test_no_fraction_in_load_sweeps_or_cones(monkeypatch):
     for w in others:
         cone.contains(w)
     assert made == [], "DoubleCone.contains"
+    built = [lower_bound_polygon(params) for params in stars]
+    assert made == [], "lower_bound_polygon"
+    built.append(random_simple_polygon(12, 3))
+    assert made == [], "random_simple_polygon"
+    for Q in [P] + built:
+        dump_polygon(Q)
+    assert made == [], "dump_polygon"
