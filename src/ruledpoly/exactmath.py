@@ -11,8 +11,9 @@ rational into its mirror or of a float operation, and an absolute ETA
 (2^-1074, twice the largest error of a rounding into the subnormal
 range) for each rounding that may underflow: a mirror or a product, not
 a sum or a difference, which is then exact. mirror_error_bound,
-diff_error_bound, cross_filter (orient_sign, orient_lanes,
-corner_cross), dot_filter (reeb's heights) and angle_filter (sweep
+diff_error_bound, cross_filter (orient_sign, orient_lanes, which
+gives every corner sign of a polygon, and the star certificate of
+generators), dot_filter (reeb's heights) and angle_filter (sweep
 angles) apply it; filtered_sign_array and filtered_order let exact
 values decide the rest. Both take one batch accessor, exact(lanes):
 for an index array of the lanes the floats leave undecided, their exact
@@ -196,18 +197,6 @@ def orient_lanes(pts, xs: np.ndarray, ys: np.ndarray, lanes: np.ndarray) -> np.n
             signs[rest] = filtered_sign_array(det, err, exact)
         out[start:start + _LANE_BLOCK] = signs
     return out
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflowed lanes go to the exact path
-def corner_cross(ax, ay, px, py, bx, by) -> tuple[np.ndarray, np.ndarray]:
-    """Float cross(p - a, b - p) of mirror arrays and its error bound.
-
-    Lane i is the turn at p_i coming from a_i and going on to b_i. A
-    zero difference vector forces the exact cross to 0, which the bound
-    can never clear.
-    """
-    det, err = cross_filter(ax, ay, bx, by, px, py)  # cross(a - p, b - p), negated
-    return -det, err
 
 
 def dot_filter(x, y, wx, wy):

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import corner_cross, exact_cross, filtered_sign_array, integer_lanes, orient_lanes
+from .exactmath import cross_filter, exact_cross, filtered_sign_array, integer_lanes, orient_lanes
 from .geometry import (
     Point,
     Polygon,
@@ -125,9 +125,10 @@ def _certify_star_shaped(ring: list[Point], xf: np.ndarray | None = None,
     n = len(ring)
     if xf is None:
         xf, yf = _mirrors(ring)
-    # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i, p_{i+1}), which has
-    # the sign of cross((X_i, Y_i), (X_{i+1}, Y_{i+1}))
-    cr, err = corner_cross(0.0, 0.0, xf, yf, np.roll(xf, -1), np.roll(yf, -1))
+    # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i - origin, p_{i+1} - origin),
+    # which has the sign of cross((X_i, Y_i), (X_{i+1}, Y_{i+1}))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed lanes go to the exact path
+        cr, err = cross_filter(xf, yf, np.roll(xf, -1), np.roll(yf, -1), 0.0, 0.0)
 
     def exact(lanes: np.ndarray) -> np.ndarray:
         (x, y, _), (x1, y1, _) = integer_lanes(ring, lanes), integer_lanes(ring, (lanes + 1) % n)

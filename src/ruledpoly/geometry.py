@@ -5,8 +5,11 @@ denominator, and every geometric decision is an exact sign computed
 from these integers; float mirrors of all coordinates are kept
 alongside for numpy fast paths and filtered scalar predicates (see
 exactmath). Fractions appear only at the public edge. Each ring's
-corner signs are computed once, at construction, and give its merging,
-its orientation and its reflex vertices.
+corner signs are computed once, at construction, as the lanes of one
+orient_lanes call, and give its merging (itself decided as lanes), its
+orientation and its reflex vertices. The rings are then laid end to end
+in one flat vertex table of points, mirrors and signs, which validation
+and the polygon share.
 
 The polygon file format is a UTF-8 JSON document
 
@@ -57,12 +60,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exactmath import (
-    corner_cross,
     delta_lanes,
     exact_cross,
     exact_delta,
     filtered_order,
-    filtered_sign_array,
     float_direction,
     integer_lanes,
     orient_lanes,
@@ -358,8 +359,6 @@ class Ring:
 
 
 def _coerce_points(ring_like) -> list[Point]:
-    if isinstance(ring_like, Ring):
-        return list(ring_like.vertices)
     pts = []
     for item in ring_like:
         if isinstance(item, Point):
@@ -378,57 +377,54 @@ def _mirrors(pts: list[Point]) -> tuple[np.ndarray, np.ndarray]:
             np.fromiter((p.yf for p in pts), dtype=float, count=n))
 
 
+def _links(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(next, prev): the ring-next and ring-previous vertex of every
+    global index, for rings of these sizes laid end to end."""
+    sizes = np.array(sizes)
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    n = int(ends[-1])
+    nxt = np.arange(1, n + 1)
+    nxt[ends - 1] = starts
+    prv = np.arange(-1, n - 1)
+    prv[starts] = ends - 1
+    return nxt, prv
+
+
 def _corner_signs(pts: list[Point], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Exact sign of cross(p - prev, next - p) at every corner p of a ring:
-    +1 a left turn, -1 a right turn, 0 a duplicate, straight or slit corner."""
-    n = len(pts)
-    # the ring padded with its last and first vertex: corner i is lanes i .. i + 2
-    xe, ye = np.concatenate((xs[-1:], xs, xs[:1])), np.concatenate((ys[-1:], ys, ys[:1]))
-    cr, err = corner_cross(xe[:-2], ye[:-2], xs, ys, xe[2:], ye[2:])
-
-    def exact(lanes: np.ndarray) -> np.ndarray:
-        ux, uy, _ = delta_lanes(pts, np.array(((lanes - 1) % n, lanes)))
-        wx, wy, _ = delta_lanes(pts, np.array((lanes, (lanes + 1) % n)))
-        return exact_cross(ux, uy, wx, wy)
-
-    return filtered_sign_array(cr, err, exact)
+    +1 a left turn, -1 a right turn, 0 a duplicate, straight or slit corner.
+    That cross is cross(next - p, prev - p), one orient_lanes lane."""
+    nxt, prv = _links([len(pts)])
+    return orient_lanes(pts, xs, ys, np.array((nxt, prv, np.arange(len(pts)))))
 
 
 def _merge_ring(pts: list[Point]) -> list[Point]:
     """Drop duplicate and straight-through vertices; reject slit corners.
 
-    Iterates to a fixed point because removing a vertex can make its
-    neighbor collinear in turn.
+    Each pass decides the zero-sign corners of the ring as it stood when
+    the pass began, as lanes of their edge vectors u from the previous
+    vertex and w to the next: w = 0 (a duplicate of the next vertex) is
+    dropped, u = 0 kept until the next pass, u . w > 0 (straight through)
+    dropped, and anything else is a slit. Iterates to a fixed point
+    because removing a vertex can make its neighbor collinear in turn.
     """
     while True:
         n = len(pts)
         if n < 3:
             raise TooFewVerticesError(f"ring has {n} corners after merging")
-        out = []
-        changed = False
-        for i in range(n):
-            prv = pts[i - 1]
-            p = pts[i]
-            nxt = pts[(i + 1) % n]
-            if p == nxt:
-                changed = True
-                continue
-            if prv == p:
-                out.append(p)  # duplicate resolved at the previous index next pass
-                changed = True
-                continue
-            d1x, d1y, _ = exact_delta(prv, p)
-            d2x, d2y, _ = exact_delta(p, nxt)
-            cr = exact_cross(d1x, d1y, d2x, d2y)
-            if cr == 0:
-                if d1x * d2x + d1y * d2y > 0:
-                    changed = True
-                    continue
-                raise SlitVertexError(f"edges double back at {p!r}")
-            out.append(p)
-        pts = out
-        if not changed:
+        zero = np.flatnonzero(_corner_signs(pts, *_mirrors(pts)) == 0)
+        if not len(zero):
             return pts
+        ux, uy, _ = delta_lanes(pts, np.array(((zero - 1) % n, zero)))
+        wx, wy, _ = delta_lanes(pts, np.array((zero, (zero + 1) % n)))
+        drop = (wx == 0) & (wy == 0) | (ux * wx + uy * wy > 0)
+        slit = np.flatnonzero(~drop & ((ux != 0) | (uy != 0)))
+        if len(slit):
+            raise SlitVertexError(f"edges double back at {pts[zero[slit[0]]]!r}")
+        keep = np.ones(n, dtype=bool)
+        keep[zero[drop]] = False
+        pts = list(itertools.compress(pts, keep.tolist()))
 
 
 def _normalize_ring(pts: list[Point], want: int) -> tuple[list[Point], np.ndarray,
@@ -673,12 +669,14 @@ class _Status:
         keys.insert(b + 1, upper.key)
 
 
-def _validate_rings(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
-                    signs: list[np.ndarray], bound: float) -> None:
+def _validate_rings(pts: list[Point], xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
+                    sizes: list[int], bound: float) -> None:
     """Reject any contact between edges of the rings other than the
-    vertex two ring-consecutive edges share, and any hole (rings[1:])
-    outside the outer ring (rings[0]) or inside another hole. xs, ys and
-    signs are each ring's float mirrors and exact corner signs; bound is
+    vertex two ring-consecutive edges share, and any hole outside the
+    outer ring or inside another hole. The rings lie end to end in one
+    vertex table, the outer ring first, then the holes: their points
+    pts, float mirrors xf, yf and exact corner signs turn, with
+    ring r's vertices following ring r - 1's, sizes[r] of them; bound is
     the static bound of the status (_Status) for all rings.
 
     One exact any-segment-intersection sweep over the edges of every
@@ -703,10 +701,13 @@ def _validate_rings(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.
     before any hole placement fault.
     """
     try:
-        _sweep(rings, xs, ys, signs, bound)
+        _sweep(pts, xf, yf, turn, sizes, bound)
     except HolePlacementError:
-        for ring in zip(rings, xs, ys, signs):  # one ring alone: raises only SelfIntersectionError
-            _sweep(*([part] for part in ring), bound)
+        end = 0
+        for size in sizes:  # one ring alone: raises only SelfIntersectionError
+            ring = slice(end, end + size)
+            end += size
+            _sweep(pts[ring], xf[ring], yf[ring], turn[ring], [size], bound)
         raise
 
 
@@ -743,24 +744,12 @@ def _failed_check(touches: list[int], sides: list[int], pts: list[Point], xs: np
     return None
 
 
-def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
-           signs: list[np.ndarray], bound: float) -> None:
-    pts = [p for ring in rings for p in ring]
+def _sweep(pts: list[Point], xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
+           sizes: list[int], bound: float) -> None:
     n = len(pts)
-    ring_of: list[int] = []
-    first: list[int] = []
-    nxt = list(range(1, n + 1))
-    base = 0
-    for r, ring in enumerate(rings):
-        first.append(base)
-        ring_of.extend([r] * len(ring))
-        base += len(ring)
-        nxt[base - 1] = first[r]
-    prv = [0] * n
-    for e in range(n):
-        prv[nxt[e]] = e
-    xf, yf = np.concatenate(xs), np.concatenate(ys)
-    turn = np.concatenate(signs).tolist()
+    nxt, prv = _links(sizes)
+    ring_of = np.repeat(np.arange(len(sizes)), sizes).tolist()
+    turn = turn.tolist()
 
     # exact lexicographic order, equal points by index; x mirrors decide unless they tie
     events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, pts), _lex_cmp)
@@ -768,6 +757,7 @@ def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
     # in event order. The interior lies left of every edge, so above an
     # edge that runs forward in event order, and the status runs upward.
     forward = _forward(events, nxt)
+    nxt, prv = nxt.tolist(), prv.tolist()
     events = events.tolist()
     repeat = repeat.tolist()
     lo = [e if forward[e] else nxt[e] for e in range(n)]
@@ -777,9 +767,10 @@ def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
     def fault(e: int, f: int) -> PolygonError:
         re, rf = ring_of[e], ring_of[f]
         if re == rf:
-            i, j = sorted((e - first[re], f - first[re]))
+            first = sum(sizes[:re])
+            i, j = sorted((e - first, f - first))
             return SelfIntersectionError(
-                f"edges {i} and {j} of a ring intersect near {rings[re][i]!r}")
+                f"edges {i} and {j} of a ring intersect near {pts[first + i]!r}")
         a, b = sorted((re, rf))
         if a == 0:
             return HolePlacementError(f"hole {b - 1} touches the outer boundary")
@@ -796,7 +787,7 @@ def _sweep(rings: list[list[Point]], xs: list[np.ndarray], ys: list[np.ndarray],
 
     raised = None
     try:
-        seen = [False] * len(rings)
+        seen = [False] * len(sizes)
         for k, v in enumerate(events):
             if repeat[k]:
                 raise fault(v, events[k - 1])  # a repeated point: both edges leaving it touch
@@ -867,13 +858,15 @@ class Polygon:
     interior always lies to the left of traversal and one cross product
     rule classifies reflex vertices on every ring.
 
-    Construction makes one filtered pass over each ring for the exact
-    sign of every corner. A zero sign (a duplicate, straight-through or
-    slit corner) sends the ring through the exact merge loop, which drops
-    the first two kinds and rejects the third; the sign at the
-    lexicographically least vertex gives the orientation; the negative
-    signs are the reflex vertices. The rings are then validated with one
-    exact sweep (_validate_rings): SelfIntersectionError when two edges
+    Construction takes the exact sign of every corner of a ring as the
+    lanes of one orient_lanes call. A zero sign (a duplicate,
+    straight-through or slit corner) sends the ring through the exact
+    merge loop, which drops the first two kinds and rejects the third,
+    each pass as lanes; the sign at the lexicographically least vertex
+    gives the orientation; the negative signs are the reflex vertices.
+    The rings' points, mirrors and signs are concatenated once, into the
+    vertex table that P keeps and validation reads, and validated with
+    one exact sweep (_validate_rings): SelfIntersectionError when two edges
     of one ring share a point other than the vertex between consecutive
     edges, HolePlacementError when rings touch or a hole lies outside the
     outer ring or inside another hole. Construction also takes the
@@ -890,34 +883,23 @@ class Polygon:
                  "_bound", "_reflex", "_cones")
 
     def __init__(self, outer, holes: Iterable = (), *, validate: bool = True):
-        rings, xs, ys, signs = [], [], [], []
-        for r, ring in enumerate(itertools.chain([outer], holes)):
-            pts, x, y, s = _normalize_ring(_coerce_points(ring), -1 if r else 1)
-            rings.append(pts)
-            xs.append(x)
-            ys.append(y)
-            signs.append(s)
-        coords = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+        rings, xs, ys, signs = zip(*(_normalize_ring(_coerce_points(ring), -1 if r else 1)
+                                     for r, ring in enumerate(itertools.chain([outer], holes))))
+        self._pts = [p for pts in rings for p in pts]
+        xf, yf, turn = np.concatenate(xs), np.concatenate(ys), np.concatenate(signs)
+        sizes = [len(pts) for pts in rings]
         # the first stage of every point location in P, validation's and the Reeb sweep's
-        bound = static_cross_bound(float(np.abs(coords).max()))
+        self._bound = static_cross_bound(float(max(np.abs(xf).max(), np.abs(yf).max())))
         if validate:
-            _validate_rings(rings, xs, ys, signs, bound)
+            _validate_rings(self._pts, xf, yf, turn, sizes, self._bound)
 
         self.outer = Ring(rings[0])
-        self.holes = tuple(Ring(r) for r in rings[1:])
-        self._pts = [p for pts in rings for p in pts]
+        self.holes = tuple(Ring(pts) for pts in rings[1:])
         self.n = len(self._pts)
         self.h = len(rings) - 1
-        sizes = [len(pts) for pts in rings]
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        self._next = np.arange(1, self.n + 1)
-        self._next[ends - 1] = starts
-        self._prev = np.arange(-1, self.n - 1)
-        self._prev[starts] = ends - 1
-        self._coords = coords
-        self._bound = bound
-        self._reflex = np.concatenate(signs) < 0
+        self._next, self._prev = _links(sizes)
+        self._coords = np.column_stack((xf, yf))
+        self._reflex = turn < 0
         self._cones = {}
 
     # -- vertex addressing ------------------------------------------------
@@ -980,16 +962,26 @@ def load_polygon(source) -> Polygon:
     """Parse and validate a polygon document.
 
     Accepts bytes, str, or a readable file object. Numbers are parsed
-    exactly; NaN and infinities are rejected.
+    exactly; NaN and infinities are rejected. A document that is not
+    UTF-8, not JSON, nested beyond the parser's depth or holding an
+    integer beyond the interpreter's digit limit is a PolygonParseError.
     """
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     try:
+        if isinstance(source, bytes):
+            source = source.decode("utf-8")
         doc = json.loads(source, parse_float=decimal.Decimal, parse_constant=_reject_constant)
+    except PolygonParseError:
+        raise
+    except UnicodeDecodeError as exc:
+        raise PolygonParseError(f"polygon document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PolygonParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise PolygonParseError("integer with too many digits in polygon document") from exc
+    except RecursionError as exc:
+        raise PolygonParseError("polygon document nested too deeply") from exc
     if not isinstance(doc, dict):
         raise PolygonParseError("top level must be an object")
     unknown = set(doc) - {"outer", "holes"}

@@ -47,14 +47,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-class _Canvas:
-    def __init__(self):
-        self.parts: list[str] = []
-
-    def add(self, element: str) -> None:
-        self.parts.append(element)
-
-
 def _ring_path(ring, mapper) -> str:
     coords = []
     for p in ring:
@@ -166,13 +158,13 @@ def render_svg(spec: RenderSpec) -> bytes:
         return x, flip - y
 
     sw = 0.004 * diag
-    canvas = _Canvas()
-    canvas.add(
+    parts: list[str] = []  # the SVG elements, in drawing order
+    parts.append(
         f'<rect x="{_fmt(vb_x)}" y="{_fmt(flip - ymax - margin)}" '
         f'width="{_fmt(vb_w)}" height="{_fmt(vb_h)}" fill="#fbfbf8"/>')
 
     path = " ".join(_ring_path(ring, mapper) for ring in P.rings)
-    canvas.add(
+    parts.append(
         f'<path d="{path}" fill="#dbe6f2" fill-rule="evenodd" '
         f'stroke="#27415e" stroke-width="{_fmt(sw * 1.5)}" '
         f'stroke-linejoin="round"/>')
@@ -185,7 +177,7 @@ def render_svg(spec: RenderSpec) -> bytes:
                 ra = (sgn * ray_a[0], sgn * ray_a[1])
                 rb = (sgn * ray_b[0], sgn * ray_b[1])
                 pts = _wedge_points(apex, ra, rb, rho, mapper)
-                canvas.add(
+                parts.append(
                     f'<polygon points="{pts}" fill="#d98943" '
                     f'fill-opacity="0.3" stroke="none"/>')
 
@@ -193,7 +185,7 @@ def render_svg(spec: RenderSpec) -> bytes:
         for (x1, y1), (x2, y2) in _ruling_segments(P, v, spec.ruling_line_count):
             sx1, sy1 = mapper(x1, y1)
             sx2, sy2 = mapper(x2, y2)
-            canvas.add(
+            parts.append(
                 f'<line x1="{_fmt(sx1)}" y1="{_fmt(sy1)}" '
                 f'x2="{_fmt(sx2)}" y2="{_fmt(sy2)}" stroke="#7a9e52" '
                 f'stroke-width="{_fmt(sw)}"/>')
@@ -217,23 +209,23 @@ def render_svg(spec: RenderSpec) -> bytes:
         for a, b in graph.edges:
             x1, y1 = node_xy(a)
             x2, y2 = node_xy(b)
-            canvas.add(
+            parts.append(
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
                 f'y2="{_fmt(y2)}" stroke="#7d7d78" stroke-width="{_fmt(sw)}"/>')
         r = 0.012 * diag
         for idx, nd in enumerate(graph.nodes):
             x, y = node_xy(idx)
             if nd.kind == "leaf":
-                canvas.add(
+                parts.append(
                     f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(r)}" '
                     f'fill="#2e6db4"/>')
             else:
-                canvas.add(
+                parts.append(
                     f'<rect x="{_fmt(x - r)}" y="{_fmt(y - r)}" '
                     f'width="{_fmt(2 * r)}" height="{_fmt(2 * r)}" '
                     f'fill="#c2504f"/>')
 
-    body = "\n  ".join(canvas.parts)
+    body = "\n  ".join(parts)
     svg = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
