@@ -320,7 +320,7 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
     """
     if not cones:
         return 0, Direction(1, 0)
-    vecs = [c._d1 for c in cones] + [c._d2 for c in cones]
+    vecs = [c._d1[:2] for c in cones] + [c._d2[:2] for c in cones]
     # any positive scale of each vector will do, so none overflows a float
     d = np.array([float_direction(*u) for u in vecs])
     exact = np.array(vecs, dtype=object).T

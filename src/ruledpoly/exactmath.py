@@ -11,14 +11,15 @@ rational into its mirror or of a float operation, and an absolute ETA
 (2^-1074, twice the largest error of a rounding into the subnormal
 range) for each rounding that may underflow: a mirror or a product, not
 a sum or a difference, which is then exact. mirror_error_bound,
-diff_error_bound, cross_filter (orient_sign, orient_lanes, which
-gives every corner sign of a polygon, and the star certificate of
-generators), dot_filter (reeb's heights) and angle_filter (sweep
-angles) apply it; filtered_sign_array and filtered_order let exact
-values decide the rest. Both take one batch accessor, exact(lanes):
-for an index array of the lanes the floats leave undecided, their exact
-values in one array whose last axis runs over those lanes, object
-arrays of Python ints, so that every operation on them stays exact.
+diff_error_bound, cross_filter (orient_sign for point location, and
+orient_lanes for every other orientation: corner signs, contacts and
+the star certificate of generators), dot_filter (reeb's heights) and
+angle_filter (sweep angles) apply it; filtered_sign_array and
+filtered_order let exact values decide the rest. Both take one batch
+accessor, exact(lanes): for an index array of the lanes the floats
+leave undecided, their exact values in one array whose last axis runs
+over those lanes, object arrays of Python ints, so that every operation
+on them stays exact; chain_cuts finds where float order decides alone.
 integer_lanes gathers points' integers (X, Y, D) as such rows, and
 delta_lanes is exact_delta's lane form, as orient_lanes is
 orient_sign's. static_cross_bound is cross_filter's bound at
@@ -265,6 +266,13 @@ def filtered_sign_array(vals: np.ndarray, errs: np.ndarray,
     return out
 
 
+def chain_cuts(v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """cut[..., t]: for v sorted along its last axis, each within r of its
+    exact value, every lane after t clears every lane up to t."""
+    return (np.minimum.accumulate((v - r)[..., ::-1], axis=-1)[..., ::-1][..., 1:]
+            > np.maximum.accumulate(v + r, axis=-1)[..., :-1])
+
+
 def filtered_order(values: np.ndarray, radii: np.ndarray,
                    exact: Callable[[np.ndarray], np.ndarray],
                    cmp: Callable[[object, object], object]) -> tuple[np.ndarray, np.ndarray]:
@@ -290,10 +298,7 @@ def filtered_order(values: np.ndarray, radii: np.ndarray,
     order = np.argsort(values, kind="stable")
     m = len(order)
     tie = np.zeros(m, dtype=bool)
-    v = values[order]
-    r = radii[order]
-    # cut[t]: every lane after t clears every lane up to t (wide ones reach back)
-    cut = np.minimum.accumulate((v - r)[::-1])[::-1][1:] > np.maximum.accumulate(v + r)[:-1]
+    cut = chain_cuts(values[order], radii[order])
     if cut.all():
         return order, tie
     cuts = np.concatenate(([0], np.flatnonzero(cut) + 1, [m]))

@@ -25,13 +25,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import cross_filter, exact_cross, filtered_sign_array, integer_lanes, orient_lanes
+from .exactmath import filtered_sign_array, integer_lanes, orient_lanes
 from .geometry import (
     Point,
     Polygon,
     PolygonError,
     _EXACT_FLOAT,
-    _contact_lanes,
     _mirrors,
     _points_from_ints,
     _touching,
@@ -110,31 +109,27 @@ def _certify_star_shaped(ring: list[Point], xf: np.ndarray | None = None,
     """Prove a ring simple by radial monotonicity about the origin.
 
     Requires every adjacent pair of position vectors to span a nonzero
-    oriented angle of consistent sign (exact cross product test, float
-    filtered) and the ring to wind exactly once about the origin. Each
-    step then turns by less than 180 degrees one way, so the winding
-    number is the count of steps that cross one ray from the origin
-    (the crossing-number rule, O'Rourke, Computational Geometry in C,
-    7.4): those that enter the half-turn of angles [0, 180) from outside
-    it, which cross the ray along +x on a counterclockwise ring and the
-    ray along -x on a clockwise one. Signs of the integers decide which
-    points lie in the half-turn. The boundary is then the graph of a
-    radial function, hence simple, with the origin strictly inside.
+    oriented angle of consistent sign (the exact signs of one
+    orient_lanes call) and the ring to wind exactly once about the
+    origin. Each step then turns by less than 180 degrees one way, so
+    the winding number is the count of steps that cross one ray from
+    the origin (the crossing-number rule, O'Rourke, Computational
+    Geometry in C, 7.4): those that enter the half-turn of angles
+    [0, 180) from outside it, which cross the ray along +x on a
+    counterclockwise ring and the ray along -x on a clockwise one.
+    Signs of the integers decide which points lie in the half-turn. The
+    boundary is then the graph of a radial function, hence simple, with
+    the origin strictly inside.
     xf and yf are the ring's mirror arrays, when the caller has them.
     """
     n = len(ring)
     if xf is None:
         xf, yf = _mirrors(ring)
-    # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i - origin, p_{i+1} - origin),
-    # which has the sign of cross((X_i, Y_i), (X_{i+1}, Y_{i+1}))
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowed lanes go to the exact path
-        cr, err = cross_filter(xf, yf, np.roll(xf, -1), np.roll(yf, -1), 0.0, 0.0)
-
-    def exact(lanes: np.ndarray) -> np.ndarray:
-        (x, y, _), (x1, y1, _) = integer_lanes(ring, lanes), integer_lanes(ring, (lanes + 1) % n)
-        return exact_cross(x, y, x1, y1)
-
-    signs = filtered_sign_array(cr, err, exact)
+    # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i - origin, p_{i+1} - origin):
+    # one orient_lanes lane (i, i + 1, origin), the origin appended as vertex n
+    i = np.arange(n)
+    signs = orient_lanes(ring + [Point(0, 0)], np.append(xf, 0.0), np.append(yf, 0.0),
+                         np.array((i, (i + 1) % n, np.full(n, n))))
     if np.any(signs == 0):
         raise PolygonError("star certificate failed: adjacent radial collinearity")
     if not (np.all(signs == 1) or np.all(signs == -1)):
@@ -243,9 +238,7 @@ def _find_contact(pts: list[Point]) -> tuple[int, int] | None:
     keep = (i > 0) | (j < n - 1)  # edges 0 and n - 1 are adjacent
     i, j = i[keep], j[keep]
     quads = np.stack((i, (i + 1) % n, j, (j + 1) % n))
-    xs, ys = _mirrors(pts)
-    o = orient_lanes(pts, xs, ys, _contact_lanes(quads))
-    hits = np.flatnonzero(_touching(pts, o.reshape(4, -1), quads))
+    hits = np.flatnonzero(_touching(pts, *_mirrors(pts), quads))
     return (int(i[hits[0]]), int(j[hits[0]])) if len(hits) else None
 
 

@@ -5,11 +5,11 @@ denominator, and every geometric decision is an exact sign computed
 from these integers; float mirrors of all coordinates are kept
 alongside for numpy fast paths and filtered scalar predicates (see
 exactmath). Fractions appear only at the public edge. Each ring's
-corner signs are computed once, at construction, as the lanes of one
-orient_lanes call, and give its merging (itself decided as lanes), its
-orientation and its reflex vertices. The rings are then laid end to end
-in one flat vertex table of points, mirrors and signs, which validation
-and the polygon share.
+corner signs are the lanes of one orient_lanes call per pass of its
+merge, one pass for a ring with nothing to merge, and give its merging
+(itself decided as lanes), its orientation and its reflex vertices.
+The rings are then laid end to end in one flat vertex table of points,
+mirrors and signs, which validation and the polygon share.
 
 The polygon file format is a UTF-8 JSON document
 
@@ -52,6 +52,7 @@ import itertools
 import json
 import math
 import re
+import reprlib
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key, partial
@@ -117,13 +118,16 @@ class NonReflexVertexError(ValueError):
     """A cone was asked for at a convex vertex."""
 
 
-# an optional sign, then a decimal literal with an optional exponent or p/q, q > 0
+# an optional sign, then a decimal literal with an optional exponent or p/q, q > 0;
+# no two ways to split a run of digits, so a failed match backtracks in linear time
 _LITERAL = re.compile(
-    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+/0*[1-9][0-9]*)")
+    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+/0*[1-9][0-9]*)")
 
 
 _BEYOND_FLOAT_RANGE = "coordinate beyond the float range (about 1.8e308)"
 _EXACT_FLOAT = 2 ** 53  # every integer of smaller magnitude is a float
+# a decimal coordinate's last digit has a place value of 10**_LEAST_PLACE or more
+_LEAST_PLACE = -5000
 
 
 def _ratio(value, cap: int | None = None) -> tuple[int, int]:
@@ -132,10 +136,11 @@ def _ratio(value, cap: int | None = None) -> tuple[int, int]:
     binary value), or a string holding an optional sign, then a decimal
     literal with an optional exponent or "p/q" of unsigned integers.
 
-    With a cap, a decimal (a Decimal or a decimal literal) whose leading
-    digit has a place value of 10**cap or more is refused by its
-    exponent, before its integers are built: those of 1e4000000 take
-    seconds.
+    With a cap, a nonzero decimal (a Decimal or a decimal literal) whose
+    leading digit has a place value of 10**cap or more, or whose last
+    digit has one below 10**_LEAST_PLACE, is refused by its exponent,
+    before its integers are built: those of 1e4000000, 1e-4000000 or a
+    million fraction digits take seconds.
     """
     if type(value) is int:  # exact types first: JSON's int (its Decimal below), Fraction
         return value, 1
@@ -143,7 +148,7 @@ def _ratio(value, cap: int | None = None) -> tuple[int, int]:
         return value.numerator, value.denominator
     if isinstance(value, str):
         if _LITERAL.fullmatch(value) is None:
-            raise PolygonParseError(f"bad coordinate literal {value!r}")
+            raise PolygonParseError(f"bad coordinate literal {reprlib.repr(value)}")
         p, slash, q = value.partition("/")
         if slash:
             try:
@@ -155,9 +160,13 @@ def _ratio(value, cap: int | None = None) -> tuple[int, int]:
             return p // g, q // g
         value = decimal.Decimal(value)
     if isinstance(value, (float, decimal.Decimal)):
-        if cap is not None and isinstance(value, decimal.Decimal) and value \
-                and value.adjusted() >= cap:
-            raise PolygonParseError(_BEYOND_FLOAT_RANGE)
+        if cap is not None and isinstance(value, decimal.Decimal) and value:
+            top = value.adjusted()  # the leading digit's place; 0 for NaN and inf
+            if top >= cap:
+                raise PolygonParseError(_BEYOND_FLOAT_RANGE)
+            # the last digit's place is as_tuple's exponent, and above top - len(str(value))
+            if top - len(str(value)) < _LEAST_PLACE and value.as_tuple().exponent < _LEAST_PLACE:
+                raise PolygonParseError(f"coordinate with a digit below 1e{_LEAST_PLACE}")
         try:
             return value.as_integer_ratio()
         except (OverflowError, ValueError) as exc:  # infinities and NaNs
@@ -172,6 +181,13 @@ def as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
 
 
+def _scaled(x, y, cap: int | None = None) -> tuple[int, int, int]:
+    """(X, Y, D), D > 0 least, with (x, y) = (X / D, Y / D) (_ratio, cap)."""
+    (xn, xd), (yn, yd) = _ratio(x, cap), _ratio(y, cap)
+    d = math.lcm(xd, yd)
+    return xn * (d // xd), yn * (d // yd), d
+
+
 class Point:
     """Exact planar point (X / D, Y / D), D > 0 the least common denominator
     of its reduced coordinates, so (X, Y, D) is canonical. The float
@@ -181,11 +197,9 @@ class Point:
 
     def __init__(self, x, y):
         # 1e309 and up are beyond the float range, whatever their digits
-        (xn, xd), (yn, yd) = _ratio(x, 309), _ratio(y, 309)
-        d = self.D = math.lcm(xd, yd)
-        self.X, self.Y = xn * (d // xd), yn * (d // yd)
+        self.X, self.Y, self.D = X, Y, D = _scaled(x, y, 309)
         try:
-            self.xf, self.yf = self.X / d, self.Y / d
+            self.xf, self.yf = X / D, Y / D
         except OverflowError as exc:
             raise PolygonParseError(_BEYOND_FLOAT_RANGE) from exc
 
@@ -252,21 +266,19 @@ class Direction:
     representative has dy > 0, or dy == 0 and dx > 0, at the caller's
     scale. It is kept as integers (a, b, m), (dx, dy) = (a / m, b / m),
     built straight from two int components and through their exact
-    ratios otherwise; dx and dy are Fractions worked out on access. Its
-    coprime integer pair, fixed at construction, decides equality and
-    every predicate; the float angle is only a sort key that exact
-    comparisons refine.
+    ratios otherwise (_scaled), making no Fraction; dx and dy are
+    Fractions worked out on access. Its coprime integer pair, fixed at
+    construction, decides equality and every predicate; the float angle
+    is only a sort key that exact comparisons refine.
     """
 
     __slots__ = ("_ints", "_pair", "fdx", "fdy")
 
     def __init__(self, dx, dy):
-        if type(dx) is int and type(dy) is int:
-            a, b, m = dx, dy, 1
-        else:
-            dx, dy = as_fraction(dx), as_fraction(dy)
-            m = math.lcm(dx.denominator, dy.denominator)
-            a, b = dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator)
+        self._set(*((dx, dy, 1) if type(dx) is int and type(dy) is int else _scaled(dx, dy)))
+
+    def _set(self, a: int, b: int, m: int) -> None:
+        """Hold the direction of (a / m, b / m), m > 0."""
         if not a and not b:
             raise ValueError("the zero vector has no direction")
         if b < 0 or (b == 0 and a < 0):
@@ -298,6 +310,13 @@ class Direction:
         return f"Direction({self.dx}, {self.dy})"
 
 
+def _normal(x: int, y: int, s: int) -> Direction:
+    """The Direction of (y / s, -x / s), at the caller's scale s."""
+    v = Direction.__new__(Direction)
+    v._set(y, -x, s)
+    return v
+
+
 class DoubleCone:
     """The closed double cone of directions eliminating one reflex vertex.
 
@@ -305,26 +324,29 @@ class DoubleCone:
     d1, d2 point from the apex to its two ring neighbors. Under such v
     both incident edges fall on one side of the ruling line through the
     apex, so the level set does not branch there; the set is closed and
-    symmetric under v -> -v. d1 and d2 are kept as integer vectors, each
-    at a positive scale of its own, and v as its integer pair.
+    symmetric under v -> -v. d1 and d2 are kept as exact_delta's
+    integers (x, y, s), d = (x / s, y / s), and v as its integer pair.
 
     Swept counterclockwise (mod 180 degrees) the cone is entered at
     arc_start, the outward normal of the incoming edge, and left at
-    arc_end, the outward normal of the outgoing edge.
+    arc_end, the outward normal of the outgoing edge, each on access.
     """
 
-    __slots__ = ("apex", "arc_start", "arc_end", "_d1", "_d2")
+    __slots__ = ("apex", "_d1", "_d2")
 
     def __init__(self, apex: Point, prev_point: Point, next_point: Point):
-        x1, y1, s1 = exact_delta(apex, prev_point)
-        x2, y2, s2 = exact_delta(apex, next_point)
-        if exact_cross(x1, y1, x2, y2) <= 0:
+        self._d1, self._d2 = d1, d2 = exact_delta(apex, prev_point), exact_delta(apex, next_point)
+        if exact_cross(d1[0], d1[1], d2[0], d2[1]) <= 0:
             raise NonReflexVertexError(f"vertex at {apex!r} is not reflex")
         self.apex = apex
-        self._d1 = (x1, y1)
-        self._d2 = (x2, y2)
-        self.arc_start = Direction(Fraction(y1, s1), Fraction(-x1, s1))
-        self.arc_end = Direction(Fraction(y2, s2), Fraction(-x2, s2))
+
+    @property
+    def arc_start(self) -> Direction:
+        return _normal(*self._d1)
+
+    @property
+    def arc_end(self) -> Direction:
+        return _normal(*self._d2)
 
     def contains(self, v: Direction) -> bool:
         """Exact closed containment test."""
@@ -337,36 +359,36 @@ class DoubleCone:
         return f"DoubleCone(apex={self.apex!r}, {self.arc_start!r}..{self.arc_end!r})"
 
 
-class Ring:
-    """One boundary loop. Vertices are normalized and oriented by Polygon."""
+class Ring(tuple):
+    """One boundary loop, the tuple of its vertices, oriented by Polygon."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ()
 
-    def __init__(self, vertices: Sequence[Point]):
-        self.vertices = tuple(vertices)
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __getitem__(self, i):
-        return self.vertices[i]
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        return self
 
     def __repr__(self):
-        return f"Ring({len(self.vertices)} vertices)"
+        return f"Ring({len(self)} vertices)"
 
 
-def _coerce_points(ring_like) -> list[Point]:
+def _not_a_pair(label: str, i: int, item, length: int | None) -> PolygonParseError:
+    """The error for entry i of ring label, named by its type and length,
+    never by its contents, which may run to megabytes."""
+    kind = type(item).__name__ if length is None else f"{type(item).__name__} of length {length}"
+    return PolygonParseError(f"{label} entry {i} is not a coordinate pair: {kind}")
+
+
+def _coerce_points(ring_like, r: int) -> list[Point]:
+    """The Points of ring r, the outer ring (0) or hole r - 1."""
     pts = []
-    for item in ring_like:
+    for i, item in enumerate(ring_like):
         if isinstance(item, Point):
             pts.append(item)
         else:
             xy = tuple(item)
             if len(xy) != 2:
-                raise PolygonParseError(f"coordinate pair expected, got {item!r}")
+                raise _not_a_pair(f"holes[{r - 1}]" if r else "outer", i, item, len(xy))
             pts.append(Point(xy[0], xy[1]))
     return pts
 
@@ -399,23 +421,27 @@ def _corner_signs(pts: list[Point], xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     return orient_lanes(pts, xs, ys, np.array((nxt, prv, np.arange(len(pts)))))
 
 
-def _merge_ring(pts: list[Point]) -> list[Point]:
+def _merge_ring(pts: list[Point]) -> tuple[list[Point], np.ndarray, np.ndarray, np.ndarray]:
     """Drop duplicate and straight-through vertices; reject slit corners.
+    Returns the ring, its mirrors and its corner signs, all nonzero.
 
-    Each pass decides the zero-sign corners of the ring as it stood when
-    the pass began, as lanes of their edge vectors u from the previous
-    vertex and w to the next: w = 0 (a duplicate of the next vertex) is
-    dropped, u = 0 kept until the next pass, u . w > 0 (straight through)
-    dropped, and anything else is a slit. Iterates to a fixed point
-    because removing a vertex can make its neighbor collinear in turn.
+    Each pass takes the corner signs of the ring as it stood when the
+    pass began, and decides the zero ones as lanes of their edge vectors
+    u from the previous vertex and w to the next: w = 0 (a duplicate of
+    the next vertex) is dropped, u = 0 kept until the next pass,
+    u . w > 0 (straight through) dropped, and anything else is a slit.
+    Iterates to a fixed point because removing a vertex can make its
+    neighbor collinear in turn: a ring with no zero sign takes one pass.
     """
     while True:
         n = len(pts)
         if n < 3:
             raise TooFewVerticesError(f"ring has {n} corners after merging")
-        zero = np.flatnonzero(_corner_signs(pts, *_mirrors(pts)) == 0)
-        if not len(zero):
-            return pts
+        xs, ys = _mirrors(pts)
+        signs = _corner_signs(pts, xs, ys)
+        if signs.all():
+            return pts, xs, ys, signs
+        zero = np.flatnonzero(signs == 0)
         ux, uy, _ = delta_lanes(pts, np.array(((zero - 1) % n, zero)))
         wx, wy, _ = delta_lanes(pts, np.array((zero, (zero + 1) % n)))
         drop = (wx == 0) & (wy == 0) | (ux * wx + uy * wy > 0)
@@ -432,20 +458,13 @@ def _normalize_ring(pts: list[Point], want: int) -> tuple[list[Point], np.ndarra
     """The ring merged and oriented (want: +1 counterclockwise, -1
     clockwise), with its float mirrors and exact corner signs.
 
-    One corner-sign pass decides everything. Only a zero sign sends the
-    ring through the exact merge loop, which removes every zero. The
-    orientation is the sign at the lexicographically least vertex, a
-    strictly convex corner of a simple ring; a ring that is not simple
-    is left for validation to reject. Reversing a ring negates its signs.
+    The corner signs come from the merge (_merge_ring), one pass on a
+    ring with no zero sign. The orientation is the sign at the
+    lexicographically least vertex, a strictly convex corner of a simple
+    ring; a ring that is not simple is left for validation to reject.
+    Reversing a ring negates its signs.
     """
-    if len(pts) < 3:
-        raise TooFewVerticesError(f"ring has {len(pts)} corners after merging")
-    xs, ys = _mirrors(pts)
-    signs = _corner_signs(pts, xs, ys)
-    if not signs.all():
-        pts = _merge_ring(pts)
-        xs, ys = _mirrors(pts)
-        signs = _corner_signs(pts, xs, ys)
+    pts, xs, ys, signs = _merge_ring(pts)
     # rounding is monotone, so the exact least x has the least mirror
     low = np.flatnonzero(xs == xs.min())
     ints = integer_lanes(pts, low).T
@@ -474,15 +493,16 @@ def _contact_lanes(quads: np.ndarray) -> np.ndarray:
     return quads[_CONTACT_ROWS].reshape(3, -1)
 
 
-def _touching(pts: list[Point], o: np.ndarray, quads: np.ndarray) -> np.ndarray:
+def _touching(pts: list[Point], xs: np.ndarray, ys: np.ndarray, quads: np.ndarray) -> np.ndarray:
     """Which closed segments pts[a]-pts[b] and pts[c]-pts[d], one pair for
     each column (a, b, c, d) of quads, share a point. Exact.
 
-    o holds the exact signs of their _contact_lanes, shape (4, m).
+    Their _contact_lanes are one orient_lanes call (xs, ys: pts' mirrors).
     Segments whose endpoints straddle each other touch; otherwise only an
     endpoint collinear with the other segment (a zero lane) can touch,
     and _on_segment tells whether it does.
     """
+    o = orient_lanes(pts, xs, ys, _contact_lanes(quads)).reshape(4, -1)
     o1, o2, o3, o4 = o
     touch = (o1 != o2) & (o3 != o4)
     collinear = ~touch & ~o.all(axis=0)
@@ -723,22 +743,21 @@ def _failed_check(touches: list[int], sides: list[int], pts: list[Point], xs: np
     per order check, (lo[t], hi[t], v, side, e, t, c): vertex v, where
     edge e ended, must lie strictly on side `side` (+1 left, -1 right)
     of edge t, directed from lo[t] to hi[t]; c contact checks came
-    before it. Every check is a lane of one orient_lanes call. A failed
-    check is returned as (e, f, touch): touch is True if edges e and f
-    share a point (a vertex of e on t counts), and False if v lies
-    strictly on the wrong side of t.
+    before it. _touching decides the contact checks, and the order
+    checks are one orient_lanes call. A failed check is returned as (e,
+    f, touch): touch is True if edges e and f share a point (a vertex of
+    e on t counts), and False if v lies strictly on the wrong side of t.
     """
     if not touches and not sides:
         return None
     quads = np.array(touches, dtype=np.intp).reshape(-1, 4).T
     rows = np.array(sides, dtype=np.intp).reshape(-1, 7).T
-    m = quads.shape[1]
-    o = orient_lanes(pts, xs, ys, np.concatenate((_contact_lanes(quads), rows[:3]), axis=1))
-    touch = np.flatnonzero(_touching(pts, o[:4 * m].reshape(4, m), quads))
-    wrong = np.flatnonzero(o[4 * m:] != rows[3])
+    touch = np.flatnonzero(_touching(pts, xs, ys, quads))
+    o = orient_lanes(pts, xs, ys, rows[:3])
+    wrong = np.flatnonzero(o != rows[3])
     if len(wrong) and (not len(touch) or rows[6, wrong[0]] <= touch[0]):
         j = wrong[0]
-        return int(rows[4, j]), int(rows[5, j]), bool(o[4 * m + j] == 0)
+        return int(rows[4, j]), int(rows[5, j]), bool(o[j] == 0)
     if len(touch):
         return int(quads[0, touch[0]]), int(quads[2, touch[0]]), True
     return None
@@ -858,13 +877,12 @@ class Polygon:
     interior always lies to the left of traversal and one cross product
     rule classifies reflex vertices on every ring.
 
-    Construction takes the exact sign of every corner of a ring as the
-    lanes of one orient_lanes call. A zero sign (a duplicate,
-    straight-through or slit corner) sends the ring through the exact
-    merge loop, which drops the first two kinds and rejects the third,
-    each pass as lanes; the sign at the lexicographically least vertex
-    gives the orientation; the negative signs are the reflex vertices.
-    The rings' points, mirrors and signs are concatenated once, into the
+    Construction merges each ring (_merge_ring), each pass taking every
+    corner sign as one orient_lanes call: zero signs (duplicate,
+    straight-through or slit corners) are decided as lanes, dropping the
+    first two kinds and rejecting the third. The signs of the last pass
+    give the orientation, at the lexicographically least vertex, and
+    the reflex vertices, the negative ones. The rings' points, mirrors and signs are concatenated once, into the
     vertex table that P keeps and validation reads, and validated with
     one exact sweep (_validate_rings): SelfIntersectionError when two edges
     of one ring share a point other than the vertex between consecutive
@@ -883,7 +901,7 @@ class Polygon:
                  "_bound", "_reflex", "_cones")
 
     def __init__(self, outer, holes: Iterable = (), *, validate: bool = True):
-        rings, xs, ys, signs = zip(*(_normalize_ring(_coerce_points(ring), -1 if r else 1)
+        rings, xs, ys, signs = zip(*(_normalize_ring(_coerce_points(ring, r), -1 if r else 1)
                                      for r, ring in enumerate(itertools.chain([outer], holes))))
         self._pts = [p for pts in rings for p in pts]
         xf, yf, turn = np.concatenate(xs), np.concatenate(ys), np.concatenate(signs)
@@ -986,7 +1004,7 @@ def load_polygon(source) -> Polygon:
         raise PolygonParseError("top level must be an object")
     unknown = set(doc) - {"outer", "holes"}
     if unknown:
-        raise PolygonParseError(f"unknown keys {sorted(unknown)}")
+        raise PolygonParseError(f"unknown keys {reprlib.repr(sorted(unknown))}")
     if "outer" not in doc:
         raise PolygonParseError('missing required key "outer"')
     outer = _parse_ring_spec(doc["outer"], "outer")
@@ -1001,9 +1019,9 @@ def _parse_ring_spec(spec, label: str) -> list[Point]:
     if not isinstance(spec, list) or len(spec) < 3:
         raise PolygonParseError(f"{label} must be a list of at least 3 coordinate pairs")
     pts = []
-    for item in spec:
+    for i, item in enumerate(spec):
         if not isinstance(item, list) or len(item) != 2:
-            raise PolygonParseError(f"{label} contains a non-pair entry {item!r}")
+            raise _not_a_pair(label, i, item, len(item) if isinstance(item, list) else None)
         pts.append(Point(item[0], item[1]))
     return pts
 
@@ -1051,7 +1069,7 @@ def dump_polygon(P: Polygon) -> str:
     def ring_text(ring: Ring) -> str:
         return "[" + ",".join(
             f"[{_coordinate_text(p.X, p.D, forms)},{_coordinate_text(p.Y, p.D, forms)}]"
-            for p in ring.vertices
+            for p in ring
         ) + "]"
 
     holes_text = ",".join(ring_text(g) for g in P.holes)

@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import exactmath
-from .exactmath import dot_filter, filtered_order, integer_lanes
+from .exactmath import chain_cuts, dot_filter, filtered_order, integer_lanes
 from .geometry import Direction, Point, Polygon, _forward, _Status
 
 __all__ = [
@@ -135,9 +135,9 @@ def _block_orders(P: Polygon, block: Sequence[Direction]) \
 
     Float heights order almost everything: one dot_filter call gives
     every lane of the block its height and bound, one stable sort orders
-    each row, and the cuts of exactmath.filtered_order, taken row by
-    row, find the rows whose floats leave a chain. Each such row goes
-    through filtered_order itself, whose exact ties are resolved on the
+    each row, and exactmath.chain_cuts, taken along the rows, finds the
+    rows whose floats leave a chain. Each such row goes through
+    filtered_order itself, whose exact ties are resolved on the
     integer pair (a, b) of its direction, a positive multiple of it:
     vertex (X / D, Y / D) has height (aX + bY) / D, the tied lanes'
     pairs (aX + bY, D) are gathered at once, and two heights compare by
@@ -151,9 +151,7 @@ def _block_orders(P: Polygon, block: Sequence[Direction]) \
     hts, err = dot_filter(P._coords[:, 0], P._coords[:, 1],
                           (fdx * scale)[:, None], (fdy * scale)[:, None])
     orders = np.argsort(hts, axis=1, kind="stable")
-    hs, rs = np.take_along_axis(hts, orders, 1), np.take_along_axis(err, orders, 1)
-    cut = (np.minimum.accumulate((hs - rs)[:, ::-1], axis=1)[:, ::-1][:, 1:]
-           > np.maximum.accumulate(hs + rs, axis=1)[:, :-1])
+    cut = chain_cuts(np.take_along_axis(hts, orders, 1), np.take_along_axis(err, orders, 1))
     for j in np.flatnonzero(~cut.all(axis=1)).tolist():
         a, b = block[j]._pair
 

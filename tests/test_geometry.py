@@ -179,22 +179,23 @@ def test_coordinate_exponent_cap_keeps_values_in_range():
 
 
 def test_clean_ring_skips_merge_loop(monkeypatch):
-    """The exact merge loop runs only for a ring with a zero corner sign:
-    never on a 20 000-vertex star, once on a square with a midpoint."""
+    """The exact merge gathers (delta_lanes) run only for a ring with a
+    zero corner sign: never on a 20 000-vertex star, once (two gathers)
+    on a square with a midpoint."""
     text = dump_polygon(lower_bound_polygon(FamilyParams(10_000)))
     calls = 0
-    merge = geometry._merge_ring
+    gather = geometry.delta_lanes
 
-    def counted(pts):
+    def counted(pts, lanes):
         nonlocal calls
         calls += 1
-        return merge(pts)
+        return gather(pts, lanes)
 
-    monkeypatch.setattr(geometry, "_merge_ring", counted)
+    monkeypatch.setattr(geometry, "delta_lanes", counted)
     assert load_polygon(text).n == 20_000
     assert calls == 0
     assert Polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]).n == 4
-    assert calls == 1
+    assert calls == 2
 
 
 def test_parse_error_named():

@@ -10,6 +10,7 @@ test_many_distinct_denominators, so scales rarely agree.
 """
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,8 @@ from ruledpoly import (
     NonGenericDirectionError,
     Point,
     Polygon,
+    branch_witnesses,
+    brute_force_complexity,
     dump_polygon,
     is_generic,
     load_polygon,
@@ -230,3 +233,27 @@ def test_no_fraction_in_load_sweeps_or_cones(monkeypatch):
     for Q in [P] + built:
         dump_polygon(Q)
     assert made == [], "dump_polygon"
+
+
+def test_no_fraction_in_cones_oracle_or_directions(monkeypatch):
+    """A cone keeps its vectors as integers and works its arcs out on
+    access, and a Direction from non-int components goes through their
+    integer ratios: none of these makes a Fraction."""
+    outer = [(0, 0), (10, 0), (10, 10), (5, 5), (0, 10)]
+    hole = [(2, 1), (2, 3), (4, 3), (4, 1)]
+    P, Q, R = (Polygon(outer, [hole]) for _ in range(3))  # fresh cone caches
+    v = Direction(1, 3)
+
+    made = _count_fractions(monkeypatch)
+    cones = [P.cone(i) for i in P.reflex_indices()]
+    assert len(cones) == 5 and made == [], "Polygon.cone"
+    for c in cones:
+        c.arc_start, c.arc_end
+    assert made == [], "arc_start, arc_end"
+    branch_witnesses(Q, v)
+    assert made == [], "branch_witnesses"
+    brute_force_complexity(R)
+    assert made == [], "brute_force_complexity"
+    Direction("1/3", "2")
+    Direction(Decimal("0.5"), 1)
+    assert made == [], "Direction"

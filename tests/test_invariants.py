@@ -88,3 +88,42 @@ def test_one_scalar_point_location():
     assert _orient_sign_names(reeb) == []
     assert len(_orient_sign_calls(geometry)) == 1
     assert _orient_sign_calls(geometry) == _orient_sign_calls(locate)
+
+
+def _trees_outside(module: str):
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+            for path in SOURCES if path.name != module]
+
+
+def test_cross_filter_only_in_exactmath():
+    """Every orientation sign comes from orient_sign or orient_lanes: no
+    module but exactmath names cross_filter, their float filter."""
+    found = [f"{name}:{node.lineno}" for name, tree in _trees_outside("exactmath.py")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "cross_filter"
+             or isinstance(node, ast.alias) and node.name == "cross_filter"
+             or isinstance(node, ast.Attribute) and node.attr == "cross_filter"]
+    assert found == []
+
+
+def test_chain_cut_only_in_exactmath():
+    """The cut of a float-sorted chain is written once (exactmath.chain_cuts):
+    no module but exactmath calls minimum.accumulate or maximum.accumulate."""
+    found = [f"{name}:{node.lineno}" for name, tree in _trees_outside("exactmath.py")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "accumulate"
+             and isinstance(node.value, ast.Attribute)
+             and node.value.attr in ("minimum", "maximum")]
+    assert found == []
+
+
+def test_one_corner_sign_pass():
+    """In geometry only the merge (_merge_ring) takes a ring's corner
+    signs; _normalize_ring and Polygon read them from it."""
+    geometry = ast.parse((Path(ruledpoly.__file__).parent / "geometry.py").read_text(
+        encoding="utf-8"))
+    callers = sorted({fn.name for fn in ast.walk(geometry) if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "_corner_signs"})
+    assert callers == ["_merge_ring"]

@@ -323,10 +323,10 @@ def test_validation_cost_is_linear_in_contact_tests(monkeypatch):
     lanes = 0
     touching = geometry._touching
 
-    def counted(pts, o, quads):
+    def counted(pts, xs, ys, quads):
         nonlocal lanes
         lanes += quads.shape[1]
-        return touching(pts, o, quads)
+        return touching(pts, xs, ys, quads)
 
     monkeypatch.setattr(geometry, "_touching", counted)
     P = load_polygon(text)
