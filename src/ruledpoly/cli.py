@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import reprlib
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,15 @@ from .generators import (
     comb_polygon,
     lower_bound_polygon,
 )
-from .geometry import Direction, PolygonError, as_fraction, dump_polygon, load_polygon
+from .geometry import (
+    Direction,
+    PolygonError,
+    PolygonParseError,
+    _ratio,
+    as_fraction,
+    dump_polygon,
+    load_polygon,
+)
 from .oracle import brute_force_complexity
 from .reeb import reeb_graph, reeb_to_dict
 from .rendering import RenderSpec, render_svg
@@ -33,6 +42,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
+
+# a decimal --direction component's leading digit has a place value below 10**_DIRECTION_PLACE
+_DIRECTION_PLACE = 5000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,14 +66,17 @@ def _load(path: str):
 
 
 def _parse_direction(text: str) -> Direction:
+    """The Direction of 'dx,dy'. Each component is read as geometry._ratio
+    reads a coordinate, with the places of a decimal's digits checked
+    before any integer is built: its leading digit below
+    10**_DIRECTION_PLACE and its last at 10**_LEAST_PLACE or above."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise PolygonError(f"direction must be 'dx,dy', got {text!r}")
+        raise PolygonError(f"direction must be 'dx,dy', got {reprlib.repr(text)}")
     try:
-        dx = as_fraction(parts[0].strip())
-        dy = as_fraction(parts[1].strip())
-    except (ValueError, ArithmeticError) as exc:
-        raise PolygonError(f"unparseable direction {text!r}") from exc
+        dx, dy = (Fraction(*_ratio(part.strip(), _DIRECTION_PLACE)) for part in parts)
+    except PolygonParseError as exc:
+        raise PolygonError(f"unparseable direction {reprlib.repr(text)}: {exc}") from exc
     if dx == 0 and dy == 0:
         raise PolygonError("direction must be nonzero")
     return Direction(dx, dy)

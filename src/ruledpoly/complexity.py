@@ -36,9 +36,10 @@ slope comparison. The sweep has one exact accessor, from event lanes to
 the integer sweep representatives of their normals, lane by lane. It
 reads the caller's event vectors as integer rows at a positive scale of
 each: the cones' vectors, or the polygon's edge vectors as
-exactmath.delta_lanes gives them, exact_delta's own integers. On a
-point-symmetric polygon every event ties with its antipodal twin, and
-all such two-lane chains take one gather and one lane-wise comparison.
+exactmath.delta_lanes gives them from the polygon's integer vertex
+table, exact_delta's own integers. On a point-symmetric polygon every
+event ties with its antipodal twin, and all such two-lane chains take
+one gather and one lane-wise comparison.
 
 A witness is built, not searched for (_generic_witness): the simplest
 integer direction of the chosen open arc, checked once for genericity,
@@ -301,10 +302,12 @@ def _generic_witness(P: Polygon, lo: tuple[int, int], hi: tuple[int, int]) -> Di
     w = Direction(a, b)
     if is_generic(P, w):
         return w
-    pts = P._pts
-    top = max(p.D for p in pts)
-    second = max((p.D for p in pts if p.D != top), default=1)
-    diff = 2 * max(max(abs(p.X), abs(p.Y)) * (second if p.D == top else top) for p in pts)
+    X, Y, D = P._ints
+    top = int(D.max())
+    at_top = D == top
+    second = int(D[~at_top].max(initial=1))
+    mag = np.maximum(abs(X), abs(Y))
+    diff = 2 * max(int(mag[at_top].max()) * second, int(mag[~at_top].max(initial=0)) * top)
     q = 1 + (abs(a) + abs(b)) * max(diff, abs(lo[0]) + abs(lo[1]), abs(hi[0]) + abs(hi[1]))
     return Direction(q * a - b, q * b + a)
 
@@ -342,14 +345,13 @@ def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     (_generic_witness), so reeb_graph(P, witness) realizes min_leaves
     even when the flag marks a higher boundary-only pointwise count.
     """
-    reflex_ids = P.reflex_indices()
-    k = len(reflex_ids)
+    r = np.flatnonzero(P._reflex)
+    k = len(r)
     h = P.h
     if k == 0:
         witness = _generic_witness(P, _V0, _V0_END)
         return ComplexityResult(2 - 2 * h, witness, 0, 0, h, False)
 
-    r = np.array(reflex_ids, dtype=np.intp)
     apex = np.concatenate((r, r))
     neighbor = np.concatenate((P._prev[r], P._next[r]))  # entries, then exits
     X = P._coords[:, 0]
@@ -359,7 +361,7 @@ def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     ex = diff_error_bound(dx, X[neighbor], X[apex])
     ey = diff_error_bound(dy, Y[neighbor], Y[apex])
     ends = np.array((apex, neighbor))
-    ev = _event_set(dx, dy, ex, ey, lambda events: delta_lanes(P._pts, ends[:, events]))
+    ev = _event_set(dx, dy, ex, ey, lambda events: delta_lanes(P._ints, ends[:, events]))
     prof = _sweep_select(ev)
     c_max = prof.interior_max
     witness = _generic_witness(P, *prof.interior_arc)

@@ -20,13 +20,15 @@ accessor, exact(lanes): for an index array of the lanes the floats
 leave undecided, their exact values in one array whose last axis runs
 over those lanes, object arrays of Python ints, so that every operation
 on them stays exact; chain_cuts finds where float order decides alone.
-integer_lanes gathers points' integers (X, Y, D) as such rows, and
-delta_lanes is exact_delta's lane form, as orient_lanes is
-orient_sign's. static_cross_bound is cross_filter's bound at
-the largest mirror magnitude of a polygon, one number that dominates
-the bound of every triple of its points: the static first stage of the
-point location that both planar sweeps share (geometry._Status) and of
-orient_lanes.
+The lane forms read a polygon's vertex table, the integers (X, Y, D)
+of every vertex as the rows of one array (int64, or Python ints when a
+value reaches 2^53), by fancy indexing: integer_lanes gathers its
+columns as such rows, and delta_lanes is exact_delta's lane form, as
+orient_lanes is orient_sign's. static_cross_bound is cross_filter's
+bound at the largest mirror magnitude of a polygon, one number that
+dominates the bound of every triple of its points: the static first
+stage of the point location that both planar sweeps share
+(geometry._Status) and of orient_lanes.
 """
 
 from __future__ import annotations
@@ -65,24 +67,24 @@ def exact_delta(p, q) -> tuple[int, int, int]:
     return q.X * p.D - p.X * q.D, q.Y * p.D - p.Y * q.D, p.D * q.D
 
 
-def integer_lanes(pts, lanes: np.ndarray) -> np.ndarray:
-    """The integers (X, Y, D) of pts[i] for every i of lanes, as the rows
-    of an object array: Python ints, so every operation on them is exact."""
-    sel = [pts[i] for i in lanes.tolist()]
-    out = np.empty((3, len(sel)), dtype=object)
-    out[0], out[1], out[2] = [p.X for p in sel], [p.Y for p in sel], [p.D for p in sel]
-    return out
+def integer_lanes(ints: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """The columns lanes of the vertex table ints, shape (3, n): the
+    integers (X, Y, D) of those vertices, as the rows of an object array
+    of Python ints, so every operation on them is exact."""
+    return ints[:, lanes].astype(object, copy=False)
 
 
-def delta_lanes(pts, lanes: np.ndarray) -> np.ndarray:
-    """exact_delta(pts[p], pts[q]) for every column (p, q) of lanes, shape
-    (2, m): the rows (x, y, s) of an object array, exact_delta's own
-    integers, equal scales again not multiplied."""
-    p, q = integer_lanes(pts, lanes[0]), integer_lanes(pts, lanes[1])
-    out = np.concatenate((q[:2] - p[:2], p[2:]))
+def delta_lanes(ints: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """exact_delta of the vertices p and q of the table ints for every
+    column (p, q) of lanes, shape (2, m): the rows (x, y, s) of an object
+    array, exact_delta's own integers. Equal scales are subtracted in the
+    table's own type, which cannot overflow below 2^53, and converted
+    once; distinct ones are multiplied as Python ints."""
+    p, q = ints[:, lanes[0]], ints[:, lanes[1]]
+    out = np.concatenate((q[:2] - p[:2], p[2:])).astype(object, copy=False)
     apart = np.flatnonzero(p[2] != q[2])
     if len(apart):
-        p, q = p[:, apart], q[:, apart]
+        p, q = p[:, apart].astype(object, copy=False), q[:, apart].astype(object, copy=False)
         out[:2, apart] = q[:2] * p[2] - p[:2] * q[2]
         out[2, apart] = p[2] * q[2]
     return out
@@ -166,9 +168,11 @@ _LANE_BLOCK = 4096  # lanes per cross_filter call: bounds its float temporaries
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed lanes go to the exact path
-def orient_lanes(pts, xs: np.ndarray, ys: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-    """orient_sign(pts[a], pts[b], pts[c]) for every column (a, b, c) of
-    lanes, shape (3, m), indices into pts and its mirrors xs, ys. Exact.
+def orient_lanes(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                 lanes: np.ndarray) -> np.ndarray:
+    """orient_sign of the vertices a, b, c for every column (a, b, c) of
+    lanes, shape (3, m), indices into the vertex table ints and its
+    mirrors xs, ys. Exact.
 
     _LANE_BLOCK lanes at a time, so that float temporaries stay small,
     in three stages: cross_filter's det, term for term, decides a lane
@@ -191,8 +195,8 @@ def orient_lanes(pts, xs: np.ndarray, ys: np.ndarray, lanes: np.ndarray) -> np.n
 
             def exact(undecided: np.ndarray) -> np.ndarray:
                 a, b, c = left[:, undecided]
-                ux, uy, _ = delta_lanes(pts, np.array((c, a)))
-                wx, wy, _ = delta_lanes(pts, np.array((c, b)))
+                ux, uy, _ = delta_lanes(ints, np.array((c, a)))
+                wx, wy, _ = delta_lanes(ints, np.array((c, b)))
                 return exact_cross(ux, uy, wx, wy)
 
             signs[rest] = filtered_sign_array(det, err, exact)

@@ -13,8 +13,8 @@ unrounded reals. The rounding works on integer arrays (int64 while the
 scaled coordinates stay below 2**53, Python ints beyond) and each point
 is built from its canonical integers, so generation makes no Fraction.
 Every star is proved simple by one exact O(n) certificate (radial
-monotonicity about the origin and a crossing count) instead of the
-validation sweep.
+monotonicity about the origin and a crossing count) on the rounding's
+integer table and mirrors, instead of the validation sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .geometry import (
     Polygon,
     PolygonError,
     _EXACT_FLOAT,
-    _mirrors,
     _points_from_ints,
     _touching,
     as_fraction,
@@ -82,9 +81,11 @@ class FamilyParams:
                              "so r1 below about 1.8e296")
 
 
-def _round12(xs: np.ndarray, ys: np.ndarray) -> tuple[list[Point], np.ndarray, np.ndarray]:
+def _round12(xs: np.ndarray, ys: np.ndarray) -> tuple[list[Point], np.ndarray, np.ndarray,
+                                                      np.ndarray]:
     """The Points (x, y) rounded to 12 decimal digits, for x, y in the
-    float arrays xs, ys, and their mirror arrays.
+    float arrays xs, ys, with their vertex table and mirror arrays
+    (geometry._points_from_ints).
 
     Each coordinate is n / 10**12 for the integer n nearest to its float
     times 10**12; dividing n and 10**12 by their gcd, then taking the
@@ -104,9 +105,9 @@ def _round12(xs: np.ndarray, ys: np.ndarray) -> tuple[list[Point], np.ndarray, n
     return _points_from_ints(sx // gx * (d // dx), sy // gy * (d // dy), d)
 
 
-def _certify_star_shaped(ring: list[Point], xf: np.ndarray | None = None,
-                         yf: np.ndarray | None = None) -> None:
-    """Prove a ring simple by radial monotonicity about the origin.
+def _certify_star_shaped(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray) -> None:
+    """Prove a ring simple by radial monotonicity about the origin, the
+    ring given as its vertex table ints and mirrors xf, yf.
 
     Requires every adjacent pair of position vectors to span a nonzero
     oriented angle of consistent sign (the exact signs of one
@@ -120,24 +121,21 @@ def _certify_star_shaped(ring: list[Point], xf: np.ndarray | None = None,
     Signs of the integers decide which points lie in the half-turn. The
     boundary is then the graph of a radial function, hence simple, with
     the origin strictly inside.
-    xf and yf are the ring's mirror arrays, when the caller has them.
     """
-    n = len(ring)
-    if xf is None:
-        xf, yf = _mirrors(ring)
+    n = ints.shape[1]
     # cross(p_i - origin, p_{i+1} - p_i) = cross(p_i - origin, p_{i+1} - origin):
-    # one orient_lanes lane (i, i + 1, origin), the origin appended as vertex n
+    # one orient_lanes lane (i, i + 1, origin), the origin appended as column (0, 0, 1)
     i = np.arange(n)
-    signs = orient_lanes(ring + [Point(0, 0)], np.append(xf, 0.0), np.append(yf, 0.0),
-                         np.array((i, (i + 1) % n, np.full(n, n))))
+    signs = orient_lanes(np.concatenate((ints, [[0], [0], [1]]), axis=1), np.append(xf, 0.0),
+                         np.append(yf, 0.0), np.array((i, (i + 1) % n, np.full(n, n))))
     if np.any(signs == 0):
         raise PolygonError("star certificate failed: adjacent radial collinearity")
     if not (np.all(signs == 1) or np.all(signs == -1)):
         raise PolygonError("star certificate failed: inconsistent turning")
     # a correctly rounded mirror has the sign of its integer unless it is 0
     zero = np.zeros(n)
-    sy = filtered_sign_array(yf, zero, lambda lanes: integer_lanes(ring, lanes)[1])
-    sx = filtered_sign_array(xf, zero, lambda lanes: integer_lanes(ring, lanes)[0])
+    sy = filtered_sign_array(yf, zero, lambda lanes: integer_lanes(ints, lanes)[1])
+    sx = filtered_sign_array(xf, zero, lambda lanes: integer_lanes(ints, lanes)[0])
     upper = (sy > 0) | ((sy == 0) & (sx > 0))  # angle in [0, 180)
     if np.count_nonzero(~upper & np.roll(upper, -1)) != 1:
         raise PolygonError("star certificate failed: winding is not one turn")
@@ -161,8 +159,8 @@ def lower_bound_polygon(params: FamilyParams) -> Polygon:
     # the ring alternates tip i and notch i
     xs = np.stack((r1 * np.sin(theta), r2 * np.sin(phi)), axis=1).ravel()
     ys = np.stack((r1 * np.cos(theta), r2 * np.cos(phi)), axis=1).ravel()
-    ring, xf, yf = _round12(xs, ys)
-    _certify_star_shaped(ring, xf, yf)
+    ring, *table = _round12(xs, ys)
+    _certify_star_shaped(*table)
     return Polygon(ring, validate=False)
 
 
@@ -229,16 +227,17 @@ def annulus_polygon(outer_side, hole_side) -> Polygon:
     return Polygon(outer, [hole])
 
 
-def _find_contact(pts: list[Point]) -> tuple[int, int] | None:
+def _find_contact(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[int, int] | None:
     """First pair (i, j), i < j in lexicographic order, of non-adjacent
-    edges sharing a point, or None. Every pair is a lane of the contact
-    test of the validation sweep."""
-    n = len(pts)
+    edges sharing a point, or None, on the ring of the vertex table ints
+    and mirrors xs, ys. Every pair is a lane of the contact test of the
+    validation sweep."""
+    n = ints.shape[1]
     i, j = np.triu_indices(n, 2)
     keep = (i > 0) | (j < n - 1)  # edges 0 and n - 1 are adjacent
     i, j = i[keep], j[keep]
     quads = np.stack((i, (i + 1) % n, j, (j + 1) % n))
-    hits = np.flatnonzero(_touching(pts, *_mirrors(pts), quads))
+    hits = np.flatnonzero(_touching(ints, xs, ys, quads))
     return (int(i[hits[0]]), int(j[hits[0]])) if len(hits) else None
 
 
@@ -262,22 +261,23 @@ def random_simple_polygon(vertex_count: int, seed: int) -> Polygon:
     cy = float(np.mean(ys))
     order = np.lexsort((np.hypot(xs - cx, ys - cy),
                         np.arctan2(ys - cy, xs - cx)))
-    pts = _round12(xs[order], ys[order])[0]
+    pts, ints, xf, yf = _round12(xs[order], ys[order])
 
     budget = 60 * vertex_count * vertex_count
+    ring = np.arange(vertex_count)  # the tour, as indices into pts
     while budget > 0:
-        contact = _find_contact(pts)
+        contact = _find_contact(ints[:, ring], xf[ring], yf[ring])
         if contact is None:
             break
         i, j = contact
-        pts[i + 1:j + 1] = reversed(pts[i + 1:j + 1])
+        ring[i + 1:j + 1] = ring[i + 1:j + 1][::-1].copy()
         budget -= 1
     else:
         raise UntangleError(
             f"could not untangle {vertex_count} points with seed {seed}")
 
     try:
-        return Polygon(pts)
+        return Polygon([pts[k] for k in ring.tolist()])
     except PolygonError as exc:
         raise UntangleError(
             f"untangled ring failed validation for seed {seed}: {exc}") from exc

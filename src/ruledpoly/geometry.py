@@ -4,12 +4,19 @@ A point is (X / D, Y / D) over integers, D > 0 its own least common
 denominator, and every geometric decision is an exact sign computed
 from these integers; float mirrors of all coordinates are kept
 alongside for numpy fast paths and filtered scalar predicates (see
-exactmath). Fractions appear only at the public edge. Each ring's
-corner signs are the lanes of one orient_lanes call per pass of its
-merge, one pass for a ring with nothing to merge, and give its merging
-(itself decided as lanes), its orientation and its reflex vertices.
-The rings are then laid end to end in one flat vertex table of points,
-mirrors and signs, which validation and the polygon share.
+exactmath). Fractions appear only at the public edge. Each ring is
+coerced to its Points and, in the same step, to its integer table (the
+(X, Y, D) of every vertex as the rows of one array: int64 while every
+value is below 2**53, Python ints beyond) and its mirrors, which come
+from the table. Every exact lane gather indexes that table, never a
+Point's attributes; the scalar predicates (point location, the cones)
+read the Points. Each ring's corner signs are the lanes of one
+orient_lanes call per pass of its merge, one pass for a ring with
+nothing to merge, and give its merging (itself decided as lanes, the
+Points, table and mirrors compressed together), its orientation and
+its reflex vertices. The rings are then laid end to end in one flat
+vertex table of points, integers, mirrors and signs, which validation
+and the polygon share.
 
 The polygon file format is a UTF-8 JSON document
 
@@ -125,7 +132,10 @@ _LITERAL = re.compile(
 
 
 _BEYOND_FLOAT_RANGE = "coordinate beyond the float range (about 1.8e308)"
+_EXPONENT_OUT_OF_RANGE = "coordinate with an exponent beyond the decimal module's range"
 _EXACT_FLOAT = 2 ** 53  # every integer of smaller magnitude is a float
+# a decimal of 1e309 or more is beyond the float range, whatever its digits
+_FLOAT_PLACE = 309
 # a decimal coordinate's last digit has a place value of 10**_LEAST_PLACE or more
 _LEAST_PLACE = -5000
 
@@ -137,10 +147,11 @@ def _ratio(value, cap: int | None = None) -> tuple[int, int]:
     literal with an optional exponent or "p/q" of unsigned integers.
 
     With a cap, a nonzero decimal (a Decimal or a decimal literal) whose
-    leading digit has a place value of 10**cap or more, or whose last
-    digit has one below 10**_LEAST_PLACE, is refused by its exponent,
-    before its integers are built: those of 1e4000000, 1e-4000000 or a
-    million fraction digits take seconds.
+    leading digit has a place value of 10**cap or more (beyond the float
+    range at a Point's cap, _FLOAT_PLACE), or whose last digit has one
+    below 10**_LEAST_PLACE, is refused by its exponent, before its
+    integers are built: those of 1e4000000, 1e-4000000 or a million
+    fraction digits take seconds.
     """
     if type(value) is int:  # exact types first: JSON's int (its Decimal below), Fraction
         return value, 1
@@ -158,12 +169,16 @@ def _ratio(value, cap: int | None = None) -> tuple[int, int]:
                     f"coordinate literal of {len(value)} characters has too many digits") from exc
             g = math.gcd(p, q)
             return p // g, q // g
-        value = decimal.Decimal(value)
+        try:
+            value = decimal.Decimal(value)
+        except decimal.InvalidOperation as exc:  # an exponent beyond the decimal module's
+            raise PolygonParseError(_EXPONENT_OUT_OF_RANGE) from exc
     if isinstance(value, (float, decimal.Decimal)):
         if cap is not None and isinstance(value, decimal.Decimal) and value:
             top = value.adjusted()  # the leading digit's place; 0 for NaN and inf
             if top >= cap:
-                raise PolygonParseError(_BEYOND_FLOAT_RANGE)
+                raise PolygonParseError(_BEYOND_FLOAT_RANGE if cap == _FLOAT_PLACE
+                                        else f"coordinate of 1e{cap} or more")
             # the last digit's place is as_tuple's exponent, and above top - len(str(value))
             if top - len(str(value)) < _LEAST_PLACE and value.as_tuple().exponent < _LEAST_PLACE:
                 raise PolygonParseError(f"coordinate with a digit below 1e{_LEAST_PLACE}")
@@ -196,8 +211,7 @@ class Point:
     __slots__ = ("X", "Y", "D", "xf", "yf")
 
     def __init__(self, x, y):
-        # 1e309 and up are beyond the float range, whatever their digits
-        self.X, self.Y, self.D = X, Y, D = _scaled(x, y, 309)
+        self.X, self.Y, self.D = X, Y, D = _scaled(x, y, _FLOAT_PLACE)
         try:
             self.xf, self.yf = X / D, Y / D
         except OverflowError as exc:
@@ -225,26 +239,45 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
-def _points_from_ints(X: np.ndarray, Y: np.ndarray, D: np.ndarray) -> tuple[
-        list[Point], np.ndarray, np.ndarray]:
-    """The Points (X / D, Y / D) of canonical integers, given as int64
-    arrays or object arrays of Python ints, and their mirror arrays.
+def _table(X, Y, D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex table of canonical integers X, Y, D, given as int64
+    arrays, object arrays or lists of Python ints: one array of shape
+    (3, n), and its mirror arrays X / D and Y / D.
 
-    The mirrors are divided in numpy when every |X|, |Y| and D is below
-    2**53: both operands then convert exactly, so the quotient is
-    correctly rounded, as Python's int / int always is. Otherwise they
-    are divided as Python ints.
+    The table is int64 when every |X|, |Y| and D is below 2**53, and then
+    divided in numpy: both operands convert exactly, so the quotient is
+    correctly rounded, as Python's int / int always is. Otherwise it
+    holds Python ints, divided as such.
     """
-    if not all(-_EXACT_FLOAT < v.min() and v.max() < _EXACT_FLOAT for v in (X, Y, D)):
-        X, Y, D = X.astype(object), Y.astype(object), D.astype(object)
-    xs, ys = np.asarray(X / D, dtype=float), np.asarray(Y / D, dtype=float)
+    try:
+        ints = np.array((X, Y, D), dtype=np.int64)
+    except OverflowError:
+        ints = np.array((X, Y, D), dtype=object)
+    else:  # abs(-2**63) is itself, which the unsigned view reads as 2**63
+        if np.abs(ints).view(np.uint64).max(initial=0) >= _EXACT_FLOAT:
+            ints = ints.astype(object)
+    xs, ys = (ints[:2] / ints[2]).astype(float, copy=False)
+    return ints, xs, ys
+
+
+def _point_table(pts: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_table of the Points pts."""
+    return _table([p.X for p in pts], [p.Y for p in pts], [p.D for p in pts])
+
+
+def _points_from_ints(X: np.ndarray, Y: np.ndarray, D: np.ndarray) -> tuple[
+        list[Point], np.ndarray, np.ndarray, np.ndarray]:
+    """The Points (X / D, Y / D) of canonical integers, given as int64
+    arrays or object arrays of Python ints, with their vertex table and
+    mirror arrays (_table)."""
+    ints, xs, ys = _table(X, Y, D)
     new = Point.__new__
     pts = []
-    for x, y, d, xf, yf in zip(X.tolist(), Y.tolist(), D.tolist(), xs.tolist(), ys.tolist()):
+    for x, y, d, xf, yf in zip(*ints.tolist(), xs.tolist(), ys.tolist()):
         p = new(Point)
         p.X, p.Y, p.D, p.xf, p.yf = x, y, d, xf, yf
         pts.append(p)
-    return pts, xs, ys
+    return pts, ints, xs, ys
 
 
 def _lex_cmp(p, q):
@@ -379,8 +412,9 @@ def _not_a_pair(label: str, i: int, item, length: int | None) -> PolygonParseErr
     return PolygonParseError(f"{label} entry {i} is not a coordinate pair: {kind}")
 
 
-def _coerce_points(ring_like, r: int) -> list[Point]:
-    """The Points of ring r, the outer ring (0) or hole r - 1."""
+def _coerce_ring(ring_like, r: int) -> tuple[list[Point], np.ndarray, np.ndarray, np.ndarray]:
+    """The Points of ring r, the outer ring (0) or hole r - 1, with their
+    vertex table and mirrors (_point_table)."""
     pts = []
     for i, item in enumerate(ring_like):
         if isinstance(item, Point):
@@ -390,13 +424,7 @@ def _coerce_points(ring_like, r: int) -> list[Point]:
             if len(xy) != 2:
                 raise _not_a_pair(f"holes[{r - 1}]" if r else "outer", i, item, len(xy))
             pts.append(Point(xy[0], xy[1]))
-    return pts
-
-
-def _mirrors(pts: list[Point]) -> tuple[np.ndarray, np.ndarray]:
-    n = len(pts)
-    return (np.fromiter((p.xf for p in pts), dtype=float, count=n),
-            np.fromiter((p.yf for p in pts), dtype=float, count=n))
+    return (pts, *_point_table(pts))
 
 
 def _links(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -413,17 +441,21 @@ def _links(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return nxt, prv
 
 
-def _corner_signs(pts: list[Point], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Exact sign of cross(p - prev, next - p) at every corner p of a ring:
-    +1 a left turn, -1 a right turn, 0 a duplicate, straight or slit corner.
-    That cross is cross(next - p, prev - p), one orient_lanes lane."""
-    nxt, prv = _links([len(pts)])
-    return orient_lanes(pts, xs, ys, np.array((nxt, prv, np.arange(len(pts)))))
+def _corner_signs(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Exact sign of cross(p - prev, next - p) at every corner p of a ring,
+    given as its vertex table ints and mirrors xs, ys: +1 a left turn, -1
+    a right turn, 0 a duplicate, straight or slit corner. That cross is
+    cross(next - p, prev - p), one orient_lanes lane."""
+    n = ints.shape[1]
+    nxt, prv = _links([n])
+    return orient_lanes(ints, xs, ys, np.array((nxt, prv, np.arange(n))))
 
 
-def _merge_ring(pts: list[Point]) -> tuple[list[Point], np.ndarray, np.ndarray, np.ndarray]:
+def _merge_ring(pts: list[Point], ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[
+        list[Point], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Drop duplicate and straight-through vertices; reject slit corners.
-    Returns the ring, its mirrors and its corner signs, all nonzero.
+    Returns the ring's Points, vertex table and mirrors, all compressed
+    together, and its corner signs, all nonzero.
 
     Each pass takes the corner signs of the ring as it stood when the
     pass began, and decides the zero ones as lanes of their edge vectors
@@ -437,13 +469,12 @@ def _merge_ring(pts: list[Point]) -> tuple[list[Point], np.ndarray, np.ndarray, 
         n = len(pts)
         if n < 3:
             raise TooFewVerticesError(f"ring has {n} corners after merging")
-        xs, ys = _mirrors(pts)
-        signs = _corner_signs(pts, xs, ys)
+        signs = _corner_signs(ints, xs, ys)
         if signs.all():
-            return pts, xs, ys, signs
+            return pts, ints, xs, ys, signs
         zero = np.flatnonzero(signs == 0)
-        ux, uy, _ = delta_lanes(pts, np.array(((zero - 1) % n, zero)))
-        wx, wy, _ = delta_lanes(pts, np.array((zero, (zero + 1) % n)))
+        ux, uy, _ = delta_lanes(ints, np.array(((zero - 1) % n, zero)))
+        wx, wy, _ = delta_lanes(ints, np.array((zero, (zero + 1) % n)))
         drop = (wx == 0) & (wy == 0) | (ux * wx + uy * wy > 0)
         slit = np.flatnonzero(~drop & ((ux != 0) | (uy != 0)))
         if len(slit):
@@ -451,35 +482,30 @@ def _merge_ring(pts: list[Point]) -> tuple[list[Point], np.ndarray, np.ndarray, 
         keep = np.ones(n, dtype=bool)
         keep[zero[drop]] = False
         pts = list(itertools.compress(pts, keep.tolist()))
+        ints, xs, ys = ints[:, keep], xs[keep], ys[keep]
 
 
-def _normalize_ring(pts: list[Point], want: int) -> tuple[list[Point], np.ndarray,
-                                                       np.ndarray, np.ndarray]:
+def _normalize_ring(pts: list[Point], ints: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                    want: int) -> tuple[list[Point], np.ndarray, np.ndarray, np.ndarray,
+                                        np.ndarray]:
     """The ring merged and oriented (want: +1 counterclockwise, -1
-    clockwise), with its float mirrors and exact corner signs.
+    clockwise): its Points, vertex table, float mirrors and exact corner
+    signs.
 
     The corner signs come from the merge (_merge_ring), one pass on a
     ring with no zero sign. The orientation is the sign at the
     lexicographically least vertex, a strictly convex corner of a simple
     ring; a ring that is not simple is left for validation to reject.
-    Reversing a ring negates its signs.
+    Reversing a ring reverses its table and mirrors and negates its signs.
     """
-    pts, xs, ys, signs = _merge_ring(pts)
+    pts, ints, xs, ys, signs = _merge_ring(pts, ints, xs, ys)
     # rounding is monotone, so the exact least x has the least mirror
     low = np.flatnonzero(xs == xs.min())
-    ints = integer_lanes(pts, low).T
-    least = low[min(range(len(low)), key=cmp_to_key(lambda i, j: _lex_cmp(ints[i], ints[j])))]
+    cols = integer_lanes(ints, low).T
+    least = low[min(range(len(low)), key=cmp_to_key(lambda i, j: _lex_cmp(cols[i], cols[j])))]
     if signs[least] != want:
-        return pts[::-1], xs[::-1], ys[::-1], -signs[::-1]
-    return pts, xs, ys, signs
-
-
-def _on_segment(a: Point, b: Point, c: Point) -> bool:
-    """Whether c, known collinear with a-b, lies on the closed segment:
-    a - c and b - c have no coordinate of one strict sign."""
-    ax, ay, _ = exact_delta(c, a)
-    bx, by, _ = exact_delta(c, b)
-    return ax * bx <= 0 and ay * by <= 0
+        return pts[::-1], ints[:, ::-1], xs[::-1], ys[::-1], -signs[::-1]
+    return pts, ints, xs, ys, signs
 
 
 # the rows of (a, b, c, d) that form the four orientation lanes of a contact test
@@ -493,25 +519,28 @@ def _contact_lanes(quads: np.ndarray) -> np.ndarray:
     return quads[_CONTACT_ROWS].reshape(3, -1)
 
 
-def _touching(pts: list[Point], xs: np.ndarray, ys: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """Which closed segments pts[a]-pts[b] and pts[c]-pts[d], one pair for
-    each column (a, b, c, d) of quads, share a point. Exact.
+def _touching(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Which closed segments a-b and c-d, one pair for each column (a, b,
+    c, d) of quads, indices into the vertex table ints and its mirrors
+    xs, ys, share a point. Exact.
 
-    Their _contact_lanes are one orient_lanes call (xs, ys: pts' mirrors).
-    Segments whose endpoints straddle each other touch; otherwise only an
-    endpoint collinear with the other segment (a zero lane) can touch,
-    and _on_segment tells whether it does.
+    Their _contact_lanes are one orient_lanes call. Segments whose
+    endpoints straddle each other touch; otherwise only an endpoint
+    collinear with the other segment (a zero lane) can touch, and it
+    does when it lies on that segment: when its vectors u, w to the
+    segment's two ends have no coordinate of one strict sign, decided as
+    lanes of their integers.
     """
-    o = orient_lanes(pts, xs, ys, _contact_lanes(quads)).reshape(4, -1)
+    lanes = _contact_lanes(quads)
+    o = orient_lanes(ints, xs, ys, lanes).reshape(4, -1)
     o1, o2, o3, o4 = o
     touch = (o1 != o2) & (o3 != o4)
-    collinear = ~touch & ~o.all(axis=0)
-    if collinear.any():
-        for i in np.flatnonzero(collinear).tolist():
-            p, q, r, s = (pts[k] for k in quads[:, i].tolist())
-            touch[i] = (o1[i] == 0 and _on_segment(p, q, r) or o2[i] == 0 and _on_segment(p, q, s)
-                        or o3[i] == 0 and _on_segment(r, s, p)
-                        or o4[i] == 0 and _on_segment(r, s, q))
+    zero = np.flatnonzero((o == 0) & ~touch)  # o[r, i] is lane r * len(touch) + i
+    if len(zero):
+        a, b, c = lanes[:, zero]
+        ux, uy, _ = delta_lanes(ints, np.array((c, a)))
+        wx, wy, _ = delta_lanes(ints, np.array((c, b)))
+        touch[zero[(ux * wx <= 0) & (uy * wy <= 0)] % len(touch)] = True
     return touch
 
 
@@ -689,13 +718,13 @@ class _Status:
         keys.insert(b + 1, upper.key)
 
 
-def _validate_rings(pts: list[Point], xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
-                    sizes: list[int], bound: float) -> None:
+def _validate_rings(pts: list[Point], ints: np.ndarray, xf: np.ndarray, yf: np.ndarray,
+                    turn: np.ndarray, sizes: list[int], bound: float) -> None:
     """Reject any contact between edges of the rings other than the
     vertex two ring-consecutive edges share, and any hole outside the
     outer ring or inside another hole. The rings lie end to end in one
     vertex table, the outer ring first, then the holes: their points
-    pts, float mirrors xf, yf and exact corner signs turn, with
+    pts, integers ints, float mirrors xf, yf and exact corner signs turn, with
     ring r's vertices following ring r - 1's, sizes[r] of them; bound is
     the static bound of the status (_Status) for all rings.
 
@@ -721,20 +750,20 @@ def _validate_rings(pts: list[Point], xf: np.ndarray, yf: np.ndarray, turn: np.n
     before any hole placement fault.
     """
     try:
-        _sweep(pts, xf, yf, turn, sizes, bound)
+        _sweep(pts, ints, xf, yf, turn, sizes, bound)
     except HolePlacementError:
         end = 0
         for size in sizes:  # one ring alone: raises only SelfIntersectionError
             ring = slice(end, end + size)
             end += size
-            _sweep(pts[ring], xf[ring], yf[ring], turn[ring], [size], bound)
+            _sweep(pts[ring], ints[:, ring], xf[ring], yf[ring], turn[ring], [size], bound)
         raise
 
 
 _LOST_ORDER = "sweep status lost the order of its edges"
 
 
-def _failed_check(touches: list[int], sides: list[int], pts: list[Point], xs: np.ndarray,
+def _failed_check(touches: list[int], sides: list[int], ints: np.ndarray, xs: np.ndarray,
                   ys: np.ndarray) -> tuple[int, int, bool] | None:
     """The first check of the validation sweep that fails, or None.
 
@@ -743,7 +772,8 @@ def _failed_check(touches: list[int], sides: list[int], pts: list[Point], xs: np
     per order check, (lo[t], hi[t], v, side, e, t, c): vertex v, where
     edge e ended, must lie strictly on side `side` (+1 left, -1 right)
     of edge t, directed from lo[t] to hi[t]; c contact checks came
-    before it. _touching decides the contact checks, and the order
+    before it; the indices are into the vertex table ints and its
+    mirrors xs, ys. _touching decides the contact checks, and the order
     checks are one orient_lanes call. A failed check is returned as (e,
     f, touch): touch is True if edges e and f share a point (a vertex of
     e on t counts), and False if v lies strictly on the wrong side of t.
@@ -752,8 +782,8 @@ def _failed_check(touches: list[int], sides: list[int], pts: list[Point], xs: np
         return None
     quads = np.array(touches, dtype=np.intp).reshape(-1, 4).T
     rows = np.array(sides, dtype=np.intp).reshape(-1, 7).T
-    touch = np.flatnonzero(_touching(pts, xs, ys, quads))
-    o = orient_lanes(pts, xs, ys, rows[:3])
+    touch = np.flatnonzero(_touching(ints, xs, ys, quads))
+    o = orient_lanes(ints, xs, ys, rows[:3])
     wrong = np.flatnonzero(o != rows[3])
     if len(wrong) and (not len(touch) or rows[6, wrong[0]] <= touch[0]):
         j = wrong[0]
@@ -763,15 +793,15 @@ def _failed_check(touches: list[int], sides: list[int], pts: list[Point], xs: np
     return None
 
 
-def _sweep(pts: list[Point], xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
-           sizes: list[int], bound: float) -> None:
+def _sweep(pts: list[Point], ints: np.ndarray, xf: np.ndarray, yf: np.ndarray,
+           turn: np.ndarray, sizes: list[int], bound: float) -> None:
     n = len(pts)
     nxt, prv = _links(sizes)
     ring_of = np.repeat(np.arange(len(sizes)), sizes).tolist()
     turn = turn.tolist()
 
     # exact lexicographic order, equal points by index; x mirrors decide unless they tie
-    events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, pts), _lex_cmp)
+    events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, ints), _lex_cmp)
     # edge e runs from vertex e to nxt[e]; lo/hi are its first/last endpoints
     # in event order. The interior lies left of every edge, so above an
     # edge that runs forward in event order, and the status runs upward.
@@ -862,7 +892,7 @@ def _sweep(pts: list[Point], xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
     except Exception as exc:  # past a failed check the status may be out of order
         raised = exc
     # a check that failed before the sweep raised is the fault to report
-    failed = _failed_check(touches, sides, pts, xf, yf)
+    failed = _failed_check(touches, sides, ints, xf, yf)
     if failed is not None:
         e, f, touch = failed
         raise fault(e, f) if touch else RuntimeError(_LOST_ORDER)
@@ -882,8 +912,11 @@ class Polygon:
     straight-through or slit corners) are decided as lanes, dropping the
     first two kinds and rejecting the third. The signs of the last pass
     give the orientation, at the lexicographically least vertex, and
-    the reflex vertices, the negative ones. The rings' points, mirrors and signs are concatenated once, into the
-    vertex table that P keeps and validation reads, and validated with
+    the reflex vertices, the negative ones. The rings' points, integer
+    tables (_table), mirrors and signs are concatenated once, into the
+    vertex table that P keeps (_pts, the public view of its Points;
+    _ints, shape (3, n), every exact gather's source; _coords, the
+    mirrors) and validation reads, and validated with
     one exact sweep (_validate_rings): SelfIntersectionError when two edges
     of one ring share a point other than the vertex between consecutive
     edges, HolePlacementError when rings touch or a hole lies outside the
@@ -897,19 +930,21 @@ class Polygon:
     and with it the reflex mask, means nothing.
     """
 
-    __slots__ = ("outer", "holes", "n", "h", "_pts", "_prev", "_next", "_coords",
+    __slots__ = ("outer", "holes", "n", "h", "_pts", "_ints", "_prev", "_next", "_coords",
                  "_bound", "_reflex", "_cones")
 
     def __init__(self, outer, holes: Iterable = (), *, validate: bool = True):
-        rings, xs, ys, signs = zip(*(_normalize_ring(_coerce_points(ring, r), -1 if r else 1)
-                                     for r, ring in enumerate(itertools.chain([outer], holes))))
+        rings, ints, xs, ys, signs = zip(*(
+            _normalize_ring(*_coerce_ring(ring, r), -1 if r else 1)
+            for r, ring in enumerate(itertools.chain([outer], holes))))
         self._pts = [p for pts in rings for p in pts]
+        self._ints = np.concatenate(ints, axis=1)
         xf, yf, turn = np.concatenate(xs), np.concatenate(ys), np.concatenate(signs)
         sizes = [len(pts) for pts in rings]
         # the first stage of every point location in P, validation's and the Reeb sweep's
         self._bound = static_cross_bound(float(max(np.abs(xf).max(), np.abs(yf).max())))
         if validate:
-            _validate_rings(self._pts, xf, yf, turn, sizes, self._bound)
+            _validate_rings(self._pts, self._ints, xf, yf, turn, sizes, self._bound)
 
         self.outer = Ring(rings[0])
         self.holes = tuple(Ring(pts) for pts in rings[1:])
@@ -951,7 +986,7 @@ class Polygon:
 
     def reflex_indices(self) -> tuple[int, ...]:
         """Sorted global indices of reflex vertices."""
-        return tuple(int(i) for i in np.flatnonzero(self._reflex))
+        return tuple(np.flatnonzero(self._reflex).tolist())
 
     def cone(self, i: int) -> DoubleCone:
         """DoubleCone at reflex vertex i (cached)."""
@@ -998,6 +1033,8 @@ def load_polygon(source) -> Polygon:
         raise PolygonParseError(f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # an integer beyond the interpreter's digit limit
         raise PolygonParseError("integer with too many digits in polygon document") from exc
+    except decimal.InvalidOperation as exc:  # a JSON number's exponent beyond the decimal module's
+        raise PolygonParseError(_EXPONENT_OUT_OF_RANGE) from exc
     except RecursionError as exc:
         raise PolygonParseError("polygon document nested too deeply") from exc
     if not isinstance(doc, dict):

@@ -156,7 +156,7 @@ def _block_orders(P: Polygon, block: Sequence[Direction]) \
         a, b = block[j]._pair
 
         def heights(lanes: np.ndarray) -> np.ndarray:
-            X, Y, D = integer_lanes(P._pts, lanes)
+            X, Y, D = integer_lanes(P._ints, lanes)
             return np.array((a * X + b * Y, D))
 
         order, tie = filtered_order(hts[j], err[j], heights,

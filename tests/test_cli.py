@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -234,6 +235,36 @@ def test_direction_beyond_float_range_answered(tmp_path, capsys, l_file):
     out = tmp_path / "fig.svg"
     assert run_cli(["render", l_file, "--reeb", "--direction", "1e400,1", "--out", str(out)]) == 0
     assert out.read_bytes().startswith(b"<?xml")
+
+
+@pytest.mark.parametrize("direction, message", [
+    # a digit below 1e-5000 and one at 1e5000 or more: their integers took
+    # seconds to build, and the second's height then exceeded the digit limit
+    pytest.param("1e-4000000,1", "coordinate with a digit below 1e-5000", id="tiny-exponent"),
+    pytest.param("1e4000000,1", "coordinate of 1e5000 or more", id="huge-exponent"),
+    pytest.param("1," + "9" * 100_000, "coordinate of 1e5000 or more", id="100000-digits"),
+    pytest.param("1e99999999999999999999999,1", "exponent beyond the decimal module's range",
+                 id="exponent-out-of-range"),
+    pytest.param("1,2," + "3" * 100_000, "direction must be 'dx,dy'", id="long-triple"),
+])
+def test_extreme_direction_refused_at_once(capsys, l_file, direction, message):
+    """A --direction component is read with the place checks of a
+    coordinate, before any integer is built: exit code 2, one short
+    error line that names the direction, and no digit-limit text."""
+    start = time.perf_counter()
+    assert run_cli(["reeb", l_file, "--direction", direction]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "direction" in captured.err
+    assert len(captured.err) < 200 and "Exceeds the limit" not in captured.err
+
+
+def test_tiny_direction_answered(capsys, l_file):
+    """1e-4400 lies above the 1e-5000 floor: answered, at that exact direction."""
+    code, doc = run_json(capsys, ["reeb", l_file, "--direction", "1e-4400,1"])
+    assert code == 0 and doc["l"] == 3
 
 
 def test_output_deterministic(capsys, l_file):

@@ -20,6 +20,7 @@ from ruledpoly import (
 )
 
 from ruledpoly.generators import _certify_star_shaped
+from ruledpoly.geometry import _point_table
 
 from conftest import nudge_generic
 
@@ -80,7 +81,8 @@ def test_lower_bound_large_certificate_path():
 
 
 def _ring(coords):
-    return [Point(x, y) for x, y in coords]
+    """The vertex table and mirrors of the ring through coords."""
+    return _point_table([Point(x, y) for x, y in coords])
 
 
 @pytest.mark.parametrize("coords, message", [
@@ -94,7 +96,7 @@ def _ring(coords):
 ])
 def test_star_certificate_failures(coords, message):
     with pytest.raises(PolygonError, match=f"^star certificate failed: {message}$"):
-        _certify_star_shaped(_ring(coords))
+        _certify_star_shaped(*_ring(coords))
 
 
 @pytest.mark.parametrize("coords", [
@@ -108,8 +110,8 @@ def test_star_certificate_failures(coords, message):
 def test_star_certificate_accepts(coords):
     """Rings that wind once about the origin, turning one way at every
     step, in either orientation and with vertices exactly on the x-axis."""
-    _certify_star_shaped(_ring(coords))
-    _certify_star_shaped(_ring(list(reversed(coords))))
+    _certify_star_shaped(*_ring(coords))
+    _certify_star_shaped(*_ring(list(reversed(coords))))
 
 
 def test_lower_bound_custom_radii():

@@ -141,7 +141,7 @@ def test_coordinates_below_float_range():
     P = load_polygon(text)
     assert P.reflex_indices() == ()
     assert Polygon(P.outer, validate=False).reflex_indices() == ()
-    assert geometry._corner_signs(list(P.outer), *geometry._mirrors(list(P.outer))).tolist() \
+    assert geometry._corner_signs(*geometry._point_table(list(P.outer))).tolist() \
         == [1, 1, 1]
 
 

@@ -25,7 +25,7 @@ from ruledpoly import (
     lower_bound_polygon,
 )
 from ruledpoly.generators import _certify_star_shaped, _round12
-from ruledpoly.geometry import _coordinate_text
+from ruledpoly.geometry import _coordinate_text, _point_table
 
 SCALE = 10 ** 12
 
@@ -47,7 +47,7 @@ def reference_star(params):
     for i in range(n):
         ring.append(Point(ox[i], oy[i]))
         ring.append(Point(ix[i], iy[i]))
-    _certify_star_shaped(ring)
+    _certify_star_shaped(*_point_table(ring))
     return Polygon(ring, validate=False)
 
 
@@ -123,7 +123,7 @@ def test_round12_matches_fraction_route(scale):
     rng = np.random.default_rng(7)
     xs, ys = rng.uniform(-scale, scale, 500), rng.uniform(-scale, scale, 500)
     xs[:3], ys[:3] = 0.0, (-0.0, 5e-13, -5e-13)  # zero, and ties of the rounding
-    pts, mx, my = _round12(xs, ys)
+    pts, _, mx, my = _round12(xs, ys)
     want = [Point(x, y) for x, y in zip(reference_round12(xs), reference_round12(ys))]
     assert [(p.X, p.Y, p.D, p.xf, p.yf) for p in pts] == \
         [(q.X, q.Y, q.D, q.xf, q.yf) for q in want]

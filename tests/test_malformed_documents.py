@@ -71,6 +71,13 @@ BRIEF = [
                  "^bad coordinate literal '1111", id="long-bad-literal"),
     pytest.param(json.dumps({"outer": [[0, 0], [1, 0], [0, 1]], "k" * 10 ** 6: 0}).encode(),
                  "^unknown keys \\['kkkk", id="long-key"),
+    # exponents beyond the decimal module's, as a JSON number and as a string
+    pytest.param(b'{"outer": [[0, 0], [1, 0], [0, 1e99999999999999999999999]]}',
+                 "^coordinate with an exponent beyond the decimal module's range$",
+                 id="number-exponent-out-of-range"),
+    pytest.param(b'{"outer": [[0, 0], [1, 0], [0, "1e-99999999999999999999999"]]}',
+                 "^coordinate with an exponent beyond the decimal module's range$",
+                 id="literal-exponent-out-of-range"),
 ]
 
 

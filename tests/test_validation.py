@@ -31,6 +31,7 @@ from ruledpoly import (
 )
 from ruledpoly.exactmath import filtered_order, integer_lanes, orient_sign
 from ruledpoly.generators import _find_contact
+from ruledpoly.geometry import _point_table
 
 from conftest import recorded_comparisons
 
@@ -179,7 +180,8 @@ def _reference_sweep(rings):
     for e in range(n):
         prv[nxt[e]] = e
     xf = np.array([p.xf for p in pts])
-    events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, pts), geometry._lex_cmp)
+    events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, _point_table(pts)[0]),
+                                   geometry._lex_cmp)
     events, repeat = events.tolist(), repeat.tolist()
     rank = [0] * n
     for k, v in enumerate(events):
@@ -313,7 +315,7 @@ def test_find_contact_is_first_pair_in_order(pts):
     """generators._find_contact evaluates every pair as a lane and must
     return what the scalar loop returns first."""
     ring = [Point(x, y) for x, y in pts]
-    assert _find_contact(ring) == find_contact(ring)
+    assert _find_contact(*_point_table(ring)) == find_contact(ring)
 
 
 def test_validation_cost_is_linear_in_contact_tests(monkeypatch):
