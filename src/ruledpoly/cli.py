@@ -28,7 +28,6 @@ from .geometry import (
     PolygonError,
     PolygonParseError,
     _ratio,
-    as_fraction,
     dump_polygon,
     load_polygon,
 )
@@ -65,18 +64,23 @@ def _load(path: str):
         return load_polygon(fh)
 
 
+def _number(text: str, what: str) -> Fraction:
+    """A number on the command line, read as geometry._ratio reads a
+    coordinate, with the places of a decimal's digits checked before any
+    integer is built: its leading digit below 10**_DIRECTION_PLACE and
+    its last at 10**_LEAST_PLACE or above. what names it in an error."""
+    try:
+        return Fraction(*_ratio(text.strip(), _DIRECTION_PLACE))
+    except PolygonParseError as exc:
+        raise PolygonError(f"unparseable {what}: {exc}") from exc
+
+
 def _parse_direction(text: str) -> Direction:
-    """The Direction of 'dx,dy'. Each component is read as geometry._ratio
-    reads a coordinate, with the places of a decimal's digits checked
-    before any integer is built: its leading digit below
-    10**_DIRECTION_PLACE and its last at 10**_LEAST_PLACE or above."""
+    """The Direction of 'dx,dy', each component a _number."""
     parts = text.split(",")
     if len(parts) != 2:
         raise PolygonError(f"direction must be 'dx,dy', got {reprlib.repr(text)}")
-    try:
-        dx, dy = (Fraction(*_ratio(part.strip(), _DIRECTION_PLACE)) for part in parts)
-    except PolygonParseError as exc:
-        raise PolygonError(f"unparseable direction {reprlib.repr(text)}: {exc}") from exc
+    dx, dy = (_number(part, f"direction {reprlib.repr(text)}") for part in parts)
     if dx == 0 and dy == 0:
         raise PolygonError("direction must be nonzero")
     return Direction(dx, dy)
@@ -111,14 +115,15 @@ def _cmd_generate(args) -> int:
     if args.family == "lower-bound":
         params = FamilyParams(
             n=args.n,
-            r1=as_fraction(args.r1) if args.r1 is not None else Fraction(4),
-            r2=as_fraction(args.r2) if args.r2 is not None else Fraction(1),
+            r1=_number(args.r1, "--r1") if args.r1 is not None else Fraction(4),
+            r2=_number(args.r2, "--r2") if args.r2 is not None else Fraction(1),
         )
         P = lower_bound_polygon(params)
     elif args.family == "comb":
         P = comb_polygon(args.teeth)
     else:
-        P = annulus_polygon(as_fraction(args.outer_side), as_fraction(args.hole_side))
+        P = annulus_polygon(_number(args.outer_side, "--outer-side"),
+                            _number(args.hole_side, "--hole-side"))
     text = dump_polygon(P)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

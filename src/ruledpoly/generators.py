@@ -10,11 +10,12 @@ Trigonometric and random coordinates are rounded to 12 decimal digits
 before emission so that serialized polygons round-trip byte for byte;
 every downstream predicate operates on the rounded rationals, never the
 unrounded reals. The rounding works on integer arrays (int64 while the
-scaled coordinates stay below 2**53, Python ints beyond) and each point
-is built from its canonical integers, so generation makes no Fraction.
+scaled coordinates stay below 2**53, Python ints beyond), and its
+integer table and mirrors are handed to the polygon as they are
+(Polygon._set), so generation makes no Fraction and no Point.
 Every star is proved simple by one exact O(n) certificate (radial
-monotonicity about the origin and a crossing count) on the rounding's
-integer table and mirrors, instead of the validation sweep.
+monotonicity about the origin and a crossing count) on that table,
+instead of the validation sweep.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import numpy as np
 
 from .exactmath import filtered_sign_array, integer_lanes, orient_lanes
 from .geometry import (
-    Point,
     Polygon,
     PolygonError,
     _EXACT_FLOAT,
-    _points_from_ints,
+    _table,
     _touching,
     as_fraction,
 )
@@ -81,11 +81,9 @@ class FamilyParams:
                              "so r1 below about 1.8e296")
 
 
-def _round12(xs: np.ndarray, ys: np.ndarray) -> tuple[list[Point], np.ndarray, np.ndarray,
-                                                      np.ndarray]:
-    """The Points (x, y) rounded to 12 decimal digits, for x, y in the
-    float arrays xs, ys, with their vertex table and mirror arrays
-    (geometry._points_from_ints).
+def _round12(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex table and mirror arrays (geometry._table) of the points
+    (x, y) rounded to 12 decimal digits, for x, y in the float arrays xs, ys.
 
     Each coordinate is n / 10**12 for the integer n nearest to its float
     times 10**12; dividing n and 10**12 by their gcd, then taking the
@@ -102,7 +100,7 @@ def _round12(xs: np.ndarray, ys: np.ndarray) -> tuple[list[Point], np.ndarray, n
     gx, gy = np.gcd(sx, scale), np.gcd(sy, scale)
     dx, dy = scale // gx, scale // gy
     d = np.lcm(dx, dy)
-    return _points_from_ints(sx // gx * (d // dx), sy // gy * (d // dy), d)
+    return _table(sx // gx * (d // dx), sy // gy * (d // dy), d)
 
 
 def _certify_star_shaped(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray) -> None:
@@ -159,9 +157,9 @@ def lower_bound_polygon(params: FamilyParams) -> Polygon:
     # the ring alternates tip i and notch i
     xs = np.stack((r1 * np.sin(theta), r2 * np.sin(phi)), axis=1).ravel()
     ys = np.stack((r1 * np.cos(theta), r2 * np.cos(phi)), axis=1).ravel()
-    ring, *table = _round12(xs, ys)
+    table = _round12(xs, ys)
     _certify_star_shaped(*table)
-    return Polygon(ring, validate=False)
+    return Polygon.__new__(Polygon)._set([table], validate=False)
 
 
 def comb_polygon(teeth: int) -> Polygon:
@@ -183,21 +181,21 @@ def comb_polygon(teeth: int) -> Polygon:
     bump_y = Fraction(5, 4)
 
     def prong_top_right(i):  # B_i
-        return Point(3 * i + 1 + q, four + (2 * i + 1) * q)
+        return (3 * i + 1 + q, four + (2 * i + 1) * q)
 
     def prong_top_left(i):  # A_i
-        return Point(3 * i - q, four + (2 * i + 2) * q)
+        return (3 * i - q, four + (2 * i + 2) * q)
 
     def gap_left(i):  # u_i, base of prong i's right wall
-        return Point(3 * i + 1 + 2 * q, one + (3 * i + 1) * q)
+        return (3 * i + 1 + 2 * q, one + (3 * i + 1) * q)
 
     def gap_peak(i):  # s_i
-        return Point(3 * i + 2, bump_y + (3 * i + 2) * q)
+        return (3 * i + 2, bump_y + (3 * i + 2) * q)
 
     def gap_right(i):  # w_i, base of prong (i+1)'s left wall
-        return Point(3 * i + 3 - 2 * q, one + (3 * i + 3) * q)
+        return (3 * i + 3 - 2 * q, one + (3 * i + 3) * q)
 
-    ring = [Point(0, 0), Point(3 * t - 2, -q)]
+    ring = [(0, 0), (3 * t - 2, -q)]
     for i in range(t - 1, -1, -1):
         ring.append(prong_top_right(i))
         ring.append(prong_top_left(i))
@@ -217,12 +215,12 @@ def annulus_polygon(outer_side, hole_side) -> Polygon:
             f"need 0 < hole_side < outer_side, got {hole_side!r}, {outer_side!r}")
     c = s / 2
     half = w / 2
-    outer = [Point(0, 0), Point(s, 0), Point(s, s), Point(0, s)]
+    outer = [(0, 0), (s, 0), (s, s), (0, s)]
     hole = [
-        Point(c - half, c - half),
-        Point(c - half, c + half),
-        Point(c + half, c + half),
-        Point(c + half, c - half),
+        (c - half, c - half),
+        (c - half, c + half),
+        (c + half, c + half),
+        (c + half, c - half),
     ]
     return Polygon(outer, [hole])
 
@@ -261,10 +259,10 @@ def random_simple_polygon(vertex_count: int, seed: int) -> Polygon:
     cy = float(np.mean(ys))
     order = np.lexsort((np.hypot(xs - cx, ys - cy),
                         np.arctan2(ys - cy, xs - cx)))
-    pts, ints, xf, yf = _round12(xs[order], ys[order])
+    ints, xf, yf = _round12(xs[order], ys[order])
 
     budget = 60 * vertex_count * vertex_count
-    ring = np.arange(vertex_count)  # the tour, as indices into pts
+    ring = np.arange(vertex_count)  # the tour, as indices into the table
     while budget > 0:
         contact = _find_contact(ints[:, ring], xf[ring], yf[ring])
         if contact is None:
@@ -277,7 +275,7 @@ def random_simple_polygon(vertex_count: int, seed: int) -> Polygon:
             f"could not untangle {vertex_count} points with seed {seed}")
 
     try:
-        return Polygon([pts[k] for k in ring.tolist()])
+        return Polygon.__new__(Polygon)._set([(ints[:, ring], xf[ring], yf[ring])], True)
     except PolygonError as exc:
         raise UntangleError(
             f"untangled ring failed validation for seed {seed}: {exc}") from exc

@@ -4,19 +4,21 @@ A point is (X / D, Y / D) over integers, D > 0 its own least common
 denominator, and every geometric decision is an exact sign computed
 from these integers; float mirrors of all coordinates are kept
 alongside for numpy fast paths and filtered scalar predicates (see
-exactmath). Fractions appear only at the public edge. Each ring is
-coerced to its Points and, in the same step, to its integer table (the
+exactmath). Each ring is read straight into its integer table (the
 (X, Y, D) of every vertex as the rows of one array: int64 while every
 value is below 2**53, Python ints beyond) and its mirrors, which come
-from the table. Every exact lane gather indexes that table, never a
-Point's attributes; the scalar predicates (point location, the cones)
-read the Points. Each ring's corner signs are the lanes of one
-orient_lanes call per pass of its merge, one pass for a ring with
-nothing to merge, and give its merging (itself decided as lanes, the
-Points, table and mirrors compressed together), its orientation and
-its reflex vertices. The rings are then laid end to end in one flat
-vertex table of points, integers, mirrors and signs, which validation
-and the polygon share.
+from the table, an entry at a time, so that the first faulty entry
+raises (_read_ring). That table is a polygon's only per-vertex store:
+every exact lane gather indexes it, and point location reads its
+mirrors by index. Points and Fractions are made only at the public
+edge (Polygon.vertex, the rings, cones, error messages; _point), and
+for the rare exact fallback of point location. Each ring's corner
+signs are the lanes of one orient_lanes call per pass of its merge, one
+pass for a ring with nothing to merge, and give its merging (itself
+decided as lanes, the table and mirrors compressed together), its
+orientation and its reflex vertices. The rings are then laid end to end
+in one flat vertex table of integers, mirrors and signs, which
+validation and the polygon share.
 
 The polygon file format is a UTF-8 JSON document
 
@@ -48,8 +50,8 @@ in one frame, and its point location (_Status.locate) is the only one
 of both sweeps. Each of its comparisons is a three-stage filter: the
 plain float determinant against one static bound per polygon
 (exactmath.static_cross_bound, kept on the Polygon), then the one
-scalar orient_sign call of both sweeps, which has its own float filter
-and falls back to the integers.
+scalar orient_sign call of both sweeps, on three Points made for it,
+which has its own float filter and falls back to the integers.
 """
 
 from __future__ import annotations
@@ -138,6 +140,9 @@ _EXACT_FLOAT = 2 ** 53  # every integer of smaller magnitude is a float
 _FLOAT_PLACE = 309
 # a decimal coordinate's last digit has a place value of 10**_LEAST_PLACE or more
 _LEAST_PLACE = -5000
+# digits of an integer literal ("p/q", a JSON integer), checked before int(), which takes
+# quadratic time: CPython's default int_max_str_digits, the same on every interpreter
+_MAX_DIGITS = 4300
 
 
 def _ratio(value, cap: int | None = None) -> tuple[int, int]:
@@ -162,11 +167,10 @@ def _ratio(value, cap: int | None = None) -> tuple[int, int]:
             raise PolygonParseError(f"bad coordinate literal {reprlib.repr(value)}")
         p, slash, q = value.partition("/")
         if slash:
-            try:
-                p, q = int(p), int(q)
-            except ValueError as exc:  # beyond the interpreter's digit limit
+            if max(len(p.lstrip("+-")), len(q)) > _MAX_DIGITS:
                 raise PolygonParseError(
-                    f"coordinate literal of {len(value)} characters has too many digits") from exc
+                    f"coordinate literal of {len(value)} characters has too many digits")
+            p, q = int(p), int(q)
             g = math.gcd(p, q)
             return p // g, q // g
         try:
@@ -203,19 +207,29 @@ def _scaled(x, y, cap: int | None = None) -> tuple[int, int, int]:
     return xn * (d // xd), yn * (d // yd), d
 
 
+def _vertex(x, y) -> tuple[int, int, int, float, float]:
+    """The canonical integers (X, Y, D) of the point (x, y) (_scaled, at
+    the float range's cap) and its correctly rounded mirrors X / D, Y / D;
+    a point beyond the float range is refused."""
+    X, Y, D = _scaled(x, y, _FLOAT_PLACE)
+    try:
+        return X, Y, D, X / D, Y / D
+    except OverflowError as exc:
+        raise PolygonParseError(_BEYOND_FLOAT_RANGE) from exc
+
+
 class Point:
     """Exact planar point (X / D, Y / D), D > 0 the least common denominator
     of its reduced coordinates, so (X, Y, D) is canonical. The float
-    mirrors X / D and Y / D are correctly rounded; x and y are Fractions."""
+    mirrors X / D and Y / D are correctly rounded; x and y are Fractions.
+
+    A polygon keeps no Points: it makes them from its vertex table on
+    access (_point)."""
 
     __slots__ = ("X", "Y", "D", "xf", "yf")
 
     def __init__(self, x, y):
-        self.X, self.Y, self.D = X, Y, D = _scaled(x, y, _FLOAT_PLACE)
-        try:
-            self.xf, self.yf = X / D, Y / D
-        except OverflowError as exc:
-            raise PolygonParseError(_BEYOND_FLOAT_RANGE) from exc
+        self.X, self.Y, self.D, self.xf, self.yf = _vertex(x, y)
 
     @property
     def x(self) -> Fraction:
@@ -260,24 +274,12 @@ def _table(X, Y, D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ints, xs, ys
 
 
-def _point_table(pts: list[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_table of the Points pts."""
-    return _table([p.X for p in pts], [p.Y for p in pts], [p.D for p in pts])
-
-
-def _points_from_ints(X: np.ndarray, Y: np.ndarray, D: np.ndarray) -> tuple[
-        list[Point], np.ndarray, np.ndarray, np.ndarray]:
-    """The Points (X / D, Y / D) of canonical integers, given as int64
-    arrays or object arrays of Python ints, with their vertex table and
-    mirror arrays (_table)."""
-    ints, xs, ys = _table(X, Y, D)
-    new = Point.__new__
-    pts = []
-    for x, y, d, xf, yf in zip(*ints.tolist(), xs.tolist(), ys.tolist()):
-        p = new(Point)
-        p.X, p.Y, p.D, p.xf, p.yf = x, y, d, xf, yf
-        pts.append(p)
-    return pts, ints, xs, ys
+def _point(X: int, Y: int, D: int) -> Point:
+    """The Point of a column (X, Y, D) of a vertex table: the one way
+    from the table to Points, its mirrors divided as _table's are."""
+    p = Point.__new__(Point)
+    p.X, p.Y, p.D, p.xf, p.yf = X, Y, D, X / D, Y / D
+    return p
 
 
 def _lex_cmp(p, q):
@@ -412,19 +414,27 @@ def _not_a_pair(label: str, i: int, item, length: int | None) -> PolygonParseErr
     return PolygonParseError(f"{label} entry {i} is not a coordinate pair: {kind}")
 
 
-def _coerce_ring(ring_like, r: int) -> tuple[list[Point], np.ndarray, np.ndarray, np.ndarray]:
-    """The Points of ring r, the outer ring (0) or hole r - 1, with their
-    vertex table and mirrors (_point_table)."""
-    pts = []
-    for i, item in enumerate(ring_like):
+def _read_ring(items, label: str, strict: bool = False) -> tuple[np.ndarray, ...]:
+    """The vertex table and mirrors (_table) of the ring label, read
+    straight into columns an entry at a time, so the first faulty entry
+    raises: a Point, or a coordinate pair (_vertex). Strict (a JSON
+    document): the ring is a list of at least 3 entries, each a list of
+    two; otherwise each entry is any iterable of two."""
+    if strict and (not isinstance(items, list) or len(items) < 3):
+        raise PolygonParseError(f"{label} must be a list of at least 3 coordinate pairs")
+    X, Y, D = [], [], []
+    for i, item in enumerate(items):
         if isinstance(item, Point):
-            pts.append(item)
+            x, y, d = item.X, item.Y, item.D
         else:
-            xy = tuple(item)
-            if len(xy) != 2:
-                raise _not_a_pair(f"holes[{r - 1}]" if r else "outer", i, item, len(xy))
-            pts.append(Point(xy[0], xy[1]))
-    return (pts, *_point_table(pts))
+            xy = item if isinstance(item, list) else None if strict else tuple(item)
+            if xy is None or len(xy) != 2:
+                raise _not_a_pair(label, i, item, None if xy is None else len(xy))
+            x, y, d, _, _ = _vertex(xy[0], xy[1])
+        X.append(x)
+        Y.append(y)
+        D.append(d)
+    return _table(X, Y, D)
 
 
 def _links(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -451,11 +461,10 @@ def _corner_signs(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     return orient_lanes(ints, xs, ys, np.array((nxt, prv, np.arange(n))))
 
 
-def _merge_ring(pts: list[Point], ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[
-        list[Point], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _merge_ring(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Drop duplicate and straight-through vertices; reject slit corners.
-    Returns the ring's Points, vertex table and mirrors, all compressed
-    together, and its corner signs, all nonzero.
+    Returns the ring's vertex table and mirrors, compressed together, and
+    its corner signs, all nonzero.
 
     Each pass takes the corner signs of the ring as it stood when the
     pass began, and decides the zero ones as lanes of their edge vectors
@@ -466,31 +475,29 @@ def _merge_ring(pts: list[Point], ints: np.ndarray, xs: np.ndarray, ys: np.ndarr
     neighbor collinear in turn: a ring with no zero sign takes one pass.
     """
     while True:
-        n = len(pts)
+        n = ints.shape[1]
         if n < 3:
             raise TooFewVerticesError(f"ring has {n} corners after merging")
         signs = _corner_signs(ints, xs, ys)
         if signs.all():
-            return pts, ints, xs, ys, signs
+            return ints, xs, ys, signs
         zero = np.flatnonzero(signs == 0)
         ux, uy, _ = delta_lanes(ints, np.array(((zero - 1) % n, zero)))
         wx, wy, _ = delta_lanes(ints, np.array((zero, (zero + 1) % n)))
         drop = (wx == 0) & (wy == 0) | (ux * wx + uy * wy > 0)
         slit = np.flatnonzero(~drop & ((ux != 0) | (uy != 0)))
         if len(slit):
-            raise SlitVertexError(f"edges double back at {pts[zero[slit[0]]]!r}")
+            raise SlitVertexError(
+                f"edges double back at {_point(*ints[:, zero[slit[0]]].tolist())!r}")
         keep = np.ones(n, dtype=bool)
         keep[zero[drop]] = False
-        pts = list(itertools.compress(pts, keep.tolist()))
         ints, xs, ys = ints[:, keep], xs[keep], ys[keep]
 
 
-def _normalize_ring(pts: list[Point], ints: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                    want: int) -> tuple[list[Point], np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray]:
+def _normalize_ring(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray, want: int) -> tuple[
+        np.ndarray, ...]:
     """The ring merged and oriented (want: +1 counterclockwise, -1
-    clockwise): its Points, vertex table, float mirrors and exact corner
-    signs.
+    clockwise): its vertex table, float mirrors and exact corner signs.
 
     The corner signs come from the merge (_merge_ring), one pass on a
     ring with no zero sign. The orientation is the sign at the
@@ -498,14 +505,14 @@ def _normalize_ring(pts: list[Point], ints: np.ndarray, xs: np.ndarray, ys: np.n
     ring; a ring that is not simple is left for validation to reject.
     Reversing a ring reverses its table and mirrors and negates its signs.
     """
-    pts, ints, xs, ys, signs = _merge_ring(pts, ints, xs, ys)
+    ints, xs, ys, signs = _merge_ring(ints, xs, ys)
     # rounding is monotone, so the exact least x has the least mirror
     low = np.flatnonzero(xs == xs.min())
     cols = integer_lanes(ints, low).T
     least = low[min(range(len(low)), key=cmp_to_key(lambda i, j: _lex_cmp(cols[i], cols[j])))]
     if signs[least] != want:
-        return pts[::-1], ints[:, ::-1], xs[::-1], ys[::-1], -signs[::-1]
-    return pts, ints, xs, ys, signs
+        return ints[:, ::-1], xs[::-1], ys[::-1], -signs[::-1]
+    return ints, xs, ys, signs
 
 
 # the rows of (a, b, c, d) that form the four orientation lanes of a contact test
@@ -566,7 +573,8 @@ def _forward(order: np.ndarray, nxt) -> list:
 class _Status:
     """Edges crossing a sweep line, in order along it, with a handle for
     every edge, and the one point location of both planar sweeps, whose
-    comparisons a static bound from the caller decides first.
+    comparisons a static bound from the caller decides first. Vertices
+    are indices into the sweep's vertex table and mirror lists.
 
     Edge e joins vertex e to vertex nxt[e] and is directed in event
     order: from e to nxt[e] iff forward[e]. The status runs from the
@@ -587,22 +595,25 @@ class _Status:
     therefore costs no predicate; only locate compares.
     """
 
-    __slots__ = ("blocks", "keys", "home", "pts", "nxt", "forward", "bound")
+    __slots__ = ("blocks", "keys", "home", "ints", "xs", "ys", "nxt", "forward", "bound")
 
-    def __init__(self, pts: Sequence[Point], nxt: list[int], forward: list[bool],
-                 bound: float):
-        """An empty status for the edges of the vertices pts, edge e
-        running forward from e to nxt[e] iff forward[e]; bound is
+    def __init__(self, ints: np.ndarray, xs: list[float], ys: list[float], nxt: list[int],
+                 forward: list[bool], bound: float):
+        """An empty status for the edges of the vertices of the vertex
+        table ints, whose mirrors are the lists xs, ys, edge e running
+        forward from e to nxt[e] iff forward[e]; bound is
         exactmath.static_cross_bound of the largest mirror magnitude
-        among pts and the points to be located (inf: no first stage)."""
+        (inf: no first stage)."""
         self.blocks: list[_Block] = []
         self.keys: list[int] = []
         self.home: list[_Block | None] = [None] * len(nxt)
-        self.pts, self.nxt, self.forward, self.bound = pts, nxt, forward, bound
+        self.ints, self.xs, self.ys = ints, xs, ys
+        self.nxt, self.forward, self.bound = nxt, forward, bound
 
-    def locate(self, p: Point) -> tuple[int, int, bool]:
-        """(b, i, on): the position of the first edge that p does not lie
-        strictly left of, or the end, and whether p lies on that edge.
+    def locate(self, v: int) -> tuple[int, int, bool]:
+        """(b, i, on): the position of the first edge that vertex v does
+        not lie strictly left of, or the end, and whether v lies on that
+        edge.
 
         In a status in order, that edge is the first through p when p
         lies on any edge. The search compares the edge at the position
@@ -611,25 +622,27 @@ class _Status:
         Each comparison is a three-stage filter (Devillers and Pion 2003;
         Shewchuk 1997): the float determinant of orient_sign's filter
         decides when it clears the status's static bound, then
-        orient_sign decides, by its own filter or the integers.
+        orient_sign decides, by its own filter or the integers, on three
+        Points made for it (_point): the vertices are read from the table
+        and its mirror lists by index.
         """
-        pts, nxt, forward, bound = self.pts, self.nxt, self.forward, self.bound
-        px, py = p.xf, p.yf
+        xs, ys, nxt, forward, bound = self.xs, self.ys, self.nxt, self.forward, self.bound
+        px, py = xs[v], ys[v]
         on = []
 
         def rel(t: int) -> int:
-            """Side of edge t, directed in event order, relative to p: -1
-            if p lies strictly left of t. The sign is exact, so a swap of
+            """Side of edge t, directed in event order, relative to v: -1
+            if v lies strictly left of t. The sign is exact, so a swap of
             t's ends negates it."""
-            a, b = pts[t], pts[nxt[t]]
+            a, b = t, nxt[t]
             # cross_filter's det, term for term, so its bound covers it; NaN falls through
-            det = (a.xf - px) * (b.yf - py) - (a.yf - py) * (b.xf - px)
+            det = (xs[a] - px) * (ys[b] - py) - (ys[a] - py) * (xs[b] - px)
             if det > bound:
                 o = 1
             elif det < -bound:
                 o = -1
             else:
-                o = orient_sign(a, b, p)
+                o = orient_sign(*(_point(*self.ints[:, k].tolist()) for k in (a, b, v)))
                 if not o:
                     on.append(t)
             return -o if forward[t] else o
@@ -718,13 +731,13 @@ class _Status:
         keys.insert(b + 1, upper.key)
 
 
-def _validate_rings(pts: list[Point], ints: np.ndarray, xf: np.ndarray, yf: np.ndarray,
-                    turn: np.ndarray, sizes: list[int], bound: float) -> None:
+def _validate_rings(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
+                    sizes: list[int], bound: float) -> None:
     """Reject any contact between edges of the rings other than the
     vertex two ring-consecutive edges share, and any hole outside the
     outer ring or inside another hole. The rings lie end to end in one
-    vertex table, the outer ring first, then the holes: their points
-    pts, integers ints, float mirrors xf, yf and exact corner signs turn, with
+    vertex table, the outer ring first, then the holes: their integers
+    ints, float mirrors xf, yf and exact corner signs turn, with
     ring r's vertices following ring r - 1's, sizes[r] of them; bound is
     the static bound of the status (_Status) for all rings.
 
@@ -750,13 +763,13 @@ def _validate_rings(pts: list[Point], ints: np.ndarray, xf: np.ndarray, yf: np.n
     before any hole placement fault.
     """
     try:
-        _sweep(pts, ints, xf, yf, turn, sizes, bound)
+        _sweep(ints, xf, yf, turn, sizes, bound)
     except HolePlacementError:
         end = 0
         for size in sizes:  # one ring alone: raises only SelfIntersectionError
             ring = slice(end, end + size)
             end += size
-            _sweep(pts[ring], ints[:, ring], xf[ring], yf[ring], turn[ring], [size], bound)
+            _sweep(ints[:, ring], xf[ring], yf[ring], turn[ring], [size], bound)
         raise
 
 
@@ -793,9 +806,9 @@ def _failed_check(touches: list[int], sides: list[int], ints: np.ndarray, xs: np
     return None
 
 
-def _sweep(pts: list[Point], ints: np.ndarray, xf: np.ndarray, yf: np.ndarray,
-           turn: np.ndarray, sizes: list[int], bound: float) -> None:
-    n = len(pts)
+def _sweep(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
+           sizes: list[int], bound: float) -> None:
+    n = len(turn)
     nxt, prv = _links(sizes)
     ring_of = np.repeat(np.arange(len(sizes)), sizes).tolist()
     turn = turn.tolist()
@@ -811,15 +824,15 @@ def _sweep(pts: list[Point], ints: np.ndarray, xf: np.ndarray, yf: np.ndarray,
     repeat = repeat.tolist()
     lo = [e if forward[e] else nxt[e] for e in range(n)]
     hi = [nxt[e] if forward[e] else e for e in range(n)]
-    status = _Status(pts, nxt, forward, bound)
+    status = _Status(ints, xf.tolist(), yf.tolist(), nxt, forward, bound)
 
     def fault(e: int, f: int) -> PolygonError:
         re, rf = ring_of[e], ring_of[f]
         if re == rf:
             first = sum(sizes[:re])
             i, j = sorted((e - first, f - first))
-            return SelfIntersectionError(
-                f"edges {i} and {j} of a ring intersect near {pts[first + i]!r}")
+            near = _point(*ints[:, first + i].tolist())
+            return SelfIntersectionError(f"edges {i} and {j} of a ring intersect near {near!r}")
         a, b = sorted((re, rf))
         if a == 0:
             return HolePlacementError(f"hole {b - 1} touches the outer boundary")
@@ -860,7 +873,7 @@ def _sweep(pts: list[Point], ints: np.ndarray, xf: np.ndarray, yf: np.ndarray,
                         sides.extend((lo[t], hi[t], v, side, ending[0], t, len(touches) // 4))
             else:
                 # a leftmost vertex: both edges start here; locate v itself
-                b, i, on = status.locate(pts[v])
+                b, i, on = status.locate(v)
                 if on:  # v lies on the edge at its place, the lowest through v
                     raise fault(e_out, status.at(b, i))
 
@@ -907,53 +920,62 @@ class Polygon:
     interior always lies to the left of traversal and one cross product
     rule classifies reflex vertices on every ring.
 
-    Construction merges each ring (_merge_ring), each pass taking every
-    corner sign as one orient_lanes call: zero signs (duplicate,
+    Construction reads each ring straight into its integer table and
+    mirrors (_read_ring), then merges it (_merge_ring), each pass taking
+    every corner sign as one orient_lanes call: zero signs (duplicate,
     straight-through or slit corners) are decided as lanes, dropping the
     first two kinds and rejecting the third. The signs of the last pass
     give the orientation, at the lexicographically least vertex, and
-    the reflex vertices, the negative ones. The rings' points, integer
-    tables (_table), mirrors and signs are concatenated once, into the
-    vertex table that P keeps (_pts, the public view of its Points;
-    _ints, shape (3, n), every exact gather's source; _coords, the
-    mirrors) and validation reads, and validated with
-    one exact sweep (_validate_rings): SelfIntersectionError when two edges
-    of one ring share a point other than the vertex between consecutive
-    edges, HolePlacementError when rings touch or a hole lies outside the
-    outer ring or inside another hole. Construction also takes the
-    static bound of point location over all of P's mirrors
-    (exactmath.static_cross_bound), which validation and every Reeb sweep
-    of P share. validate=False skips the validation sweep;
-    it exists for generators that certify simplicity structurally. Such
-    rings are still merged and oriented, but their simplicity and
-    nesting are trusted: on a ring that is not simple the orientation,
-    and with it the reflex mask, means nothing.
+    the reflex vertices, the negative ones. The rings' integer tables
+    (_table), mirrors and signs are concatenated once, into the vertex
+    table that P keeps (_ints, shape (3, n), every exact gather's source
+    and P's only per-vertex store; _coords, the mirrors) and validation
+    reads, and validated with one exact sweep (_validate_rings):
+    SelfIntersectionError when two edges of one ring share a point other
+    than the vertex between consecutive edges, HolePlacementError when
+    rings touch or a hole lies outside the outer ring or inside another
+    hole. Construction also takes the static bound of point location
+    over all of P's mirrors (exactmath.static_cross_bound), which
+    validation and every Reeb sweep of P share. validate=False skips the
+    validation sweep; it exists for generators that certify simplicity
+    structurally. Such rings are still merged and oriented, but their
+    simplicity and nesting are trusted: on a ring that is not simple the
+    orientation, and with it the reflex mask, means nothing.
+
+    P keeps no Points: vertex(i), the rings and cone(i) make them from
+    the table on access (_point).
     """
 
-    __slots__ = ("outer", "holes", "n", "h", "_pts", "_ints", "_prev", "_next", "_coords",
-                 "_bound", "_reflex", "_cones")
+    __slots__ = ("n", "h", "_starts", "_ints", "_prev", "_next", "_coords", "_bound",
+                 "_reflex", "_cones")
 
     def __init__(self, outer, holes: Iterable = (), *, validate: bool = True):
-        rings, ints, xs, ys, signs = zip(*(
-            _normalize_ring(*_coerce_ring(ring, r), -1 if r else 1)
-            for r, ring in enumerate(itertools.chain([outer], holes))))
-        self._pts = [p for pts in rings for p in pts]
+        self._set((_read_ring(ring, f"holes[{r - 1}]" if r else "outer")
+                   for r, ring in enumerate(itertools.chain([outer], holes))), validate)
+
+    def _set(self, tables: Iterable[tuple[np.ndarray, ...]], validate: bool) -> Polygon:
+        """Build P, and return it, from the vertex tables and mirrors
+        (_table) of its rings, the outer ring first, each normalized as it
+        comes: the step of __init__ past reading its rings, which
+        load_polygon and the generators take on tables of their own, as
+        Polygon.__new__(Polygon)._set(tables, validate)."""
+        ints, xs, ys, signs = zip(*(_normalize_ring(*table, -1 if r else 1)
+                                    for r, table in enumerate(tables)))
+        sizes = [len(turn) for turn in signs]
         self._ints = np.concatenate(ints, axis=1)
         xf, yf, turn = np.concatenate(xs), np.concatenate(ys), np.concatenate(signs)
-        sizes = [len(pts) for pts in rings]
         # the first stage of every point location in P, validation's and the Reeb sweep's
         self._bound = static_cross_bound(float(max(np.abs(xf).max(), np.abs(yf).max())))
         if validate:
-            _validate_rings(self._pts, self._ints, xf, yf, turn, sizes, self._bound)
+            _validate_rings(self._ints, xf, yf, turn, sizes, self._bound)
 
-        self.outer = Ring(rings[0])
-        self.holes = tuple(Ring(pts) for pts in rings[1:])
-        self.n = len(self._pts)
-        self.h = len(rings) - 1
+        self._starts = [0, *itertools.accumulate(sizes)]
+        self.n, self.h = self._starts[-1], len(sizes) - 1
         self._next, self._prev = _links(sizes)
         self._coords = np.column_stack((xf, yf))
         self._reflex = turn < 0
         self._cones = {}
+        return self
 
     # -- vertex addressing ------------------------------------------------
 
@@ -965,7 +987,7 @@ class Polygon:
 
     def vertex(self, i: int) -> Point:
         """Point at global vertex index i."""
-        return self._pts[self._index(i)]
+        return _point(*self._ints[:, self._index(i)].tolist())
 
     def neighbors(self, i: int) -> tuple[int, int]:
         """Global indices of the ring-previous and ring-next vertices."""
@@ -973,8 +995,17 @@ class Polygon:
         return int(self._prev[i]), int(self._next[i])
 
     @property
+    def outer(self) -> Ring:
+        return self.rings[0]
+
+    @property
+    def holes(self) -> tuple[Ring, ...]:
+        return self.rings[1:]
+
+    @property
     def rings(self) -> tuple[Ring, ...]:
-        return (self.outer,) + self.holes
+        pts, s = [_point(X, Y, D) for X, Y, D in zip(*self._ints.tolist())], self._starts
+        return tuple(Ring(pts[a:b]) for a, b in zip(s, s[1:]))
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(xmin, ymin, xmax, ymax) of the float mirrors."""
@@ -993,10 +1024,8 @@ class Polygon:
         c = self._cones.get(self._index(i))
         if c is None:
             if not self._reflex[i]:
-                raise NonReflexVertexError(f"vertex {i} at {self._pts[i]!r} is not reflex")
-            c = DoubleCone(self._pts[i],
-                           self._pts[int(self._prev[i])],
-                           self._pts[int(self._next[i])])
+                raise NonReflexVertexError(f"vertex {i} at {self.vertex(i)!r} is not reflex")
+            c = DoubleCone(*(self.vertex(j) for j in (i, *self.neighbors(i))))
             self._cones[i] = c
         return c
 
@@ -1011,28 +1040,35 @@ def _reject_constant(token: str):
     raise PolygonParseError(f"non-finite number {token!r} in polygon document")
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer, its digits counted before int() reads them (_MAX_DIGITS)."""
+    if len(text) - text.startswith("-") > _MAX_DIGITS:
+        raise PolygonParseError("integer with too many digits in polygon document")
+    return int(text)
+
+
 def load_polygon(source) -> Polygon:
     """Parse and validate a polygon document.
 
     Accepts bytes, str, or a readable file object. Numbers are parsed
     exactly; NaN and infinities are rejected. A document that is not
     UTF-8, not JSON, nested beyond the parser's depth or holding an
-    integer beyond the interpreter's digit limit is a PolygonParseError.
+    integer of more than _MAX_DIGITS digits is a PolygonParseError. Each
+    ring is read straight into its vertex table (_read_ring).
     """
     if hasattr(source, "read"):
         source = source.read()
     try:
         if isinstance(source, bytes):
             source = source.decode("utf-8")
-        doc = json.loads(source, parse_float=decimal.Decimal, parse_constant=_reject_constant)
+        doc = json.loads(source, parse_float=decimal.Decimal, parse_int=_json_int,
+                         parse_constant=_reject_constant)
     except PolygonParseError:
         raise
     except UnicodeDecodeError as exc:
         raise PolygonParseError(f"polygon document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PolygonParseError(f"invalid JSON: {exc}") from exc
-    except ValueError as exc:  # an integer beyond the interpreter's digit limit
-        raise PolygonParseError("integer with too many digits in polygon document") from exc
     except decimal.InvalidOperation as exc:  # a JSON number's exponent beyond the decimal module's
         raise PolygonParseError(_EXPONENT_OUT_OF_RANGE) from exc
     except RecursionError as exc:
@@ -1044,23 +1080,12 @@ def load_polygon(source) -> Polygon:
         raise PolygonParseError(f"unknown keys {reprlib.repr(sorted(unknown))}")
     if "outer" not in doc:
         raise PolygonParseError('missing required key "outer"')
-    outer = _parse_ring_spec(doc["outer"], "outer")
+    outer = _read_ring(doc["outer"], "outer", strict=True)
     holes_spec = doc.get("holes", [])
     if not isinstance(holes_spec, list):
         raise PolygonParseError('"holes" must be a list of rings')
-    holes = [_parse_ring_spec(r, f"holes[{i}]") for i, r in enumerate(holes_spec)]
-    return Polygon(outer, holes)
-
-
-def _parse_ring_spec(spec, label: str) -> list[Point]:
-    if not isinstance(spec, list) or len(spec) < 3:
-        raise PolygonParseError(f"{label} must be a list of at least 3 coordinate pairs")
-    pts = []
-    for i, item in enumerate(spec):
-        if not isinstance(item, list) or len(item) != 2:
-            raise _not_a_pair(label, i, item, len(item) if isinstance(item, list) else None)
-        pts.append(Point(item[0], item[1]))
-    return pts
+    holes = [_read_ring(r, f"holes[{i}]", strict=True) for i, r in enumerate(holes_spec)]
+    return Polygon.__new__(Polygon)._set([outer, *holes], True)
 
 
 def _decimal_form(den: int) -> tuple[int, int, int] | None:
@@ -1100,14 +1125,12 @@ def _coordinate_text(num: int, den: int, forms: dict) -> str:
 
 
 def dump_polygon(P: Polygon) -> str:
-    """Serialize to the polygon file format, exactly and deterministically."""
+    """Serialize to the polygon file format, exactly and deterministically,
+    from P's vertex table."""
     forms: dict = {}
-
-    def ring_text(ring: Ring) -> str:
-        return "[" + ",".join(
-            f"[{_coordinate_text(p.X, p.D, forms)},{_coordinate_text(p.Y, p.D, forms)}]"
-            for p in ring
-        ) + "]"
-
-    holes_text = ",".join(ring_text(g) for g in P.holes)
-    return '{"outer":' + ring_text(P.outer) + ',"holes":[' + holes_text + "]}\n"
+    X, Y, D = P._ints.tolist()
+    rings = ["[" + ",".join(
+        f"[{_coordinate_text(X[i], D[i], forms)},{_coordinate_text(Y[i], D[i], forms)}]"
+        for i in range(a, b)
+    ) + "]" for a, b in itertools.pairwise(P._starts)]
+    return '{"outer":' + rings[0] + ',"holes":[' + ",".join(rings[1:]) + "]}\n"

@@ -75,8 +75,9 @@ class EventPartition:
 
 def build_event_partition(P: Polygon) -> EventPartition:
     """Every direction orthogonal to some vertex-pair difference, as its
-    coprime canonical integer pair, sorted along the sweep."""
-    pts = P._pts
+    coprime canonical integer pair, sorted along the sweep. Each vertex
+    difference is exact_delta's, of the polygon's Points."""
+    pts = [p for ring in P.rings for p in ring]
     seen = set()
     for i in range(P.n):
         a = pts[i]

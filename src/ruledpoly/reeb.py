@@ -20,9 +20,11 @@ only a local minimum is located, by _Status.locate. Each edge bounds
 its level-set interval on one side for its whole life, fixed by whether
 it runs up or down the ring, so an interval needs no object of its own.
 The sweep needs only the order of the heights, which exact integer
-heights refine only where float heights cannot decide it; a node works
-its exact Fraction height out on access, and the export rounds it once
-from integers.
+heights refine only where float heights cannot decide it. It reads
+vertices by index from the polygon's vertex table and mirrors and makes
+no Point: a node holds its vertex's index and works its witness Point
+and exact Fraction height out on access, and the export writes from the
+table, rounding each height once from integers.
 
 Many directions of one polygon, the oracle's interval representatives,
 are swept as a batch (_reeb_graphs): their float heights are one
@@ -36,7 +38,7 @@ direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -74,19 +76,28 @@ class NonGenericDirectionError(ValueError):
 
 @dataclass(frozen=True)
 class ReebNode:
-    """A contracted critical level component."""
+    """A contracted critical level component.
+
+    It holds its vertex's index and its polygon, not a Point: its
+    witness and height are worked out on access, from P's vertex table.
+    """
 
     kind: str               # "leaf" or "branch"
-    witness: Point          # the polygon vertex in the contracted component
-    vertex: int             # global index of that vertex
+    vertex: int             # global index of the polygon vertex in the component
     direction: Direction    # the sweep direction v
+    _polygon: Polygon = field(compare=False, repr=False)
+
+    @property
+    def witness(self) -> Point:
+        """The polygon vertex in the contracted component, made on each access."""
+        return self._polygon.vertex(self.vertex)
 
     @property
     def height(self) -> Fraction:
         """Exact <v, witness>, worked out on each access."""
         a, b, m = self.direction._ints
-        w = self.witness
-        return Fraction(a * w.X + b * w.Y, m * w.D)
+        X, Y, D = self._polygon._ints[:, self.vertex].tolist()
+        return Fraction(a * X + b * Y, m * D)
 
 
 @dataclass(frozen=True)
@@ -198,8 +209,9 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
     v that is not generic raises NonGenericDirectionError in its turn.
 
     The height orders come a block of directions at a time
-    (_height_orders), and P's arrays become lists once. Each graph is
-    one pass over the vertices in height order. The status holds the
+    (_height_orders), and P's arrays, its mirrors among them, become
+    lists once: the sweep reads vertices by index and makes no Point.
+    Each graph is one pass over the vertices in height order. The status holds the
     active edges, those crossing the level line, in validation's order:
     each edge directed up, the status runs from right to left looking
     along v (geometry._Status); edge i runs from vertex i to its ring
@@ -220,7 +232,7 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
     reflex = P._reflex.tolist()
     prev = P._prev.tolist()
     nxt = P._next.tolist()
-    pts = P._pts
+    xs, ys = P._coords.T.tolist()
     n = P.n
     done = 0
     for orders in _height_orders(P, directions):
@@ -230,7 +242,7 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
             done += 1
             nodes: list[ReebNode] = []
             edges: list[tuple[int, int]] = []
-            status = _Status(pts, nxt, forward, P._bound)
+            status = _Status(P._ints, xs, ys, nxt, forward, P._bound)
             arc = [0] * n  # for a left edge: the node at the bottom of its interval's arc
 
             for gid in order.tolist():
@@ -245,8 +257,7 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
                     arc[born] = arc[dying]
                 elif up_out:
                     # local minimum: both edges are born here, pr a left and gid a right edge
-                    pt = pts[gid]
-                    b, i, on = status.locate(pt)
+                    b, i, on = status.locate(gid)
                     if on:
                         raise RuntimeError("event vertex lies on an active edge")
                     left = status.at(b, i)
@@ -254,13 +265,13 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
                     if not reflex[gid]:
                         if inside:
                             raise RuntimeError("opening vertex inside an existing interval")
-                        nodes.append(ReebNode("leaf", pt, gid, v))
+                        nodes.append(ReebNode("leaf", gid, v, P))
                         status.insert(b, i, [gid, pr])
                         arc[pr] = len(nodes) - 1
                     else:
                         if not inside:
                             raise RuntimeError("splitting vertex outside every interval")
-                        nodes.append(ReebNode("branch", pt, gid, v))
+                        nodes.append(ReebNode("branch", gid, v, P))
                         nid = len(nodes) - 1
                         edges.append((arc[left], nid))
                         status.insert(b, i, [pr, gid])
@@ -270,7 +281,7 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
                     b, i = status.place(pr)
                     if status.at(b, i + 1) != gid:
                         raise RuntimeError("closing edges span two intervals")
-                    nodes.append(ReebNode("leaf", pts[gid], gid, v))
+                    nodes.append(ReebNode("leaf", gid, v, P))
                     edges.append((arc[gid], len(nodes) - 1))
                     status.pop(*status.pop(b, i))
                 else:
@@ -283,7 +294,7 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
                             raise RuntimeError("merging vertex closes a single interval")
                         raise RuntimeError("merging intervals are not adjacent")
                     left = status.at(*status.pop(*status.pop(b, i)))
-                    nodes.append(ReebNode("branch", pts[gid], gid, v))
+                    nodes.append(ReebNode("branch", gid, v, P))
                     nid = len(nodes) - 1
                     edges.append((arc[left], nid))
                     edges.append((arc[gid], nid))
@@ -304,20 +315,23 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
 def reeb_to_dict(g: ReebGraph) -> dict:
     """JSON-ready export: nodes (kind, height, witness), edges, counts.
 
-    A height (a X + b Y) / (m D), for v = (a, b) / m and the witness
-    (X, Y) / D, is written as one integer quotient: int/int true division
-    rounds correctly, as float(Fraction) does. A height beyond the float
-    range is written exactly, as "p/q" text.
+    Written from the vertex table of the graph's polygon, one gather for
+    all nodes. A height (a X + b Y) / (m D), for v = (a, b) / m and the
+    witness (X, Y) / D, is written as one integer quotient: int/int true
+    division rounds correctly, as float(Fraction) does. A height beyond
+    the float range is written exactly, as "p/q" text. The witness is its
+    mirrors.
     """
     nodes = []
-    for nd in g.nodes:
+    P = g.nodes[0]._polygon  # a graph has two leaves at least, and one polygon
+    idx = [nd.vertex for nd in g.nodes]
+    for nd, X, Y, D, xf, yf in zip(g.nodes, *P._ints[:, idx].tolist(), *P._coords[idx].T.tolist()):
         a, b, m = nd.direction._ints
-        w = nd.witness
         try:
-            height = (a * w.X + b * w.Y) / (m * w.D)
+            height = (a * X + b * Y) / (m * D)
         except OverflowError:
             height = str(nd.height)
-        nodes.append({"kind": nd.kind, "height": height, "witness": [w.xf, w.yf]})
+        nodes.append({"kind": nd.kind, "height": height, "witness": [xf, yf]})
     return {
         "nodes": nodes,
         "edges": [[a, b] for a, b in g.edges],

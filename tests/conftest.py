@@ -61,6 +61,11 @@ def star7():
     return lower_bound_polygon(FamilyParams(7))
 
 
+def point_table(pts):
+    """The vertex table and mirrors (geometry._table) of a list of Points."""
+    return geometry._table([p.X for p in pts], [p.Y for p in pts], [p.D for p in pts])
+
+
 def nudge_generic(P: Polygon, dx, dy, budget: int = 64):
     """Perturb (dx, dy) by dyadic steps until the direction is generic.
 
@@ -90,16 +95,16 @@ def nudge_generic(P: Polygon, dx, dy, budget: int = 64):
 @contextmanager
 def recorded_comparisons():
     """Record every comparison of _Status.locate, in both sweeps, as
-    (status, p, t, value): rel's value for edge t and the point p being
-    located. The comparisons run unchanged; only the key that the status
+    (status, v, t, value): rel's value for edge t and the index v of the
+    vertex being located. The comparisons run unchanged; only the key that the status
     bisects with is wrapped."""
     seen = []
     locating = []
     locate = geometry._Status.locate
 
-    def spy_locate(self, p):
-        locating[:] = [self, p]
-        return locate(self, p)
+    def spy_locate(self, v):
+        locating[:] = [self, v]
+        return locate(self, v)
 
     def spy_bisect(a, x, lo=0, hi=None, *, key=None):
         if key is None:

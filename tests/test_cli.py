@@ -318,3 +318,28 @@ def test_generate_radius_near_float_limit(tmp_path, capsys):
                     "--out", str(out)]) == 0
     text = out.read_text()
     assert dump_polygon(load_polygon(text)) == text
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["lower-bound", "--n", "7", "--r1", "1e4000000"],
+                 "--r1: coordinate of 1e5000 or more", id="r1-huge"),
+    pytest.param(["lower-bound", "--n", "7", "--r2", "1e-4000000"],
+                 "--r2: coordinate with a digit below 1e-5000", id="r2-tiny"),
+    pytest.param(["annulus", "--outer-side", "1e4000000", "--hole-side", "1"],
+                 "--outer-side: coordinate of 1e5000 or more", id="outer-side-huge"),
+    pytest.param(["annulus", "--outer-side", "2", "--hole-side", "1e-4000000"],
+                 "--hole-side: coordinate with a digit below 1e-5000", id="hole-side-tiny"),
+])
+def test_generate_numbers_refused_at_once(tmp_path, capsys, argv, message):
+    """generate reads --r1, --r2, --outer-side and --hole-side as
+    --direction reads a component, with the place checks made before any
+    integer is built: exit code 2 and one short error line, at once."""
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert run_cli(["generate", *argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and len(captured.err) < 200
+    assert not out.exists()

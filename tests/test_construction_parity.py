@@ -27,8 +27,7 @@ from ruledpoly.exactmath import (
     static_cross_bound,
 )
 
-from ruledpoly.geometry import _point_table
-
+from conftest import point_table
 from test_validation import reference_sweep
 
 
@@ -43,8 +42,8 @@ def reference_corner_signs(pts):
     det, err = cross_filter(xe[:-2], ye[:-2], xe[2:], ye[2:], xs, ys)  # cross(a - p, b - p)
 
     def exact(lanes):
-        ux, uy, _ = delta_lanes(_point_table(pts)[0], np.array(((lanes - 1) % n, lanes)))
-        wx, wy, _ = delta_lanes(_point_table(pts)[0], np.array((lanes, (lanes + 1) % n)))
+        ux, uy, _ = delta_lanes(point_table(pts)[0], np.array(((lanes - 1) % n, lanes)))
+        wx, wy, _ = delta_lanes(point_table(pts)[0], np.array((lanes, (lanes + 1) % n)))
         return exact_cross(ux, uy, wx, wy)
 
     return filtered_sign_array(-det, err, exact)

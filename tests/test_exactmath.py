@@ -14,7 +14,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ruledpoly import Direction, NonGenericDirectionError, Point, exactmath
-from ruledpoly.geometry import _point_table
 from ruledpoly.reeb import _height_order
 from ruledpoly.exactmath import (
     U,
@@ -28,6 +27,8 @@ from ruledpoly.exactmath import (
     sign,
     static_cross_bound,
 )
+
+from conftest import point_table
 
 SCALES = st.sampled_from([Fraction(1), Fraction(1, 2 ** 60), Fraction(1, 10 ** 12),
                           Fraction(1, 10 ** 100), Fraction(10) ** 300, Fraction(10) ** 307,
@@ -120,7 +121,7 @@ def test_height_order_is_exact(pts, dx, dy):
     assume(dx or dy)
     v = Direction(dx, dy)
     height = [v.dx * p.x + v.dy * p.y for p in pts]
-    P = SimpleNamespace(_ints=_point_table(pts)[0], _coords=np.array([[p.xf, p.yf] for p in pts]))
+    P = SimpleNamespace(_ints=point_table(pts)[0], _coords=np.array([[p.xf, p.yf] for p in pts]))
     if len(set(height)) < len(pts):
         with pytest.raises(NonGenericDirectionError) as info:
             _height_order(P, v)
@@ -183,7 +184,7 @@ def test_orient_lanes_is_exact(trips, block):
     pts = [p for trip in trips for p in trip]
     xs, ys = np.array([p.xf for p in pts]), np.array([p.yf for p in pts])
     with patch.object(exactmath, "_LANE_BLOCK", block):
-        got = orient_lanes(_point_table(pts)[0], xs, ys, np.arange(len(pts)).reshape(-1, 3).T)
+        got = orient_lanes(point_table(pts)[0], xs, ys, np.arange(len(pts)).reshape(-1, 3).T)
     assert got.tolist() == [sign(exact_orient(a, b, c)) for a, b, c in trips]
 
 
@@ -199,7 +200,7 @@ def test_orient_lanes_first_stage_decides_clear_lanes():
         return cross_filter(ax, *rest)
 
     with patch.object(exactmath, "cross_filter", spy):
-        got = orient_lanes(_point_table(pts)[0], xs, ys, np.array([[1, 2, 3], [2, 1, 1], [0, 0, 0]]))
+        got = orient_lanes(point_table(pts)[0], xs, ys, np.array([[1, 2, 3], [2, 1, 1], [0, 0, 0]]))
     assert got.tolist() == [1, -1, 0] and seen == [1]
 
 
@@ -239,7 +240,7 @@ def test_orient_lanes_first_stage_bound_is_not_too_small():
     assert len(trips) == 32 and 0 in want and any(want)
     for trip, s in zip(trips, want):
         xs, ys = np.array([p.xf for p in trip]), np.array([p.yf for p in trip])
-        assert orient_lanes(_point_table(trip)[0], xs, ys, np.array([[0], [1], [2]])).tolist() == [s]
+        assert orient_lanes(point_table(trip)[0], xs, ys, np.array([[0], [1], [2]])).tolist() == [s]
 
 
 @pytest.mark.parametrize("m", [1.0, 3.0, 2.0 ** 500, 1e-100])
@@ -314,6 +315,6 @@ def test_delta_lanes_is_exact_delta(pairs, grid):
     pairs = pairs + [(Point(x, y), Point(y, x)) for x, y in grid]
     pts = [p for pair in pairs for p in pair]
     lanes = np.arange(len(pts)).reshape(-1, 2).T
-    got = delta_lanes(_point_table(pts)[0], lanes)
+    got = delta_lanes(point_table(pts)[0], lanes)
     assert got.shape == (3, len(pairs))
     assert [tuple(col) for col in got.T.tolist()] == [exact_delta(p, q) for p, q in pairs]

@@ -20,9 +20,8 @@ from ruledpoly import (
 )
 
 from ruledpoly.generators import _certify_star_shaped
-from ruledpoly.geometry import _point_table
 
-from conftest import nudge_generic
+from conftest import nudge_generic, point_table
 
 
 # -- lower-bound family ------------------------------------------------------
@@ -82,7 +81,7 @@ def test_lower_bound_large_certificate_path():
 
 def _ring(coords):
     """The vertex table and mirrors of the ring through coords."""
-    return _point_table([Point(x, y) for x, y in coords])
+    return point_table([Point(x, y) for x, y in coords])
 
 
 @pytest.mark.parametrize("coords, message", [

@@ -26,6 +26,8 @@ from ruledpoly import (
 )
 from ruledpoly.exactmath import orient_sign
 
+from conftest import point_table
+
 L_RING = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
 
@@ -141,7 +143,7 @@ def test_coordinates_below_float_range():
     P = load_polygon(text)
     assert P.reflex_indices() == ()
     assert Polygon(P.outer, validate=False).reflex_indices() == ()
-    assert geometry._corner_signs(*geometry._point_table(list(P.outer))).tolist() \
+    assert geometry._corner_signs(*point_table(list(P.outer))).tolist() \
         == [1, 1, 1]
 
 
@@ -206,15 +208,27 @@ def test_parse_error_named():
 
 
 def test_rational_literal_beyond_digit_limit_named():
-    """A "p/q" literal with more digits than int() converts under the
-    interpreter's limit, where it has one, is a PolygonParseError."""
+    """A "p/q" literal whose p or q has more than 4300 digits, and a JSON
+    integer of as many, is a PolygonParseError, its digits counted before
+    int() reads them: the same outcome at the interpreter's default digit
+    limit and with no limit (0), where there is one to set."""
     text = json.dumps({"outer": [[0, 0], ["1/1" + "0" * 5000, 0], [0, 1]]})
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or limit > 5001:
-        assert load_polygon(text).vertex(1).x == Fraction(1, 10 ** 5000)
-        return
-    with pytest.raises(PolygonParseError, match="too many digits"):
-        load_polygon(text)
+    get = getattr(sys, "get_int_max_str_digits", None)
+    old = get() if get else None
+    try:
+        for limit in (old, 0) if get else (None,):
+            if get:
+                sys.set_int_max_str_digits(limit)
+            with pytest.raises(PolygonParseError, match="^coordinate literal of 5003 characters "
+                                                        "has too many digits$"):
+                load_polygon(text)
+            with pytest.raises(PolygonParseError, match="^integer with too many digits"):
+                load_polygon('{"outer": [[0, 0], [1, 0], [0, 1' + "0" * 5000 + "]]}")
+    finally:
+        if get:
+            sys.set_int_max_str_digits(old)
+    # 4300 digits in p and in q still parse
+    assert Point("9" * 4300 + "/1" + "0" * 4299, 0).x == Fraction(int("9" * 4300), 10 ** 4299)
 
 
 def test_nonfinite_coordinates_rejected():

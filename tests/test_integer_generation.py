@@ -25,7 +25,9 @@ from ruledpoly import (
     lower_bound_polygon,
 )
 from ruledpoly.generators import _certify_star_shaped, _round12
-from ruledpoly.geometry import _coordinate_text, _point_table
+from ruledpoly.geometry import _coordinate_text
+
+from conftest import point_table
 
 SCALE = 10 ** 12
 
@@ -47,7 +49,7 @@ def reference_star(params):
     for i in range(n):
         ring.append(Point(ox[i], oy[i]))
         ring.append(Point(ix[i], iy[i]))
-    _certify_star_shaped(*_point_table(ring))
+    _certify_star_shaped(*point_table(ring))
     return Polygon(ring, validate=False)
 
 
@@ -123,11 +125,10 @@ def test_round12_matches_fraction_route(scale):
     rng = np.random.default_rng(7)
     xs, ys = rng.uniform(-scale, scale, 500), rng.uniform(-scale, scale, 500)
     xs[:3], ys[:3] = 0.0, (-0.0, 5e-13, -5e-13)  # zero, and ties of the rounding
-    pts, _, mx, my = _round12(xs, ys)
+    ints, mx, my = _round12(xs, ys)
     want = [Point(x, y) for x, y in zip(reference_round12(xs), reference_round12(ys))]
-    assert [(p.X, p.Y, p.D, p.xf, p.yf) for p in pts] == \
-        [(q.X, q.Y, q.D, q.xf, q.yf) for q in want]
-    assert all(type(v) is int for p in pts for v in (p.X, p.Y, p.D))
+    assert ints.T.tolist() == [[q.X, q.Y, q.D] for q in want]
+    assert ints.dtype == np.int64 or all(type(v) is int for v in ints.ravel())
     assert mx.tolist() == [p.xf for p in want] and my.tolist() == [p.yf for p in want]
 
 

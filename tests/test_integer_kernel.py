@@ -34,9 +34,11 @@ from ruledpoly import (
     reeb_graph,
 )
 from ruledpoly.exactmath import orient_sign, sign
-from ruledpoly.geometry import _corner_signs, _point_table
+from ruledpoly.geometry import _corner_signs
 from ruledpoly.oracle import _sweep_cmp
 from ruledpoly.reeb import _height_order
+
+from conftest import point_table
 
 PRIMES = [p for p in range(10 ** 6, 10 ** 6 + 2000) if all(p % q for q in range(2, 1002))][:40]
 SCALES = [Fraction(1), Fraction(1, 2 ** 60), Fraction(1, 10 ** 12), Fraction(1, 10 ** 100),
@@ -89,7 +91,7 @@ def test_corner_signs(xys):
     pts = [Point(x, y) for x, y in xys]
     n = len(pts)
     want = [sign(-cross(xys[i - 1], xys[(i + 1) % n], xys[i])) for i in range(n)]
-    assert _corner_signs(*_point_table(pts)).tolist() == want
+    assert _corner_signs(*point_table(pts)).tolist() == want
 
 
 # a nonzero pair, by construction: (0, 0) becomes (1, 0)
@@ -165,7 +167,7 @@ def test_height_order_and_tie_pair(xys, data):
     vx, vy = data.draw(directions(xys))
     pts = [Point(x, y) for x, y in xys]
     P = Polygon.__new__(Polygon)
-    P._ints, P._coords = _point_table(pts)[0], np.array([[p.xf, p.yf] for p in pts])
+    P._ints, P._coords = point_table(pts)[0], np.array([[p.xf, p.yf] for p in pts])
     v = Direction(vx, vy)  # canonical: (dx, dy) is (vx, vy) or its negation
     height = [v.dx * x + v.dy * y for x, y in xys]
     tied = [h for h in height if height.count(h) > 1]

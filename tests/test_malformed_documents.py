@@ -9,9 +9,8 @@ import pytest
 from ruledpoly import Direction, Point, Polygon, PolygonParseError, load_polygon
 from ruledpoly.cli import run_cli
 
-# where the interpreter has no digit limit, 5001 digits parse and the
-# value is beyond the float range instead
-_DIGITS = "too many digits|beyond the float range"
+# digits are counted before int() reads them, the same on every interpreter
+_DIGITS = "^integer with too many digits in polygon document$"
 
 DOCUMENTS = [
     pytest.param(b"[" * 200_000, "nested too deeply", id="nested"),
@@ -116,3 +115,27 @@ def test_least_digit_place():
             Point(text, 0)
     assert Point("0e-4000000", 1) == Point(0, 1)
     assert Direction("1e-6000", 1).canonical_pair() == (1, 10 ** 6000)
+
+
+# 10**400 as "p/q": past the float range, which no place cap of a decimal refuses first
+_FAR = "1" + "0" * 400 + "/1"
+EARLIEST = [
+    pytest.param([[0, 0], [_FAR, 0], ["x", 0]], [], id="then-bad-literal"),
+    pytest.param([[0, 0], [_FAR, 0], [1, 2, 3]], [], id="then-not-a-pair"),
+    pytest.param([[0, 0], [9, 0], [0, 9]], [[[1, 1], [_FAR, 1], ["x", 2]]], id="in-a-hole"),
+]
+
+
+@pytest.mark.parametrize("outer, holes", EARLIEST)
+def test_earliest_faulty_entry_wins(outer, holes):
+    """A ring is read an entry at a time, the float range checked with
+    each: entry 1, beyond it, is the fault reported, not a later entry's
+    bad literal or wrong shape; from a document, and from Python values
+    (10**400 as an int there)."""
+    values = [[[10 ** 400 if c == _FAR else c for c in entry] for entry in ring]
+              for ring in [outer, *holes]]
+    for build in (lambda: load_polygon(json.dumps({"outer": outer, "holes": holes})),
+                  lambda: Polygon(values[0], values[1:])):
+        with pytest.raises(PolygonParseError) as info:
+            build()
+        assert str(info.value) == "coordinate beyond the float range (about 1.8e308)"

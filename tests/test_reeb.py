@@ -253,7 +253,7 @@ def reference_reeb(P, v):
     reflex = P._reflex
     prev = P._prev
     nxt = P._next
-    pts = P._pts
+    pts = [p for ring in P.rings for p in ring]
 
     nodes = []
     edges = []

@@ -31,9 +31,8 @@ from ruledpoly import (
 )
 from ruledpoly.exactmath import filtered_order, integer_lanes, orient_sign
 from ruledpoly.generators import _find_contact
-from ruledpoly.geometry import _point_table
 
-from conftest import recorded_comparisons
+from conftest import point_table, recorded_comparisons
 
 
 def _turn(a, b, c):
@@ -180,7 +179,7 @@ def _reference_sweep(rings):
     for e in range(n):
         prv[nxt[e]] = e
     xf = np.array([p.xf for p in pts])
-    events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, _point_table(pts)[0]),
+    events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, point_table(pts)[0]),
                                    geometry._lex_cmp)
     events, repeat = events.tolist(), repeat.tolist()
     rank = [0] * n
@@ -207,7 +206,7 @@ def _reference_sweep(rings):
         if segments_touch(pts[e], pts[nxt[e]], pts[f], pts[nxt[f]]):
             raise fault(e, f)
 
-    status = geometry._Status(pts, nxt, forward, math.inf)  # never locates
+    status = geometry._Status(None, None, None, nxt, forward, math.inf)  # never locates
     seen = [False] * len(rings)
     for k, v in enumerate(events):
         if repeat[k]:
@@ -315,7 +314,7 @@ def test_find_contact_is_first_pair_in_order(pts):
     """generators._find_contact evaluates every pair as a lane and must
     return what the scalar loop returns first."""
     ring = [Point(x, y) for x, y in pts]
-    assert _find_contact(*_point_table(ring)) == find_contact(ring)
+    assert _find_contact(*point_table(ring)) == find_contact(ring)
 
 
 def test_validation_cost_is_linear_in_contact_tests(monkeypatch):
@@ -364,7 +363,7 @@ def test_status_finds_every_edge_by_handle():
     An insert goes at the place of the edge it goes before, or at the end."""
     n = 300
     with patch.object(geometry, "_BLOCK", 1):
-        status = geometry._Status([None] * 2 * n, list(range(2 * n)), [True] * 2 * n, math.inf)
+        status = geometry._Status(None, None, None, list(range(2 * n)), [True] * 2 * n, math.inf)
         order = []
 
         def check():
@@ -401,8 +400,8 @@ def first_stage_count(seen) -> int:
     orient_sign, and count those that its static first stage decided:
     the float determinant beyond the status's bound."""
     first = 0
-    for status, p, t, value in seen:
-        a, b = status.pts[t], status.pts[status.nxt[t]]
+    for status, v, t, value in seen:
+        a, b, p = (geometry._point(*status.ints[:, k].tolist()) for k in (t, status.nxt[t], v))
         o = orient_sign(a, b, p)
         assert value == (-o if status.forward[t] else o)
         det = (a.xf - p.xf) * (b.yf - p.yf) - (a.yf - p.yf) * (b.xf - p.xf)

@@ -18,7 +18,9 @@ from ruledpoly import (
     Polygon,
     PolygonError,
     brute_force_complexity,
+    dump_polygon,
     is_generic,
+    load_polygon,
     lower_bound_polygon,
     parallel_reeb_complexity,
     reeb_graph,
@@ -48,21 +50,34 @@ class PointTable:
     def __getitem__(self, key):
         rows, lanes = key
         assert rows == slice(None)
-        return point_integer_lanes(self.pts, np.arange(len(self.pts))[lanes])
+        lanes = np.arange(len(self.pts))[lanes]
+        if lanes.ndim == 0:  # one vertex: its column
+            return point_integer_lanes(self.pts, lanes.reshape(1))[:, 0]
+        return point_integer_lanes(self.pts, lanes)
 
     def __iter__(self):
         return iter(self[:, :])
+
+    def tolist(self):
+        return self[:, :].tolist()
+
+
+def points(P: Polygon) -> list[Point]:
+    """P's Points, made at its public edge, in global vertex order."""
+    return [p for ring in P.rings for p in ring]
 
 
 def reference(P: Polygon) -> Polygon:
     """P rebuilt, with its vertex table replaced by a PointTable."""
     R = Polygon(P.outer, P.holes)
-    R._ints = PointTable(R._pts)
+    R._ints = PointTable(points(R))
     return R
 
 
 def check_table(P: Polygon) -> None:
-    pts = P._pts
+    """P's table and mirrors are those of Points built anew from P's
+    exact coordinates: canonical integers, correctly rounded mirrors."""
+    pts = [Point(p.x, p.y) for p in points(P)]
     want = [[p.X for p in pts], [p.Y for p in pts], [p.D for p in pts]]
     assert P._ints.shape == (3, P.n)
     assert P._ints.tolist() == want
@@ -134,7 +149,7 @@ def point_generic_witness(P, lo, hi):
     w = Direction(a, b)
     if is_generic(P, w):
         return w
-    pts = P._pts
+    pts = points(P)
     top = max(p.D for p in pts)
     second = max((p.D for p in pts if p.D != top), default=1)
     diff = 2 * max(max(abs(p.X), abs(p.Y)) * (second if p.D == top else top) for p in pts)
@@ -190,3 +205,28 @@ def test_complexity_reads_no_point_attribute(monkeypatch):
     res = parallel_reeb_complexity(P)
     assert reads == 1
     assert (res.min_leaves, res.as_dict()["witness"]) == (9998, [-1, 9550])
+
+
+def test_cli_path_makes_no_point(monkeypatch):
+    """The CLI's calls on the 20 000-vertex star's document, load_polygon,
+    parallel_reeb_complexity, reeb_graph at the witness and reeb_to_dict,
+    make no Point: the vertex table is the polygon's only per-vertex
+    store, and Points are made at the public edge alone."""
+    text = dump_polygon(lower_bound_polygon(FamilyParams(10_000)))
+    made = 0
+    slot = Point.X  # every way of making a Point sets its X once
+
+    def made_one(p, value):
+        nonlocal made
+        made += 1
+        slot.__set__(p, value)
+
+    # Point's own __new__ cannot be patched away and back on CPython
+    monkeypatch.setattr(Point, "X", property(slot.__get__, made_one))
+    P = load_polygon(text)
+    res = parallel_reeb_complexity(P)
+    out = reeb_to_dict(reeb_graph(P, res.witness))
+    assert made == 0
+    assert out["l"] == res.min_leaves == 9998
+    P.vertex(0)  # the counter counts
+    assert made == 1
