@@ -1,8 +1,10 @@
 """Filtered exact arithmetic: one error model behind every float decision.
 
 Every geometric decision here is the sign or the order of small
-polynomials in exact coordinates, integers over each point's own scale
-(exact_delta). Each is evaluated in floats with a rigorous error bound
+polynomials in exact coordinates, integers over a positive scale: one
+common scale for a whole polygon where its grid fits below 2^53, and
+each point's own otherwise (exact_delta). Every sign and order is
+scale-free. Each is evaluated in floats with a rigorous error bound
 and recomputed exactly, in integers, only when the float value is not
 clearly decided. The floats are rounded mirrors of exact rationals, and
 every bound is built from one model of their error: a relative U
@@ -21,14 +23,15 @@ leave undecided, their exact values in one array whose last axis runs
 over those lanes, object arrays of Python ints, so that every operation
 on them stays exact; chain_cuts finds where float order decides alone.
 The lane forms read a polygon's vertex table, the integers (X, Y, D)
-of every vertex as the rows of one array (int64, or Python ints when a
-value reaches 2^53), by fancy indexing: integer_lanes gathers its
-columns as such rows, and delta_lanes is exact_delta's lane form, as
-orient_lanes is orient_sign's. static_cross_bound is cross_filter's
-bound at the largest mirror magnitude of a polygon, one number that
-dominates the bound of every triple of its points: the static first
-stage of the point location that both planar sweeps share
-(geometry._Status) and of orient_lanes.
+of every vertex as the rows of one array (int64 over one common scale
+D, or each vertex over its own: int64, or Python ints when a value
+reaches 2^53), by fancy indexing: integer_lanes gathers its columns as
+such rows, and delta_lanes is exact_delta's lane form, as orient_lanes
+is orient_sign's. static_cross_bound is cross_filter's bound at the
+largest mirror magnitude of a polygon, one number that dominates the
+bound of every triple of its points: the static first stage of the
+point location that both planar sweeps share (geometry._Status) and of
+orient_lanes, taken once by its caller.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ def exact_cross(ax, ay, bx, by):
 
 def exact_delta(p, q) -> tuple[int, int, int]:
     """q - p as integers (x, y, s), s > 0, for points (X / D, Y / D):
-    q - p = (x / s, y / s). Each point keeps its own scale D, and equal
-    scales are not multiplied, so no size depends on other points."""
+    q - p = (x / s, y / s). Equal scales D, as on a polygon's common
+    scale, are not multiplied, so no size depends on other points;
+    distinct ones, each point's own, are."""
     if p.D == q.D:
         return q.X - p.X, q.Y - p.Y, p.D
     return q.X * p.D - p.X * q.D, q.Y * p.D - p.Y * q.D, p.D * q.D
@@ -70,7 +74,8 @@ def exact_delta(p, q) -> tuple[int, int, int]:
 def integer_lanes(ints: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     """The columns lanes of the vertex table ints, shape (3, n): the
     integers (X, Y, D) of those vertices, as the rows of an object array
-    of Python ints, so every operation on them is exact."""
+    of Python ints, so every operation on them is exact. They are over
+    the table's scales, one common scale or each vertex's own."""
     return ints[:, lanes].astype(object, copy=False)
 
 
@@ -79,7 +84,10 @@ def delta_lanes(ints: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     column (p, q) of lanes, shape (2, m): the rows (x, y, s) of an object
     array, exact_delta's own integers. Equal scales are subtracted in the
     table's own type, which cannot overflow below 2^53, and converted
-    once; distinct ones are multiplied as Python ints."""
+    once: every lane of a table over one common scale. Distinct ones,
+    which only a table that does not fit one grid has (an object table,
+    one whose grid passes 2^53, or a ring's own table while it is
+    merged), are multiplied as Python ints."""
     p, q = ints[:, lanes[0]], ints[:, lanes[1]]
     out = np.concatenate((q[:2] - p[:2], p[2:])).astype(object, copy=False)
     apart = np.flatnonzero(p[2] != q[2])
@@ -132,17 +140,19 @@ def _cross_error(ax, ay, bx, by, cx, cy, ux, uy, wx, wy, t1, t2, det):
             + euy * wx + (uy + euy) * ewx)
 
 
-def static_cross_bound(m: float) -> float:
-    """A bound on cross_filter's error over every triple of mirrors at
-    most m in magnitude, and so a first stage in front of it: a float
-    det beyond this bound has the exact sign.
+def static_cross_bound(*mirrors) -> float:
+    """A bound on cross_filter's error over every triple of points whose
+    mirrors are among the floats or float arrays mirrors, and so a first
+    stage in front of it: a float det beyond this bound has the exact
+    sign.
 
-    _cross_error at |a| = m, |a - c| <= 2m, products at most 4m^2 and
-    |det| at most 8m^2: rounding is monotone, so every rounded magnitude
-    in cross_filter is at most its value here, and the bound at least
-    cross_filter's, rounding for rounding. About 48 U m^2; inf when 2m
-    or 4m^2 overflows, so that no det clears it.
+    _cross_error at |a| = m, the largest mirror magnitude, |a - c| <= 2m,
+    products at most 4m^2 and |det| at most 8m^2: rounding is monotone,
+    so every rounded magnitude in cross_filter is at most its value here,
+    and the bound at least cross_filter's, rounding for rounding. About
+    48 U m^2; inf when 2m or 4m^2 overflows, so that no det clears it.
     """
+    m = float(max(np.abs(a).max() for a in mirrors))
     d = m + m
     t = d * d
     return _cross_error(m, m, m, m, m, m, d, d, d, d, t, t, t + t)
@@ -169,19 +179,19 @@ _LANE_BLOCK = 4096  # lanes per cross_filter call: bounds its float temporaries
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed lanes go to the exact path
 def orient_lanes(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                 lanes: np.ndarray) -> np.ndarray:
+                 lanes: np.ndarray, bound: float) -> np.ndarray:
     """orient_sign of the vertices a, b, c for every column (a, b, c) of
     lanes, shape (3, m), indices into the vertex table ints and its
     mirrors xs, ys. Exact.
 
     _LANE_BLOCK lanes at a time, so that float temporaries stay small,
     in three stages: cross_filter's det, term for term, decides a lane
-    when it clears static_cross_bound at the largest magnitude among xs
-    and ys; cross_filter and its bound decide most of the rest, and the
-    integers decide what is left.
+    when it clears bound, the caller's static_cross_bound of mirrors at
+    least as large as the lanes' (of xs and ys, or of a table they were
+    cut from); cross_filter and its bound decide most of the rest, and
+    the integers decide what is left.
     """
     out = np.empty(lanes.shape[1], dtype=np.int64)
-    bound = static_cross_bound(float(max(np.abs(xs).max(), np.abs(ys).max())))
     for start in range(0, lanes.shape[1], _LANE_BLOCK):
         block = lanes[:, start:start + _LANE_BLOCK]
         (ax, bx, cx), (ay, by, cy) = xs[block], ys[block]

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactmath import filtered_sign_array, integer_lanes, orient_lanes
+from .exactmath import filtered_sign_array, integer_lanes, orient_lanes, static_cross_bound
 from .geometry import (
     Polygon,
     PolygonError,
@@ -125,7 +125,8 @@ def _certify_star_shaped(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray) -> No
     # one orient_lanes lane (i, i + 1, origin), the origin appended as column (0, 0, 1)
     i = np.arange(n)
     signs = orient_lanes(np.concatenate((ints, [[0], [0], [1]]), axis=1), np.append(xf, 0.0),
-                         np.append(yf, 0.0), np.array((i, (i + 1) % n, np.full(n, n))))
+                         np.append(yf, 0.0), np.array((i, (i + 1) % n, np.full(n, n))),
+                         static_cross_bound(xf, yf))
     if np.any(signs == 0):
         raise PolygonError("star certificate failed: adjacent radial collinearity")
     if not (np.all(signs == 1) or np.all(signs == -1)):
@@ -235,7 +236,7 @@ def _find_contact(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[int
     keep = (i > 0) | (j < n - 1)  # edges 0 and n - 1 are adjacent
     i, j = i[keep], j[keep]
     quads = np.stack((i, (i + 1) % n, j, (j + 1) % n))
-    hits = np.flatnonzero(_touching(ints, xs, ys, quads))
+    hits = np.flatnonzero(_touching(ints, xs, ys, quads, static_cross_bound(xs, ys)))
     return (int(i[hits[0]]), int(j[hits[0]])) if len(hits) else None
 
 

@@ -1,24 +1,29 @@
 """Polygons with holes over exact rational coordinates.
 
-A point is (X / D, Y / D) over integers, D > 0 its own least common
-denominator, and every geometric decision is an exact sign computed
-from these integers; float mirrors of all coordinates are kept
-alongside for numpy fast paths and filtered scalar predicates (see
-exactmath). Each ring is read straight into its integer table (the
-(X, Y, D) of every vertex as the rows of one array: int64 while every
-value is below 2**53, Python ints beyond) and its mirrors, which come
-from the table, an entry at a time, so that the first faulty entry
-raises (_read_ring). That table is a polygon's only per-vertex store:
-every exact lane gather indexes it, and point location reads its
-mirrors by index. Points and Fractions are made only at the public
-edge (Polygon.vertex, the rings, cones, error messages; _point), and
-for the rare exact fallback of point location. Each ring's corner
-signs are the lanes of one orient_lanes call per pass of its merge, one
-pass for a ring with nothing to merge, and give its merging (itself
-decided as lanes, the table and mirrors compressed together), its
-orientation and its reflex vertices. The rings are then laid end to end
-in one flat vertex table of integers, mirrors and signs, which
-validation and the polygon share.
+A point is (X / D, Y / D) over integers, D > 0; a Point's D is its own
+least common denominator, and every geometric decision is an exact
+sign computed from such integers, whatever their scale; float mirrors
+of all coordinates are kept alongside for numpy fast paths and
+filtered scalar predicates (see exactmath). Each ring is read straight
+into its integer table (the canonical (X, Y, D) of every vertex as the
+rows of one array: int64 while every value is below 2**53, Python ints
+beyond) and its mirrors, which come from the table, an entry at a
+time, so that the first faulty entry raises (_read_ring). A polygon's
+table, its only per-vertex store, holds every vertex over one common
+scale L, the lcm of their D, where L and every scaled coordinate are
+below 2**53 (a grid: every exact lane then subtracts in int64), and
+each over its own D otherwise (_common_scale). Every exact lane gather
+indexes it, and point location reads its mirrors by index. Points and
+Fractions are made only at the public edge (Polygon.vertex, the rings,
+cones, error messages), and for the rare exact fallback of point
+location, always canonical: the table's columns divided by their gcd
+(_canonical, _points). Each ring's corner signs are the lanes of one
+orient_lanes call per pass of its merge, one pass for a ring with
+nothing to merge, and give its merging (itself decided as lanes, the
+table and mirrors compressed together), its orientation and its reflex
+vertices. The rings are then laid end to end in one flat vertex table
+of integers, mirrors and signs, which validation and the polygon
+share.
 
 The polygon file format is a UTF-8 JSON document
 
@@ -224,7 +229,7 @@ class Point:
     mirrors X / D and Y / D are correctly rounded; x and y are Fractions.
 
     A polygon keeps no Points: it makes them from its vertex table on
-    access (_point)."""
+    access, canonical whatever scale the table holds (_points)."""
 
     __slots__ = ("X", "Y", "D", "xf", "yf")
 
@@ -256,7 +261,10 @@ class Point:
 def _table(X, Y, D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The vertex table of canonical integers X, Y, D, given as int64
     arrays, object arrays or lists of Python ints: one array of shape
-    (3, n), and its mirror arrays X / D and Y / D.
+    (3, n), and its mirror arrays X / D and Y / D. A ring's table; a
+    polygon writes the tables of its rings over one scale where they fit
+    (_common_scale), which leaves every mirror as it is: equal rationals
+    divide to the same correctly rounded float.
 
     The table is int64 when every |X|, |Y| and D is below 2**53, and then
     divided in numpy: both operands convert exactly, so the quotient is
@@ -274,12 +282,45 @@ def _table(X, Y, D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ints, xs, ys
 
 
-def _point(X: int, Y: int, D: int) -> Point:
-    """The Point of a column (X, Y, D) of a vertex table: the one way
-    from the table to Points, its mirrors divided as _table's are."""
-    p = Point.__new__(Point)
-    p.X, p.Y, p.D, p.xf, p.yf = X, Y, D, X / D, Y / D
-    return p
+def _common_scale(ints: np.ndarray) -> np.ndarray:
+    """The vertex table ints over one common scale L, where it fits:
+    (X L / D, Y L / D, L), L the lcm of its scales D, when L and every
+    scaled |X| and |Y| are below 2**53 (Fortune and Van Wyk's integer
+    grid); otherwise ints itself. An object table never fits. The lcm
+    is taken in Python ints over the distinct scales, in any order, and
+    stops once it reaches 2**53, so many coprime scales cost few steps."""
+    scales = set(ints[2].tolist()) if ints.dtype == np.int64 else ()
+    if len(scales) < 2:  # an object table, or one scale already
+        return ints
+    scale = 1
+    for d in scales:
+        scale = math.lcm(scale, d)
+        if scale >= _EXACT_FLOAT:
+            return ints
+    f = scale // ints[2]
+    if (np.abs(ints[:2]) <= (_EXACT_FLOAT - 1) // f).all():  # so X L / D cannot overflow
+        return ints * f  # D L / D = L
+    return ints
+
+
+def _canonical(cols: np.ndarray) -> np.ndarray:
+    """The canonical integers (X, Y, D) of the columns cols, shape (3, m),
+    of a vertex table, whatever scale it holds them over: each column
+    divided by gcd(X, Y, D). Vectorized, and 2-D, so that an object
+    table's columns stay Python ints."""
+    return cols // np.gcd(np.gcd(cols[0], cols[1]), cols[2])
+
+
+def _points(cols: np.ndarray) -> list[Point]:
+    """The Points of the columns cols, shape (3, m), of a vertex table:
+    the one way from the table to Points, canonical (_canonical), their
+    mirrors divided as _table's are."""
+    out = []
+    for X, Y, D in zip(*_canonical(cols).tolist()):
+        p = Point.__new__(Point)
+        p.X, p.Y, p.D, p.xf, p.yf = X, Y, D, X / D, Y / D
+        out.append(p)
+    return out
 
 
 def _lex_cmp(p, q):
@@ -451,14 +492,14 @@ def _links(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     return nxt, prv
 
 
-def _corner_signs(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _corner_signs(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray, bound: float) -> np.ndarray:
     """Exact sign of cross(p - prev, next - p) at every corner p of a ring,
     given as its vertex table ints and mirrors xs, ys: +1 a left turn, -1
     a right turn, 0 a duplicate, straight or slit corner. That cross is
-    cross(next - p, prev - p), one orient_lanes lane."""
+    cross(next - p, prev - p), one orient_lanes lane, at its static bound."""
     n = ints.shape[1]
     nxt, prv = _links([n])
-    return orient_lanes(ints, xs, ys, np.array((nxt, prv, np.arange(n))))
+    return orient_lanes(ints, xs, ys, np.array((nxt, prv, np.arange(n))), bound)
 
 
 def _merge_ring(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -473,12 +514,15 @@ def _merge_ring(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.nd
     u . w > 0 (straight through) dropped, and anything else is a slit.
     Iterates to a fixed point because removing a vertex can make its
     neighbor collinear in turn: a ring with no zero sign takes one pass.
+    The static bound of the ring's mirrors is taken once: dropping
+    vertices only shrinks them.
     """
+    bound = static_cross_bound(xs, ys)
     while True:
         n = ints.shape[1]
         if n < 3:
             raise TooFewVerticesError(f"ring has {n} corners after merging")
-        signs = _corner_signs(ints, xs, ys)
+        signs = _corner_signs(ints, xs, ys, bound)
         if signs.all():
             return ints, xs, ys, signs
         zero = np.flatnonzero(signs == 0)
@@ -488,7 +532,7 @@ def _merge_ring(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.nd
         slit = np.flatnonzero(~drop & ((ux != 0) | (uy != 0)))
         if len(slit):
             raise SlitVertexError(
-                f"edges double back at {_point(*ints[:, zero[slit[0]]].tolist())!r}")
+                f"edges double back at {_points(ints[:, zero[slit[:1]]])[0]!r}")
         keep = np.ones(n, dtype=bool)
         keep[zero[drop]] = False
         ints, xs, ys = ints[:, keep], xs[keep], ys[keep]
@@ -526,20 +570,21 @@ def _contact_lanes(quads: np.ndarray) -> np.ndarray:
     return quads[_CONTACT_ROWS].reshape(3, -1)
 
 
-def _touching(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray, quads: np.ndarray) -> np.ndarray:
+def _touching(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray, quads: np.ndarray,
+              bound: float) -> np.ndarray:
     """Which closed segments a-b and c-d, one pair for each column (a, b,
     c, d) of quads, indices into the vertex table ints and its mirrors
     xs, ys, share a point. Exact.
 
-    Their _contact_lanes are one orient_lanes call. Segments whose
-    endpoints straddle each other touch; otherwise only an endpoint
-    collinear with the other segment (a zero lane) can touch, and it
-    does when it lies on that segment: when its vectors u, w to the
-    segment's two ends have no coordinate of one strict sign, decided as
-    lanes of their integers.
+    Their _contact_lanes are one orient_lanes call, at the static bound
+    bound. Segments whose endpoints straddle each other touch; otherwise
+    only an endpoint collinear with the other segment (a zero lane) can
+    touch, and it does when it lies on that segment: when its vectors u,
+    w to the segment's two ends have no coordinate of one strict sign,
+    decided as lanes of their integers.
     """
     lanes = _contact_lanes(quads)
-    o = orient_lanes(ints, xs, ys, lanes).reshape(4, -1)
+    o = orient_lanes(ints, xs, ys, lanes, bound).reshape(4, -1)
     o1, o2, o3, o4 = o
     touch = (o1 != o2) & (o3 != o4)
     zero = np.flatnonzero((o == 0) & ~touch)  # o[r, i] is lane r * len(touch) + i
@@ -623,7 +668,7 @@ class _Status:
         Shewchuk 1997): the float determinant of orient_sign's filter
         decides when it clears the status's static bound, then
         orient_sign decides, by its own filter or the integers, on three
-        Points made for it (_point): the vertices are read from the table
+        Points made for it (_points): the vertices are read from the table
         and its mirror lists by index.
         """
         xs, ys, nxt, forward, bound = self.xs, self.ys, self.nxt, self.forward, self.bound
@@ -642,7 +687,7 @@ class _Status:
             elif det < -bound:
                 o = -1
             else:
-                o = orient_sign(*(_point(*self.ints[:, k].tolist()) for k in (a, b, v)))
+                o = orient_sign(*_points(self.ints[:, [a, b, v]]))
                 if not o:
                     on.append(t)
             return -o if forward[t] else o
@@ -777,7 +822,7 @@ _LOST_ORDER = "sweep status lost the order of its edges"
 
 
 def _failed_check(touches: list[int], sides: list[int], ints: np.ndarray, xs: np.ndarray,
-                  ys: np.ndarray) -> tuple[int, int, bool] | None:
+                  ys: np.ndarray, bound: float) -> tuple[int, int, bool] | None:
     """The first check of the validation sweep that fails, or None.
 
     touches holds four vertex indices per contact check, (e, nxt[e], f,
@@ -787,7 +832,7 @@ def _failed_check(touches: list[int], sides: list[int], ints: np.ndarray, xs: np
     of edge t, directed from lo[t] to hi[t]; c contact checks came
     before it; the indices are into the vertex table ints and its
     mirrors xs, ys. _touching decides the contact checks, and the order
-    checks are one orient_lanes call. A failed check is returned as (e,
+    checks are one orient_lanes call, both at the static bound bound. A failed check is returned as (e,
     f, touch): touch is True if edges e and f share a point (a vertex of
     e on t counts), and False if v lies strictly on the wrong side of t.
     """
@@ -795,8 +840,8 @@ def _failed_check(touches: list[int], sides: list[int], ints: np.ndarray, xs: np
         return None
     quads = np.array(touches, dtype=np.intp).reshape(-1, 4).T
     rows = np.array(sides, dtype=np.intp).reshape(-1, 7).T
-    touch = np.flatnonzero(_touching(ints, xs, ys, quads))
-    o = orient_lanes(ints, xs, ys, rows[:3])
+    touch = np.flatnonzero(_touching(ints, xs, ys, quads, bound))
+    o = orient_lanes(ints, xs, ys, rows[:3], bound)
     wrong = np.flatnonzero(o != rows[3])
     if len(wrong) and (not len(touch) or rows[6, wrong[0]] <= touch[0]):
         j = wrong[0]
@@ -831,7 +876,7 @@ def _sweep(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
         if re == rf:
             first = sum(sizes[:re])
             i, j = sorted((e - first, f - first))
-            near = _point(*ints[:, first + i].tolist())
+            near = _points(ints[:, [first + i]])[0]
             return SelfIntersectionError(f"edges {i} and {j} of a ring intersect near {near!r}")
         a, b = sorted((re, rf))
         if a == 0:
@@ -905,7 +950,7 @@ def _sweep(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
     except Exception as exc:  # past a failed check the status may be out of order
         raised = exc
     # a check that failed before the sweep raised is the fault to report
-    failed = _failed_check(touches, sides, ints, xf, yf)
+    failed = _failed_check(touches, sides, ints, xf, yf, bound)
     if failed is not None:
         e, f, touch = failed
         raise fault(e, f) if touch else RuntimeError(_LOST_ORDER)
@@ -930,7 +975,9 @@ class Polygon:
     (_table), mirrors and signs are concatenated once, into the vertex
     table that P keeps (_ints, shape (3, n), every exact gather's source
     and P's only per-vertex store; _coords, the mirrors) and validation
-    reads, and validated with one exact sweep (_validate_rings):
+    reads, written over one common scale where that grid fits below
+    2**53 (_common_scale), and validated with one exact sweep
+    (_validate_rings):
     SelfIntersectionError when two edges of one ring share a point other
     than the vertex between consecutive edges, HolePlacementError when
     rings touch or a hole lies outside the outer ring or inside another
@@ -943,7 +990,7 @@ class Polygon:
     orientation, and with it the reflex mask, means nothing.
 
     P keeps no Points: vertex(i), the rings and cone(i) make them from
-    the table on access (_point).
+    the table on access, canonical whatever its scale (_points).
     """
 
     __slots__ = ("n", "h", "_starts", "_ints", "_prev", "_next", "_coords", "_bound",
@@ -962,10 +1009,10 @@ class Polygon:
         ints, xs, ys, signs = zip(*(_normalize_ring(*table, -1 if r else 1)
                                     for r, table in enumerate(tables)))
         sizes = [len(turn) for turn in signs]
-        self._ints = np.concatenate(ints, axis=1)
+        self._ints = _common_scale(np.concatenate(ints, axis=1))
         xf, yf, turn = np.concatenate(xs), np.concatenate(ys), np.concatenate(signs)
         # the first stage of every point location in P, validation's and the Reeb sweep's
-        self._bound = static_cross_bound(float(max(np.abs(xf).max(), np.abs(yf).max())))
+        self._bound = static_cross_bound(xf, yf)
         if validate:
             _validate_rings(self._ints, xf, yf, turn, sizes, self._bound)
 
@@ -987,7 +1034,7 @@ class Polygon:
 
     def vertex(self, i: int) -> Point:
         """Point at global vertex index i."""
-        return _point(*self._ints[:, self._index(i)].tolist())
+        return _points(self._ints[:, [self._index(i)]])[0]
 
     def neighbors(self, i: int) -> tuple[int, int]:
         """Global indices of the ring-previous and ring-next vertices."""
@@ -1004,7 +1051,7 @@ class Polygon:
 
     @property
     def rings(self) -> tuple[Ring, ...]:
-        pts, s = [_point(X, Y, D) for X, Y, D in zip(*self._ints.tolist())], self._starts
+        pts, s = _points(self._ints), self._starts
         return tuple(Ring(pts[a:b]) for a, b in zip(s, s[1:]))
 
     def bounding_box(self) -> tuple[float, float, float, float]:
@@ -1025,7 +1072,7 @@ class Polygon:
         if c is None:
             if not self._reflex[i]:
                 raise NonReflexVertexError(f"vertex {i} at {self.vertex(i)!r} is not reflex")
-            c = DoubleCone(*(self.vertex(j) for j in (i, *self.neighbors(i))))
+            c = DoubleCone(*_points(self._ints[:, [i, *self.neighbors(i)]]))
             self._cones[i] = c
         return c
 

@@ -315,8 +315,9 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
 def reeb_to_dict(g: ReebGraph) -> dict:
     """JSON-ready export: nodes (kind, height, witness), edges, counts.
 
-    Written from the vertex table of the graph's polygon, one gather for
-    all nodes. A height (a X + b Y) / (m D), for v = (a, b) / m and the
+    Written from the vertex table of the graph's polygon, one gather per
+    exactmath._LANE_BLOCK nodes, so that its lists of fresh Python ints
+    and floats stay small. A height (a X + b Y) / (m D), for v = (a, b) / m and the
     witness (X, Y) / D, is written as one integer quotient: int/int true
     division rounds correctly, as float(Fraction) does. A height beyond
     the float range is written exactly, as "p/q" text. The witness is its
@@ -324,14 +325,17 @@ def reeb_to_dict(g: ReebGraph) -> dict:
     """
     nodes = []
     P = g.nodes[0]._polygon  # a graph has two leaves at least, and one polygon
-    idx = [nd.vertex for nd in g.nodes]
-    for nd, X, Y, D, xf, yf in zip(g.nodes, *P._ints[:, idx].tolist(), *P._coords[idx].T.tolist()):
-        a, b, m = nd.direction._ints
-        try:
-            height = (a * X + b * Y) / (m * D)
-        except OverflowError:
-            height = str(nd.height)
-        nodes.append({"kind": nd.kind, "height": height, "witness": [xf, yf]})
+    for start in range(0, len(g.nodes), exactmath._LANE_BLOCK):
+        block = g.nodes[start:start + exactmath._LANE_BLOCK]
+        idx = [nd.vertex for nd in block]
+        for nd, X, Y, D, xf, yf in zip(block, *P._ints[:, idx].tolist(),
+                                       *P._coords[idx].T.tolist()):
+            a, b, m = nd.direction._ints
+            try:
+                height = (a * X + b * Y) / (m * D)
+            except OverflowError:
+                height = str(nd.height)
+            nodes.append({"kind": nd.kind, "height": height, "witness": [xf, yf]})
     return {
         "nodes": nodes,
         "edges": [[a, b] for a, b in g.edges],

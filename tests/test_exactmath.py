@@ -184,7 +184,8 @@ def test_orient_lanes_is_exact(trips, block):
     pts = [p for trip in trips for p in trip]
     xs, ys = np.array([p.xf for p in pts]), np.array([p.yf for p in pts])
     with patch.object(exactmath, "_LANE_BLOCK", block):
-        got = orient_lanes(point_table(pts)[0], xs, ys, np.arange(len(pts)).reshape(-1, 3).T)
+        got = orient_lanes(point_table(pts)[0], xs, ys, np.arange(len(pts)).reshape(-1, 3).T,
+                           static_cross_bound(xs, ys))
     assert got.tolist() == [sign(exact_orient(a, b, c)) for a, b, c in trips]
 
 
@@ -200,7 +201,8 @@ def test_orient_lanes_first_stage_decides_clear_lanes():
         return cross_filter(ax, *rest)
 
     with patch.object(exactmath, "cross_filter", spy):
-        got = orient_lanes(point_table(pts)[0], xs, ys, np.array([[1, 2, 3], [2, 1, 1], [0, 0, 0]]))
+        got = orient_lanes(point_table(pts)[0], xs, ys, np.array([[1, 2, 3], [2, 1, 1], [0, 0, 0]]),
+                           static_cross_bound(xs, ys))
     assert got.tolist() == [1, -1, 0] and seen == [1]
 
 
@@ -240,7 +242,9 @@ def test_orient_lanes_first_stage_bound_is_not_too_small():
     assert len(trips) == 32 and 0 in want and any(want)
     for trip, s in zip(trips, want):
         xs, ys = np.array([p.xf for p in trip]), np.array([p.yf for p in trip])
-        assert orient_lanes(point_table(trip)[0], xs, ys, np.array([[0], [1], [2]])).tolist() == [s]
+        got = orient_lanes(point_table(trip)[0], xs, ys, np.array([[0], [1], [2]]),
+                           static_cross_bound(xs, ys))
+        assert got.tolist() == [s]
 
 
 @pytest.mark.parametrize("m", [1.0, 3.0, 2.0 ** 500, 1e-100])

@@ -24,7 +24,7 @@ from ruledpoly import (
     load_polygon,
     lower_bound_polygon,
 )
-from ruledpoly.exactmath import orient_sign
+from ruledpoly.exactmath import orient_sign, static_cross_bound
 
 from conftest import point_table
 
@@ -143,8 +143,8 @@ def test_coordinates_below_float_range():
     P = load_polygon(text)
     assert P.reflex_indices() == ()
     assert Polygon(P.outer, validate=False).reflex_indices() == ()
-    assert geometry._corner_signs(*point_table(list(P.outer))).tolist() \
-        == [1, 1, 1]
+    ints, xs, ys = point_table(list(P.outer))
+    assert geometry._corner_signs(ints, xs, ys, static_cross_bound(xs, ys)).tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("text", [

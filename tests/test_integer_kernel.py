@@ -33,7 +33,7 @@ from ruledpoly import (
     random_simple_polygon,
     reeb_graph,
 )
-from ruledpoly.exactmath import orient_sign, sign
+from ruledpoly.exactmath import orient_sign, sign, static_cross_bound
 from ruledpoly.geometry import _corner_signs
 from ruledpoly.oracle import _sweep_cmp
 from ruledpoly.reeb import _height_order
@@ -91,7 +91,8 @@ def test_corner_signs(xys):
     pts = [Point(x, y) for x, y in xys]
     n = len(pts)
     want = [sign(-cross(xys[i - 1], xys[(i + 1) % n], xys[i])) for i in range(n)]
-    assert _corner_signs(*point_table(pts)).tolist() == want
+    ints, xs, ys = point_table(pts)
+    assert _corner_signs(ints, xs, ys, static_cross_bound(xs, ys)).tolist() == want
 
 
 # a nonzero pair, by construction: (0, 0) becomes (1, 0)

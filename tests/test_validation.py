@@ -324,10 +324,10 @@ def test_validation_cost_is_linear_in_contact_tests(monkeypatch):
     lanes = 0
     touching = geometry._touching
 
-    def counted(pts, xs, ys, quads):
+    def counted(ints, xs, ys, quads, bound):
         nonlocal lanes
         lanes += quads.shape[1]
-        return touching(pts, xs, ys, quads)
+        return touching(ints, xs, ys, quads, bound)
 
     monkeypatch.setattr(geometry, "_touching", counted)
     P = load_polygon(text)
@@ -401,7 +401,7 @@ def first_stage_count(seen) -> int:
     the float determinant beyond the status's bound."""
     first = 0
     for status, v, t, value in seen:
-        a, b, p = (geometry._point(*status.ints[:, k].tolist()) for k in (t, status.nxt[t], v))
+        a, b, p = geometry._points(status.ints[:, [t, status.nxt[t], v]])
         o = orient_sign(a, b, p)
         assert value == (-o if status.forward[t] else o)
         det = (a.xf - p.xf) * (b.yf - p.yf) - (a.yf - p.yf) * (b.xf - p.xf)

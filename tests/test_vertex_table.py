@@ -1,9 +1,12 @@
-"""The polygon's integer vertex table: the same integers and mirrors as
-its Points, int64 exactly when every value is below 2**53, the same
-results as gathers that read each Point's attributes, and no Point
-attribute read by the complexity sweep."""
+"""The polygon's integer vertex table: the integers of its Points, over
+one common scale exactly where that grid fits below 2**53, with the same
+mirrors, the same results as gathers that read each Point's attributes,
+canonical public Points, no Point attribute read by the complexity sweep
+and no lane of two distinct scales on a grid."""
 
+import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ruledpoly.complexity as complexity
+import ruledpoly.exactmath as exactmath
+import ruledpoly.geometry as geometry
 from ruledpoly import (
     Direction,
     FamilyParams,
@@ -48,6 +53,8 @@ class PointTable:
         self.pts = pts
 
     def __getitem__(self, key):
+        if not isinstance(key, tuple):  # one row
+            return self[:, :][key]
         rows, lanes = key
         assert rows == slice(None)
         lanes = np.arange(len(self.pts))[lanes]
@@ -60,6 +67,9 @@ class PointTable:
 
     def tolist(self):
         return self[:, :].tolist()
+
+    def __array__(self, dtype=None, copy=None):  # numpy operands, as in the canonical gather
+        return self[:, :]
 
 
 def points(P: Polygon) -> list[Point]:
@@ -74,17 +84,59 @@ def reference(P: Polygon) -> Polygon:
     return R
 
 
+def grid_scale(pts) -> int | None:
+    """The common scale L of the Points pts, the lcm of their scales, if
+    L and every |X| L / D and |Y| L / D are below 2**53; else None."""
+    L = math.lcm(*(p.D for p in pts))
+    if L < EXACT_FLOAT and all(max(abs(p.X), abs(p.Y)) * (L // p.D) < EXACT_FLOAT for p in pts):
+        return L
+    return None
+
+
 def check_table(P: Polygon) -> None:
-    """P's table and mirrors are those of Points built anew from P's
-    exact coordinates: canonical integers, correctly rounded mirrors."""
+    """P's table and mirrors against Points built anew from P's exact
+    coordinates: its columns, divided by their gcd, are their canonical
+    integers; it holds them over one scale, their lcm L, exactly when L
+    and every scaled magnitude are below 2**53, and canonically
+    otherwise; its mirrors are theirs, correctly rounded."""
     pts = [Point(p.x, p.y) for p in points(P)]
     want = [[p.X for p in pts], [p.Y for p in pts], [p.D for p in pts]]
     assert P._ints.shape == (3, P.n)
-    assert P._ints.tolist() == want
-    small = all(-EXACT_FLOAT < v < EXACT_FLOAT for row in want for v in row)
-    assert P._ints.dtype == (np.int64 if small else object)
+    cols = list(zip(*P._ints.tolist()))
+    gcds = [math.gcd(*col) for col in cols]
+    assert [[v // g for v, g in zip(row, gcds)] for row in zip(*cols)] == want
+    L = grid_scale(pts)
+    if L is None:
+        assert P._ints.tolist() == want
+        small = all(-EXACT_FLOAT < v < EXACT_FLOAT for row in want for v in row)
+        assert P._ints.dtype == (np.int64 if small else object)
+    else:
+        assert P._ints.dtype == np.int64
+        assert P._ints.tolist() == [[p.X * (L // p.D) for p in pts], [p.Y * (L // p.D) for p in pts],
+                                    [L] * len(pts)]
     assert P._coords[:, 0].tobytes() == np.array([p.xf for p in pts]).tobytes()
     assert P._coords[:, 1].tobytes() == np.array([p.yf for p in pts]).tobytes()
+
+
+def check_public(P: Polygon) -> None:
+    """P's public Points are canonical: each equals, and hashes as, the
+    Point built anew from its exact coordinates, with the least D; and
+    dump_polygon round trips."""
+    for i, p in enumerate(points(P)):
+        fresh = Point(p.x, p.y)
+        assert P.vertex(i) == p == fresh and hash(P.vertex(i)) == hash(fresh)
+        assert (p.X, p.Y, p.D) == (fresh.X, fresh.Y, fresh.D)
+        assert p.D == math.lcm(p.x.denominator, p.y.denominator)
+        assert (p.xf, p.yf) == (fresh.xf, fresh.yf)
+    for i in P.reflex_indices():
+        apex, prev, nxt = (P.vertex(j) for j in (i, *P.neighbors(i)))
+        assert P.cone(i).apex == apex
+        assert (P.cone(i)._d1, P.cone(i)._d2) == (geometry.exact_delta(apex, prev),
+                                                   geometry.exact_delta(apex, nxt))
+    text = dump_polygon(P)
+    Q = load_polygon(text)
+    assert dump_polygon(Q) == text
+    assert points(Q) == points(P)
 
 
 def check_outputs(P: Polygon, oracle: bool) -> None:
@@ -116,15 +168,17 @@ def with_extras(ring, draw):
 
 
 @st.composite
-def rings(draw):
+def rings(draw, denominators=(1,)):
     """A star-shaped outer ring on small integers with 0 to 2 holes,
-    duplicates and collinear midpoints, at one of SCALES."""
+    duplicates and collinear midpoints, at one of SCALES; each outer
+    vertex over one of denominators."""
     m = draw(st.integers(6, 9))
     outer = []
     for i in range(m):
         t = 2 * math.pi * (i + draw(st.sampled_from([0.0, 0.2, 0.4]))) / m
         r = draw(st.sampled_from([6, 7, 9]))
-        outer.append((round(r * math.cos(t)), round(r * math.sin(t))))
+        d = draw(st.sampled_from(denominators))
+        outer.append((Fraction(round(r * d * math.cos(t)), d), Fraction(round(r * d * math.sin(t)), d)))
     holes = HOLES[:draw(st.integers(0, 2))]
     s = draw(st.sampled_from(SCALES))
     scaled = [[(x * s, y * s) for x, y in with_extras(ring, draw)] for ring in [outer] + holes]
@@ -139,7 +193,109 @@ def rings(draw):
 def test_table_matches_points_on_rings(P):
     """Merged and oriented rings at scales 1, 1/3, 1e-400 and 1e300."""
     check_table(P)
+    check_public(P)
     check_outputs(P, oracle=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rings(denominators=range(1, 11)))
+def test_grid_matches_points_on_mixed_scales(P):
+    """Outer vertices over denominators 1 to 10, so that the table has
+    many scales: one grid at scales 1 and 1/3, canonical at 1e-400 and
+    1e300. Outputs, witnesses included, are the canonical gathers'."""
+    check_table(P)
+    check_public(P)
+    check_outputs(P, oracle=True)
+    for lo, hi in ARCS:
+        want = point_generic_witness(P, lo, hi)
+        assert complexity._generic_witness(P, lo, hi).canonical_pair() == want.canonical_pair()
+
+
+@pytest.mark.parametrize("ring, grid", [
+    # (2**53 - 1) / 2 over the grid L = 2: its scaled X is 2**53 - 1
+    ([(0, 0), (Fraction(2 ** 53 - 1, 2), Fraction(1, 2)), (0, 1)], True),
+    # 2**52 over the grid L = 2 would be 2**53
+    ([(0, 0), (2 ** 52, 0), (Fraction(1, 2), 1)], False),
+])
+def test_grid_boundary(ring, grid):
+    """A grid exactly while every scaled coordinate is below 2**53; both
+    canonical tables are int64."""
+    P = Polygon(ring)
+    check_table(P)
+    assert P._ints.dtype == np.int64
+    assert (len(set(P._ints[2].tolist())) == 1) == grid
+    check_public(P)
+    check_outputs(P, oracle=True)
+
+
+def odd_primes(count: int) -> list[int]:
+    """The first count odd primes."""
+    limit = 32
+    while True:
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = False
+        primes = np.flatnonzero(sieve)[1:]
+        if len(primes) >= count:
+            return primes[:count].tolist()
+        limit *= 2
+
+
+def prime_ring(primes: list[int]) -> str:
+    """A simple ring whose bottom chain has the vertices (i, 1 / p_i),
+    x-monotone and with no three on a line, closed by two corners at
+    y = 10: the document of a polygon whose scales are coprime."""
+    m = len(primes)
+    pts = [[i, f"1/{p}"] for i, p in enumerate(primes)] + [[m - 1, 10], [0, 10]]
+    return json.dumps({"outer": pts})
+
+
+def test_coprime_scales_past_the_grid_stay_canonical():
+    """Sixteen odd primes as scales: their lcm passes 2**53, so the table
+    stays canonical, and outputs are the canonical gathers'."""
+    P = load_polygon(prime_ring(odd_primes(16)))
+    check_table(P)
+    assert sorted(set(P._ints[2].tolist())) == [1, *odd_primes(16)]
+    check_public(P)
+    check_outputs(P, oracle=True)
+
+
+def test_many_coprime_scales_load_in_linear_time():
+    """20 000 distinct prime scales: the lcm stops once it passes 2**53,
+    so the ring loads in under 1 s, canonical."""
+    primes = odd_primes(20_000)
+    text = prime_ring(primes)
+    start = time.perf_counter()
+    P = load_polygon(text)
+    elapsed = time.perf_counter() - start
+    assert P._ints[2].tolist() == [*primes, 1, 1]
+    assert elapsed < 1.0
+
+
+def test_grid_star_has_no_distinct_scale_lane(monkeypatch):
+    """The 20 000-vertex star's document through load_polygon,
+    parallel_reeb_complexity and reeb_graph at the witness: every
+    delta_lanes lane on the polygon's table pairs two equal scales, its
+    14 scales being written over their lcm, 10**12."""
+    text = dump_polygon(lower_bound_polygon(FamilyParams(10_000)))
+    calls = []
+    delta_lanes = exactmath.delta_lanes
+
+    def recording(ints, lanes):
+        calls.append((ints, lanes))
+        return delta_lanes(ints, lanes)
+
+    for module in (exactmath, geometry, complexity):
+        monkeypatch.setattr(module, "delta_lanes", recording)
+    P = load_polygon(text)
+    res = parallel_reeb_complexity(P)
+    assert reeb_graph(P, res.witness).l == res.min_leaves == 9998
+    own = [lanes for ints, lanes in calls if ints is P._ints]
+    assert sum(lanes.shape[1] for lanes in own) > 10_000
+    D = P._ints[2]
+    assert sum(int(np.count_nonzero(D[a] != D[b])) for a, b in own) == 0
 
 
 def point_generic_witness(P, lo, hi):
@@ -179,6 +335,8 @@ def test_table_matches_points_on_stars(spikes, r1):
     P = lower_bound_polygon(FamilyParams(spikes, r1=r1))
     check_table(P)
     assert P._ints.dtype == (np.int64 if r1 == 4 else object)
+    assert (len(set(P._ints[2].tolist())) == 1) == (r1 == 4)  # a grid at r1 = 4 alone
+    check_public(P)
     check_outputs(P, oracle=True)
 
 
