@@ -40,10 +40,9 @@ exactmath.delta_lanes gives them from the polygon's integer vertex
 table, over its common scale where it has one, so that every lane
 subtracts in int64. On a point-symmetric polygon every event ties with
 its antipodal twin, and all such two-lane chains take one gather and
-one lane-wise comparison. The two ends of the chosen arc alone are read
-from the canonical columns of their vertices (geometry._canonical), as
-exact_delta gives them on P's Points: the witness's perturbation bound
-reads their magnitudes.
+one lane-wise comparison. The ends of the chosen arc come through the
+same accessor, at the table's own scale, which is the scale the
+witness's perturbation bound reads.
 
 A witness is built, not searched for (_generic_witness): the simplest
 integer direction of the chosen open arc, checked once for genericity,
@@ -53,7 +52,6 @@ and only if it ties two heights, an exact perturbation of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,7 +65,7 @@ from .exactmath import (
     float_direction,
     mirror_error_bound,
 )
-from .geometry import Direction, DoubleCone, Polygon, _canonical
+from .geometry import Direction, DoubleCone, Polygon
 from .reeb import is_generic
 
 __all__ = [
@@ -132,8 +130,6 @@ class _EventSet:
     # event lanes (indices into sf) -> rows (x, y) of the sweep
     # representatives R of their normals, integers, x > 0
     exact: Callable[[np.ndarray], np.ndarray]
-    # the same for the ends of the chosen arcs, at the scale the witness reads
-    arc_exact: Callable[[np.ndarray], np.ndarray]
     init_count: int
     seam_exits: int
     seam_entries: int
@@ -193,7 +189,7 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     n_groups = len(starts)
 
     def group_reps(groups: list[int]) -> list[tuple[int, int]]:
-        return [tuple(r) for r in ev.arc_exact(order[starts[groups]]).T.tolist()]
+        return [tuple(r) for r in ev.exact(order[starts[groups]]).T.tolist()]
 
     def arc_after(g: int):
         # the open arc following event group g; g == -1 is the arc from v0
@@ -217,8 +213,7 @@ def _sweep_select(ev: _EventSet) -> _SweepProfile:
     return _SweepProfile(closed_max, interior_max, interior_arc, closed_sel)
 
 
-def _event_set(dx, dy, ex, ey, exact_d: Callable[[np.ndarray], np.ndarray],
-               arc_d: Callable[[np.ndarray], np.ndarray] | None = None) -> _EventSet:
+def _event_set(dx, dy, ex, ey, exact_d: Callable[[np.ndarray], np.ndarray]) -> _EventSet:
     """The 2k sweep events of k cones, one entry and one exit each.
 
     Event i < k is cone i's entry, at the normal of the float vector
@@ -227,9 +222,9 @@ def _event_set(dx, dy, ex, ey, exact_d: Callable[[np.ndarray], np.ndarray],
     are absolute error bounds, and exact_d(events) gives those events'
     vectors exactly, as the rows (x, y, ...) of integers at any positive
     scale of each. Signs and directions are scale-free, so this one
-    accessor serves the signs, the tie chains and the arc endpoints;
-    arc_d, when given, gives the arc endpoints' vectors instead, at the
-    scale whose magnitudes the witness's perturbation bound reads.
+    accessor serves the signs, the tie chains and the arc endpoints, the
+    last at the scale of the caller's rows, which the witness's
+    perturbation bound reads as they come.
     """
     k = len(dx) // 2
     sy = filtered_sign_array(dy, ey, lambda events: exact_d(events)[1])
@@ -248,11 +243,11 @@ def _event_set(dx, dy, ex, ey, exact_d: Callable[[np.ndarray], np.ndarray],
     # wraps it across the seam
     sf, radius = angle_filter(np.maximum(s * dy[ids], 0.0), s * dx[ids], ey[ids], ex[ids])
 
-    def exact(lanes: np.ndarray, d=exact_d) -> np.ndarray:
-        x, y = d(ids[lanes])[:2]
+    def exact(lanes: np.ndarray) -> np.ndarray:
+        x, y = exact_d(ids[lanes])[:2]
         return np.array((abs(y), -s[lanes] * x))
 
-    return _EventSet(sf, kind, radius, exact, partial(exact, d=arc_d or exact_d), init,
+    return _EventSet(sf, kind, radius, exact, init,
                      int(np.count_nonzero(seam[k:])), int(np.count_nonzero(seam[:k])))
 
 
@@ -300,23 +295,23 @@ def _generic_witness(P: Polygon, lo: tuple[int, int], hi: tuple[int, int]) -> Di
     above three bounds (symbolic perturbation; Edelsbrunner and Mucke,
     Simulation of Simplicity, 1990). A vertex difference d tied under w
     is parallel to (-b, a), which splits it. Any other d, as the integers
-    (x, y) of exact_delta on P's Points, has |<w, (x, y)>| >= 1 and
-    |<(-b, a), (x, y)>| <= (|a| + |b|) max(|x|, |y|), so q keeps the sign
-    of <w, d>. Equal scales give |x| <= 2 max |X|; distinct ones
-    |X_j D_i - X_i D_j| <= |X_j| D_i + |X_i| D_j, each term at most |X|
-    times the largest scale other than the point's own. The magnitudes
-    are the canonical ones, P's table divided column by column by its
-    gcd (geometry._canonical), whatever scale the table holds, and lo and
-    hi come at exact_delta's scale, so q, and the witness, do not depend
-    on the table's scale. cross(lo, w) >= 1 and |cross(lo, (-b, a))| =
-    |<lo, w>| <= (|a| + |b|) |lo|_1, so w' stays on w's side of lo, and
-    so of hi.
+    (x, y) that exactmath.delta_lanes gives from P's table, has
+    |<w, (x, y)>| >= 1 and |<(-b, a), (x, y)>| <= (|a| + |b|)
+    max(|x|, |y|), so q keeps the sign of <w, d>. Equal scales give
+    |x| <= 2 max |X|; distinct ones |X_j D_i - X_i D_j| <= |X_j| D_i +
+    |X_i| D_j, each term at most |X| times the largest scale other than
+    the point's own. The bound reads the table at its own scale: a grid
+    has one, so its second scale is 1, and any other table is canonical.
+    lo and hi are integer vectors from the same table, so the witness is
+    a function of the polygon through its table. cross(lo, w) >= 1 and
+    |cross(lo, (-b, a))| = |<lo, w>| <= (|a| + |b|) |lo|_1, so w' stays
+    on w's side of lo, and so of hi.
     """
     a, b = _simplest_in_arc(lo, hi)
     w = Direction(a, b)
     if is_generic(P, w):
         return w
-    X, Y, D = _canonical(P._ints)
+    X, Y, D = P._ints
     top = int(D.max())
     at_top = D == top
     second = int(D[~at_top].max(initial=1))
@@ -375,14 +370,7 @@ def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     ex = diff_error_bound(dx, X[neighbor], X[apex])
     ey = diff_error_bound(dy, Y[neighbor], Y[apex])
     ends = np.array((apex, neighbor))
-
-    def canonical_d(events: np.ndarray) -> np.ndarray:
-        """The events' vectors as exact_delta gives them on P's Points."""
-        cols = _canonical(P._ints[:, ends[:, events].ravel()])
-        return delta_lanes(cols, np.arange(2 * len(events)).reshape(2, -1))
-
-    ev = _event_set(dx, dy, ex, ey, lambda events: delta_lanes(P._ints, ends[:, events]),
-                    canonical_d)
+    ev = _event_set(dx, dy, ex, ey, lambda events: delta_lanes(P._ints, ends[:, events]))
     prof = _sweep_select(ev)
     c_max = prof.interior_max
     witness = _generic_witness(P, *prof.interior_arc)

@@ -17,7 +17,7 @@ indexes it, and point location reads its mirrors by index. Points and
 Fractions are made only at the public edge (Polygon.vertex, the rings,
 cones, error messages), and for the rare exact fallback of point
 location, always canonical: the table's columns divided by their gcd
-(_canonical, _points). Each ring's corner signs are the lanes of one
+(_points). Each ring's corner signs are the lanes of one
 orient_lanes call per pass of its merge, one pass for a ring with
 nothing to merge, and give its merging (itself decided as lanes, the
 table and mirrors compressed together), its orientation and its reflex
@@ -286,11 +286,15 @@ def _common_scale(ints: np.ndarray) -> np.ndarray:
     """The vertex table ints over one common scale L, where it fits:
     (X L / D, Y L / D, L), L the lcm of its scales D, when L and every
     scaled |X| and |Y| are below 2**53 (Fortune and Van Wyk's integer
-    grid); otherwise ints itself. An object table never fits. The lcm
-    is taken in Python ints over the distinct scales, in any order, and
-    stops once it reaches 2**53, so many coprime scales cost few steps."""
-    scales = set(ints[2].tolist()) if ints.dtype == np.int64 else ()
-    if len(scales) < 2:  # an object table, or one scale already
+    grid); otherwise ints itself. An object table never fits. The
+    distinct scales are found by a sort, and their lcm is taken in
+    Python ints, in any order, and stops once it reaches 2**53, so many
+    coprime scales cost few steps."""
+    if ints.dtype != np.int64:
+        return ints
+    D = np.sort(ints[2])
+    scales = D[np.concatenate(([True], D[1:] != D[:-1]))].tolist()
+    if len(scales) < 2:  # one scale already
         return ints
     scale = 1
     for d in scales:
@@ -303,20 +307,14 @@ def _common_scale(ints: np.ndarray) -> np.ndarray:
     return ints
 
 
-def _canonical(cols: np.ndarray) -> np.ndarray:
-    """The canonical integers (X, Y, D) of the columns cols, shape (3, m),
-    of a vertex table, whatever scale it holds them over: each column
-    divided by gcd(X, Y, D). Vectorized, and 2-D, so that an object
-    table's columns stay Python ints."""
-    return cols // np.gcd(np.gcd(cols[0], cols[1]), cols[2])
-
-
 def _points(cols: np.ndarray) -> list[Point]:
     """The Points of the columns cols, shape (3, m), of a vertex table:
-    the one way from the table to Points, canonical (_canonical), their
-    mirrors divided as _table's are."""
+    the one way from the table to Points. Each is canonical, whatever
+    scale the table holds it over: its column divided by gcd(X, Y, D),
+    in numpy and 2-D, so that an object table's columns stay Python
+    ints. Their mirrors are divided as _table's are."""
     out = []
-    for X, Y, D in zip(*_canonical(cols).tolist()):
+    for X, Y, D in zip(*(cols // np.gcd(np.gcd(cols[0], cols[1]), cols[2])).tolist()):
         p = Point.__new__(Point)
         p.X, p.Y, p.D, p.xf, p.yf = X, Y, D, X / D, Y / D
         out.append(p)

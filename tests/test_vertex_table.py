@@ -1,13 +1,17 @@
 """The polygon's integer vertex table: the integers of its Points, over
 one common scale exactly where that grid fits below 2**53, with the same
-mirrors, the same results as gathers that read each Point's attributes,
-canonical public Points, no Point attribute read by the complexity sweep
-and no lane of two distinct scales on a grid."""
+mirrors, the same results as gathers that read each Point's attributes
+(but for a witness whose perturbation bound reads a grid of several
+scales: it is only checked to be generic and strictly inside its arc),
+canonical public Points, no Point attribute read by the complexity
+sweep, whose every delta_lanes gather reads the table itself, and no
+lane of two distinct scales on a grid."""
 
 import json
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from ruledpoly import (
     Point,
     Polygon,
     PolygonError,
+    annulus_polygon,
     brute_force_complexity,
     dump_polygon,
     is_generic,
@@ -31,6 +36,7 @@ from ruledpoly import (
     reeb_graph,
     reeb_to_dict,
 )
+from test_complexity import inside_arc
 
 EXACT_FLOAT = 2 ** 53
 
@@ -202,13 +208,27 @@ def test_table_matches_points_on_rings(P):
 def test_grid_matches_points_on_mixed_scales(P):
     """Outer vertices over denominators 1 to 10, so that the table has
     many scales: one grid at scales 1 and 1/3, canonical at 1e-400 and
-    1e300. Outputs, witnesses included, are the canonical gathers'."""
+    1e300. Outputs are the canonical gathers', the Reeb graph at one
+    direction and the oracle's included, but for the witnesses, whose
+    perturbation bound reads the table at its own scale: the sweep's
+    and the one built in each of ARCS are generic and strictly inside
+    their arc, and the sweep's gives min_leaves."""
     check_table(P)
     check_public(P)
-    check_outputs(P, oracle=True)
+    R = reference(P)
+    with mock.patch.object(complexity, "_generic_witness", wraps=complexity._generic_witness) as built:
+        res = parallel_reeb_complexity(P)
+    want = parallel_reeb_complexity(R)
+    assert {**res.as_dict(), "witness": None} == {**want.as_dict(), "witness": None}
+    _, lo, hi = built.call_args.args
+    for w in (res.witness, want.witness):  # the canonical gathers' arc is the same
+        assert is_generic(P, w) and inside_arc(w.canonical_pair(), lo, hi)
+    assert reeb_graph(P, res.witness).l == res.min_leaves
+    assert reeb_to_dict(reeb_graph(P, want.witness)) == reeb_to_dict(reeb_graph(R, want.witness))
+    assert brute_force_complexity(P).as_dict() == brute_force_complexity(R).as_dict()
     for lo, hi in ARCS:
-        want = point_generic_witness(P, lo, hi)
-        assert complexity._generic_witness(P, lo, hi).canonical_pair() == want.canonical_pair()
+        w = complexity._generic_witness(P, lo, hi)
+        assert is_generic(P, w) and inside_arc(w.canonical_pair(), lo, hi)
 
 
 @pytest.mark.parametrize("ring, grid", [
@@ -275,11 +295,14 @@ def test_many_coprime_scales_load_in_linear_time():
 
 
 def test_grid_star_has_no_distinct_scale_lane(monkeypatch):
-    """The 20 000-vertex star's document through load_polygon,
-    parallel_reeb_complexity and reeb_graph at the witness: every
-    delta_lanes lane on the polygon's table pairs two equal scales, its
-    14 scales being written over their lcm, 10**12."""
-    text = dump_polygon(lower_bound_polygon(FamilyParams(10_000)))
+    """The documents of the 20 000-vertex star and of the 21/2, 2/3
+    annulus through load_polygon, parallel_reeb_complexity and reeb_graph
+    at the witness: every delta_lanes lane on the polygon's table pairs
+    two equal scales, the star's 14 scales being written over their lcm,
+    10**12, and the annulus's 1, 2 and 12 over 12. Every delta_lanes
+    call of parallel_reeb_complexity reads the table itself, no copy of
+    its columns, also for the ends of the arc that the annulus's
+    perturbed witness is built in."""
     calls = []
     delta_lanes = exactmath.delta_lanes
 
@@ -289,13 +312,20 @@ def test_grid_star_has_no_distinct_scale_lane(monkeypatch):
 
     for module in (exactmath, geometry, complexity):
         monkeypatch.setattr(module, "delta_lanes", recording)
-    P = load_polygon(text)
-    res = parallel_reeb_complexity(P)
-    assert reeb_graph(P, res.witness).l == res.min_leaves == 9998
-    own = [lanes for ints, lanes in calls if ints is P._ints]
-    assert sum(lanes.shape[1] for lanes in own) > 10_000
-    D = P._ints[2]
-    assert sum(int(np.count_nonzero(D[a] != D[b])) for a, b in own) == 0
+    for Q, min_leaves, min_lanes, witness in [
+            (lower_bound_polygon(FamilyParams(10_000)), 9998, 10_000, [-1, 9550]),
+            (annulus_polygon(Fraction(21, 2), Fraction(2, 3)), 2, 0, [-253, 252])]:
+        P = load_polygon(dump_polygon(Q))
+        start = len(calls)
+        res = parallel_reeb_complexity(P)
+        assert calls[start:] and all(ints is P._ints for ints, _ in calls[start:])
+        assert res.as_dict()["witness"] == witness
+        assert reeb_graph(P, res.witness).l == res.min_leaves == min_leaves
+        own = [lanes for ints, lanes in calls if ints is P._ints]
+        assert sum(lanes.shape[1] for lanes in own) > min_lanes
+        D = P._ints[2]
+        assert len(set(D.tolist())) == 1
+        assert sum(int(np.count_nonzero(D[a] != D[b])) for a, b in own) == 0
 
 
 def point_generic_witness(P, lo, hi):
