@@ -13,25 +13,27 @@ rational into its mirror or of a float operation, and an absolute ETA
 (2^-1074, twice the largest error of a rounding into the subnormal
 range) for each rounding that may underflow: a mirror or a product, not
 a sum or a difference, which is then exact. mirror_error_bound,
-diff_error_bound, cross_filter (orient_sign for point location, and
-orient_lanes for every other orientation: corner signs, contacts and
-the star certificate of generators), dot_filter (reeb's heights) and
+diff_error_bound, static_cross_bound, dot_filter (reeb's heights) and
 angle_filter (sweep angles) apply it; filtered_sign_array and
 filtered_order let exact values decide the rest. Both take one batch
 accessor, exact(lanes): for an index array of the lanes the floats
 leave undecided, their exact values in one array whose last axis runs
 over those lanes, object arrays of Python ints, so that every operation
 on them stays exact; chain_cuts finds where float order decides alone.
-The lane forms read a polygon's vertex table, the integers (X, Y, D)
-of every vertex as the rows of one array (int64 over one common scale
-D, or each vertex over its own: int64, or Python ints when a value
-reaches 2^53), by fancy indexing: integer_lanes gathers its columns as
-such rows, and delta_lanes is exact_delta's lane form, as orient_lanes
-is orient_sign's. static_cross_bound is cross_filter's bound at the
-largest mirror magnitude of a polygon, one number that dominates the
-bound of every triple of its points: the static first stage of the
-point location that both planar sweeps share (geometry._Status) and of
-orient_lanes, taken once by its caller.
+
+Every orientation sign is decided in two stages (Devillers and Pion
+2003): the float determinant against static_cross_bound, one bound
+for every triple of a polygon's points, taken once by the caller, and
+otherwise the integers. orient_lanes does both for lanes (corner signs,
+contacts and the star certificate of generators); orient_sign is the
+integers alone, the second stage of the point location that both
+planar sweeps share (geometry._Status), whose first stage is written
+there. Points are given to orient_sign and exact_delta as their
+integers (X, Y, D). The lane forms read a polygon's vertex table, the
+integers (X, Y, D) of every vertex as the rows of one array (int64 over
+one common scale D, or each vertex over its own: int64, or Python ints
+when a value reaches 2^53), by fancy indexing: integer_lanes gathers
+its columns as such rows, and delta_lanes is exact_delta's lane form.
 """
 
 from __future__ import annotations
@@ -62,13 +64,15 @@ def exact_cross(ax, ay, bx, by):
 
 
 def exact_delta(p, q) -> tuple[int, int, int]:
-    """q - p as integers (x, y, s), s > 0, for points (X / D, Y / D):
-    q - p = (x / s, y / s). Equal scales D, as on a polygon's common
-    scale, are not multiplied, so no size depends on other points;
-    distinct ones, each point's own, are."""
-    if p.D == q.D:
-        return q.X - p.X, q.Y - p.Y, p.D
-    return q.X * p.D - p.X * q.D, q.Y * p.D - p.Y * q.D, p.D * q.D
+    """q - p as integers (x, y, s), s > 0, for points given as their
+    integers (X, Y, D), the point (X / D, Y / D): q - p = (x / s, y / s).
+    Equal scales D, as on a polygon's common scale, are not multiplied,
+    so no size depends on other points; distinct ones, each point's
+    own, are."""
+    (px, py, pd), (qx, qy, qd) = p, q
+    if pd == qd:
+        return qx - px, qy - py, pd
+    return qx * pd - px * qd, qy * pd - py * qd, pd * qd
 
 
 def integer_lanes(ints: np.ndarray, lanes: np.ndarray) -> np.ndarray:
@@ -108,73 +112,43 @@ def diff_error_bound(d, a, b):
     return U * (np.abs(d) + np.abs(a) + np.abs(b) + _K)
 
 
-def cross_filter(ax, ay, bx, by, cx, cy):
-    """Float cross(a - c, b - c) of mirrors, and a bound on its distance
-    from the exact cross product of the values they mirror.
-
-    Written with abs() and operators only, so one code serves Python
-    floats (orient_sign, no numpy call) and numpy arrays lane by lane.
-    An inf or NaN lane never clears its bound.
-    """
-    ux, uy = ax - cx, ay - cy
-    wx, wy = bx - cx, by - cy
-    t1, t2 = ux * wy, uy * wx
-    det = t1 - t2
-    return det, _cross_error(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), abs(ux),
-                             abs(uy), abs(wx), abs(wy), abs(t1), abs(t2), abs(det))
-
-
-def _cross_error(ax, ay, bx, by, cx, cy, ux, uy, wx, wy, t1, t2, det):
-    """cross_filter's bound from the magnitudes of its mirrors a, b, c,
-    differences u = a - c, w = b - c, products t1 = ux wy, t2 = uy wx and
-    det = t1 - t2. It only adds and multiplies nonnegative floats, and
-    rounding is monotone, so no magnitude made larger makes it smaller."""
-    kcx, kcy = cx + _K, cy + _K
-    # each difference: its own rounding plus the two mirrors' errors
-    eux = U * (ux + ax + kcx)
-    euy = U * (uy + ay + kcy)
-    ewx = U * (wx + bx + kcx)
-    ewy = U * (wy + by + kcy)
-    # the roundings of t1, t2 and det, and the operand errors in each product
-    return (U * (t1 + t2 + det + _K) + eux * wy + (ux + eux) * ewy
-            + euy * wx + (uy + euy) * ewx)
-
-
 def static_cross_bound(*mirrors) -> float:
-    """A bound on cross_filter's error over every triple of points whose
-    mirrors are among the floats or float arrays mirrors, and so a first
-    stage in front of it: a float det beyond this bound has the exact
-    sign.
+    """A bound on the error of the float determinant
+    (ax - cx) (by - cy) - (ay - cy) (bx - cx) of the mirrors of three
+    points, against the exact cross(a - c, b - c) of the values they
+    mirror, for every triple whose mirrors are among the floats or float
+    arrays mirrors: a det beyond it has the exact sign. This is the
+    static first stage of every orientation sign.
 
-    _cross_error at |a| = m, the largest mirror magnitude, |a - c| <= 2m,
-    products at most 4m^2 and |det| at most 8m^2: rounding is monotone,
-    so every rounded magnitude in cross_filter is at most its value here,
-    and the bound at least cross_filter's, rounding for rounding. About
-    48 U m^2; inf when 2m or 4m^2 overflows, so that no det clears it.
+    The error model at m, the largest mirror magnitude, where every
+    difference is at most 2m, every product at most 4m^2 and det at
+    most 8m^2: each difference carries its own rounding and the errors
+    of its two mirrors, e; det the roundings of its two products and
+    its own, and each product the errors of its operands. The bound
+    only adds and multiplies nonnegative floats, and rounding is
+    monotone, so a triple of smaller magnitudes has a smaller error,
+    rounding for rounding. About 48 U m^2; inf when 2m or 4m^2
+    overflows, so that no det clears it.
     """
     m = float(max(np.abs(a).max() for a in mirrors))
     d = m + m
     t = d * d
-    return _cross_error(m, m, m, m, m, m, d, d, d, d, t, t, t + t)
+    e = U * (d + m + (m + _K))
+    return U * (t + t + (t + t) + _K) + e * d + (d + e) * e + e * d + (d + e) * e
 
 
 def orient_sign(a, b, c) -> int:
-    """Sign of cross(a - c, b - c) for three Points. Exact.
+    """Sign of cross(a - c, b - c) for three points given as their
+    integers (X, Y, D). Exact: integers alone, no float stage.
 
-    Positive when a, b, c make a left turn. The float mirrors decide
-    unless the determinant is within its bound; then the integers do.
+    Positive when a, b, c make a left turn.
     """
-    det, err = cross_filter(a.xf, a.yf, b.xf, b.yf, c.xf, c.yf)
-    if det > err:
-        return 1
-    if det < -err:
-        return -1
     ux, uy, _ = exact_delta(c, a)
     wx, wy, _ = exact_delta(c, b)
-    return sign(ux * wy - uy * wx)
+    return sign(exact_cross(ux, uy, wx, wy))
 
 
-_LANE_BLOCK = 4096  # lanes per cross_filter call: bounds its float temporaries
+_LANE_BLOCK = 4096  # lanes per float pass: bounds its temporaries
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowed lanes go to the exact path
@@ -185,32 +159,24 @@ def orient_lanes(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     mirrors xs, ys. Exact.
 
     _LANE_BLOCK lanes at a time, so that float temporaries stay small,
-    in three stages: cross_filter's det, term for term, decides a lane
-    when it clears bound, the caller's static_cross_bound of mirrors at
-    least as large as the lanes' (of xs and ys, or of a table they were
-    cut from); cross_filter and its bound decide most of the rest, and
-    the integers decide what is left.
+    in two stages: the float det decides a lane when it clears bound,
+    the caller's static_cross_bound of mirrors at least as large as the
+    lanes' (of xs and ys, or of a table they were cut from), and the
+    integers decide the rest, together (delta_lanes).
     """
     out = np.empty(lanes.shape[1], dtype=np.int64)
     for start in range(0, lanes.shape[1], _LANE_BLOCK):
         block = lanes[:, start:start + _LANE_BLOCK]
         (ax, bx, cx), (ay, by, cy) = xs[block], ys[block]
         det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
-        signs = (det > bound).astype(np.int64) - (det < -bound)
-        rest = np.flatnonzero(~(np.abs(det) > bound))  # NaN lanes too
-        if len(rest):
-            left = block[:, rest]
-            (ax, bx, cx), (ay, by, cy) = xs[left], ys[left]
-            det, err = cross_filter(ax, ay, bx, by, cx, cy)
 
-            def exact(undecided: np.ndarray) -> np.ndarray:
-                a, b, c = left[:, undecided]
-                ux, uy, _ = delta_lanes(ints, np.array((c, a)))
-                wx, wy, _ = delta_lanes(ints, np.array((c, b)))
-                return exact_cross(ux, uy, wx, wy)
+        def exact(undecided: np.ndarray) -> np.ndarray:
+            a, b, c = block[:, undecided]
+            ux, uy, _ = delta_lanes(ints, np.array((c, a)))
+            wx, wy, _ = delta_lanes(ints, np.array((c, b)))
+            return exact_cross(ux, uy, wx, wy)
 
-            signs[rest] = filtered_sign_array(det, err, exact)
-        out[start:start + _LANE_BLOCK] = signs
+        out[start:start + _LANE_BLOCK] = filtered_sign_array(det, bound, exact)
     return out
 
 

@@ -3,8 +3,8 @@
 A point is (X / D, Y / D) over integers, D > 0; a Point's D is its own
 least common denominator, and every geometric decision is an exact
 sign computed from such integers, whatever their scale; float mirrors
-of all coordinates are kept alongside for numpy fast paths and
-filtered scalar predicates (see exactmath). Each ring is read straight
+of all coordinates are kept alongside for numpy fast paths and the
+first stage of point location (see exactmath). Each ring is read straight
 into its integer table (the canonical (X, Y, D) of every vertex as the
 rows of one array: int64 while every value is below 2**53, Python ints
 beyond) and its mirrors, which come from the table, an entry at a
@@ -13,17 +13,16 @@ table, its only per-vertex store, holds every vertex over one common
 scale L, the lcm of their D, where L and every scaled coordinate are
 below 2**53 (a grid: every exact lane then subtracts in int64), and
 each over its own D otherwise (_common_scale). Every exact lane gather
-indexes it, and point location reads its mirrors by index. Points and
-Fractions are made only at the public edge (Polygon.vertex, the rings,
-cones, error messages), and for the rare exact fallback of point
-location, always canonical: the table's columns divided by their gcd
-(_points). Each ring's corner signs are the lanes of one
-orient_lanes call per pass of its merge, one pass for a ring with
-nothing to merge, and give its merging (itself decided as lanes, the
-table and mirrors compressed together), its orientation and its reflex
-vertices. The rings are then laid end to end in one flat vertex table
-of integers, mirrors and signs, which validation and the polygon
-share.
+indexes it, and point location reads its mirrors and integers by index.
+Points and Fractions are made only at the public edge (Polygon.vertex,
+the rings, cones, error messages), always canonical: the table's
+columns divided by their gcd (_points). Each ring's corner signs are
+the lanes of one orient_lanes call per pass of its merge, one pass for
+a ring with nothing to merge, and give its merging (itself decided as
+lanes, the table and mirrors compressed together), its orientation and
+its reflex vertices. The rings are then laid end to end in one flat
+vertex table of integers, mirrors and signs, which validation and the
+polygon share.
 
 The polygon file format is a UTF-8 JSON document
 
@@ -52,11 +51,12 @@ one filtered predicate, the first failing check in sweep order winning.
 
 The sweep status (_Status) is shared with the Reeb sweep of reeb.py,
 in one frame, and its point location (_Status.locate) is the only one
-of both sweeps. Each of its comparisons is a three-stage filter: the
-plain float determinant against one static bound per polygon
+of both sweeps. Each of its comparisons has two stages: the plain
+float determinant against one static bound per polygon
 (exactmath.static_cross_bound, kept on the Polygon), then the one
-scalar orient_sign call of both sweeps, on three Points made for it,
-which has its own float filter and falls back to the integers.
+scalar orient_sign call of both sweeps, on the three vertices'
+integers, read from the table as Python ints; neither sweep makes a
+Point.
 """
 
 from __future__ import annotations
@@ -409,7 +409,8 @@ class DoubleCone:
     __slots__ = ("apex", "_d1", "_d2")
 
     def __init__(self, apex: Point, prev_point: Point, next_point: Point):
-        self._d1, self._d2 = d1, d2 = exact_delta(apex, prev_point), exact_delta(apex, next_point)
+        a, p, q = ((v.X, v.Y, v.D) for v in (apex, prev_point, next_point))
+        self._d1, self._d2 = d1, d2 = exact_delta(a, p), exact_delta(a, q)
         if exact_cross(d1[0], d1[1], d2[0], d2[1]) <= 0:
             raise NonReflexVertexError(f"vertex at {apex!r} is not reflex")
         self.apex = apex
@@ -662,12 +663,12 @@ class _Status:
         lies on any edge. The search compares the edge at the position
         whatever the block layout, so on costs no predicate of its own.
 
-        Each comparison is a three-stage filter (Devillers and Pion 2003;
-        Shewchuk 1997): the float determinant of orient_sign's filter
-        decides when it clears the status's static bound, then
-        orient_sign decides, by its own filter or the integers, on three
-        Points made for it (_points): the vertices are read from the table
-        and its mirror lists by index.
+        Each comparison has two stages (Devillers and Pion 2003): the
+        float determinant of the vertices' mirrors, read from the mirror
+        lists by index, decides when it clears the status's static bound,
+        and otherwise orient_sign decides on their integers, one gather
+        of the table turned into Python ints. It stays scalar: a lane
+        form for these rare single comparisons costs more than it saves.
         """
         xs, ys, nxt, forward, bound = self.xs, self.ys, self.nxt, self.forward, self.bound
         px, py = xs[v], ys[v]
@@ -678,14 +679,14 @@ class _Status:
             if v lies strictly left of t. The sign is exact, so a swap of
             t's ends negates it."""
             a, b = t, nxt[t]
-            # cross_filter's det, term for term, so its bound covers it; NaN falls through
+            # static_cross_bound's det, term for term, so the bound covers it; NaN falls through
             det = (xs[a] - px) * (ys[b] - py) - (ys[a] - py) * (xs[b] - px)
             if det > bound:
                 o = 1
             elif det < -bound:
                 o = -1
             else:
-                o = orient_sign(*_points(self.ints[:, [a, b, v]]))
+                o = orient_sign(*self.ints[:, [a, b, v]].T.tolist())
                 if not o:
                     on.append(t)
             return -o if forward[t] else o

@@ -76,8 +76,8 @@ class EventPartition:
 def build_event_partition(P: Polygon) -> EventPartition:
     """Every direction orthogonal to some vertex-pair difference, as its
     coprime canonical integer pair, sorted along the sweep. Each vertex
-    difference is exact_delta's, of the polygon's Points."""
-    pts = [p for ring in P.rings for p in ring]
+    difference is exact_delta's, of the polygon's Points' integers."""
+    pts = [(p.X, p.Y, p.D) for ring in P.rings for p in ring]
     seen = set()
     for i in range(P.n):
         a = pts[i]

@@ -61,6 +61,12 @@ def star7():
     return lower_bound_polygon(FamilyParams(7))
 
 
+def xyd(p):
+    """A Point's integers (X, Y, D): the form in which orient_sign and
+    exact_delta take a point."""
+    return p.X, p.Y, p.D
+
+
 def point_table(pts):
     """The vertex table and mirrors (geometry._table) of a list of Points."""
     return geometry._table([p.X for p in pts], [p.Y for p in pts], [p.D for p in pts])

@@ -1,5 +1,5 @@
 """Polygon construction against a reference built the earlier way: corner
-signs from a padded float filter of their own, a merge loop that decides
+signs from the integers of every corner, a merge loop that decides
 one corner at a time in integers, each ring normalized on its own and
 validated by the sequential sweep of test_validation."""
 
@@ -18,35 +18,20 @@ from ruledpoly import (
     SlitVertexError,
     TooFewVerticesError,
 )
-from ruledpoly.exactmath import (
-    cross_filter,
-    delta_lanes,
-    exact_cross,
-    exact_delta,
-    filtered_sign_array,
-    static_cross_bound,
-)
+from ruledpoly.exactmath import delta_lanes, exact_cross, exact_delta, static_cross_bound
 
-from conftest import point_table
+from conftest import point_table, xyd
 from test_validation import reference_sweep
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflowed lanes go to the exact path
 def reference_corner_signs(pts):
-    """Exact sign of cross(p - prev, next - p) at every corner p: the
-    ring padded with its last and first vertex, so that corner i is
-    lanes i .. i + 2, through cross_filter and filtered_sign_array."""
-    n = len(pts)
-    xs, ys = np.array([p.xf for p in pts]), np.array([p.yf for p in pts])
-    xe, ye = np.concatenate((xs[-1:], xs, xs[:1])), np.concatenate((ys[-1:], ys, ys[:1]))
-    det, err = cross_filter(xe[:-2], ye[:-2], xe[2:], ye[2:], xs, ys)  # cross(a - p, b - p)
-
-    def exact(lanes):
-        ux, uy, _ = delta_lanes(point_table(pts)[0], np.array(((lanes - 1) % n, lanes)))
-        wx, wy, _ = delta_lanes(point_table(pts)[0], np.array((lanes, (lanes + 1) % n)))
-        return exact_cross(ux, uy, wx, wy)
-
-    return filtered_sign_array(-det, err, exact)
+    """Exact sign of cross(p - prev, next - p) at every corner p, from the
+    integers of every corner, with no float stage."""
+    n, ints = len(pts), point_table(pts)[0]
+    lanes = np.arange(n)
+    ux, uy, _ = delta_lanes(ints, np.array(((lanes - 1) % n, lanes)))
+    wx, wy, _ = delta_lanes(ints, np.array((lanes, (lanes + 1) % n)))
+    return np.sign(exact_cross(ux, uy, wx, wy)).astype(np.int64)
 
 
 def reference_merge(pts):
@@ -66,8 +51,8 @@ def reference_merge(pts):
                 out.append(p)
                 changed = True
                 continue
-            d1x, d1y, _ = exact_delta(prv, p)
-            d2x, d2y, _ = exact_delta(p, nxt)
+            d1x, d1y, _ = exact_delta(xyd(prv), xyd(p))
+            d2x, d2y, _ = exact_delta(xyd(p), xyd(nxt))
             if exact_cross(d1x, d1y, d2x, d2y) == 0:
                 if d1x * d2x + d1y * d2y > 0:
                     changed = True

@@ -17,7 +17,6 @@ from ruledpoly import Direction, NonGenericDirectionError, Point, exactmath
 from ruledpoly.reeb import _height_order
 from ruledpoly.exactmath import (
     U,
-    cross_filter,
     delta_lanes,
     exact_delta,
     filtered_order,
@@ -28,7 +27,7 @@ from ruledpoly.exactmath import (
     static_cross_bound,
 )
 
-from conftest import point_table
+from conftest import point_table, xyd
 
 SCALES = st.sampled_from([Fraction(1), Fraction(1, 2 ** 60), Fraction(1, 10 ** 12),
                           Fraction(1, 10 ** 100), Fraction(10) ** 300, Fraction(10) ** 307,
@@ -68,6 +67,17 @@ def exact_orient(a, b, c):
     return (a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x)
 
 
+def first_stage_det(a, b, c):
+    """The float det of three Points' mirrors, as orient_lanes' first
+    stage computes it."""
+    return (a.xf - c.xf) * (b.yf - c.yf) - (a.yf - c.yf) * (b.xf - c.xf)
+
+
+def triple_bound(trip):
+    """static_cross_bound at the triple's largest mirror magnitude."""
+    return static_cross_bound(max(abs(f) for p in trip for f in (p.xf, p.yf)))
+
+
 def cmp(p, q):
     return p - q
 
@@ -84,18 +94,13 @@ def check_order(values, radii, exact):
 @settings(max_examples=300, deadline=None)
 @given(triples())
 @example([(Point("1e-400", "1e-200"), Point(1, "1e300"), Point(0, 0))])
-def test_cross_filter_lanes_and_orient_sign(trips):
-    """Scalar and array lanes agree bitwise; signs and order are exact."""
-    cols = [np.array([getattr(p, f) for p in ps]) for ps in zip(*trips) for f in ("xf", "yf")]
-    ax, ay, bx, by, cx, cy = cols
-    with np.errstate(over="ignore", invalid="ignore"):
-        det, err = cross_filter(ax, ay, bx, by, cx, cy)
-    scalar = [cross_filter(a.xf, a.yf, b.xf, b.yf, c.xf, c.yf) for a, b, c in trips]
-    assert np.array_equal(det, [d for d, _ in scalar], equal_nan=True)
-    assert np.array_equal(err, [e for _, e in scalar], equal_nan=True)
-
+def test_orient_sign_and_det_order(trips):
+    """orient_sign's signs are exact; the first stage's dets, each within
+    its triple's static bound, sort in exact order."""
     exact = [exact_orient(a, b, c) for a, b, c in trips]
-    assert [orient_sign(a, b, c) for a, b, c in trips] == [sign(x) for x in exact]
+    assert [orient_sign(xyd(a), xyd(b), xyd(c)) for a, b, c in trips] == [sign(x) for x in exact]
+    det = np.array([first_stage_det(*trip) for trip in trips])
+    err = np.array([triple_bound(trip) for trip in trips])
     finite = np.flatnonzero(np.isfinite(det) & np.isfinite(err))
     check_order(det[finite], err[finite], [exact[i] for i in finite])
 
@@ -139,7 +144,7 @@ EDGE_STEPS = st.sampled_from([1.0, -1.0, 1 - 2.0 ** -53, -0.5, 2.0 ** -30, 0.0])
 @st.composite
 def box_triples(draw):
     """Triples whose coordinates are floats at most M in magnitude, most
-    of them on the box's edge, where cross_filter's error is largest."""
+    of them on the box's edge, where the det's error is largest."""
     m = draw(EDGE_SCALES)
     out = []
     for _ in range(draw(st.integers(1, 10))):
@@ -149,24 +154,22 @@ def box_triples(draw):
 
 
 def check_static_bound(trips):
-    """static_cross_bound at the triple's largest mirror magnitude is at
-    least cross_filter's bound, and a det beyond it has the exact sign."""
-    for a, b, c in trips:
-        bound = static_cross_bound(max(abs(f) for p in (a, b, c) for f in (p.xf, p.yf)))
-        det, err = cross_filter(a.xf, a.yf, b.xf, b.yf, c.xf, c.yf)
-        assert not err > bound  # a NaN err (an overflowed det) decides nothing either
-        if abs(det) > bound:
-            assert sign(det) == sign(exact_orient(a, b, c))
+    """A det beyond static_cross_bound at the triple's largest mirror
+    magnitude has the exact sign (a NaN det, overflowed, decides nothing)."""
+    for trip in trips:
+        det = first_stage_det(*trip)
+        if abs(det) > triple_bound(trip):
+            assert sign(det) == sign(exact_orient(*trip))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(triples(), box_triples()))
-# a = b = (M, M), c = (-M, -M): error 40 U M^2 against a bound of 48 U M^2
+# a = b = (M, M), c = (-M, -M): the extreme triple, det 0 and a bound of 48 U M^2
 @example([(Point(1, 1), Point(1, 1), Point(-1, -1))])
 @example([(Point(3, 3), Point(3, 3), Point(-3, -3))])
 @example([(Point("1e-400", "-1e-400"), Point("1e-400", "1e-400"), Point("-1e-400", "1e-400"))])
 @example([(Point("1e308", "-1e308"), Point("-1e308", "1e308"), Point("1e308", "1e308"))])
-def test_static_bound_dominates_cross_filter(trips):
+def test_static_bound_decides_exact_sign(trips):
     """Random, near-collinear and box-edge triples, 1e-400 coordinates
     (zero or subnormal mirrors) and 1e308 ones (where the bound is inf)."""
     check_static_bound(trips)
@@ -190,20 +193,22 @@ def test_orient_lanes_is_exact(trips, block):
 
 
 def test_orient_lanes_first_stage_decides_clear_lanes():
-    """Lanes whose determinant clears the static bound never reach
-    cross_filter; a collinear lane does."""
+    """Lanes whose determinant clears the static bound never reach the
+    integers; a collinear lane does, as one lane of each of the two
+    delta_lanes calls (a - c and b - c)."""
     pts = [Point(0, 0), Point(3, 1), Point(1, 2), Point(6, 2)]
     xs, ys = np.array([p.xf for p in pts]), np.array([p.yf for p in pts])
     seen = []
+    delta = exactmath.delta_lanes
 
-    def spy(ax, *rest):
-        seen.append(len(ax))
-        return cross_filter(ax, *rest)
+    def spy(ints, lanes):
+        seen.append(lanes.shape[1])
+        return delta(ints, lanes)
 
-    with patch.object(exactmath, "cross_filter", spy):
+    with patch.object(exactmath, "delta_lanes", spy):
         got = orient_lanes(point_table(pts)[0], xs, ys, np.array([[1, 2, 3], [2, 1, 1], [0, 0, 0]]),
                            static_cross_bound(xs, ys))
-    assert got.tolist() == [1, -1, 0] and seen == [1]
+    assert got.tolist() == [1, -1, 0] and seen == [1, 1]
 
 
 def band_triples(count: int) -> list:
@@ -223,9 +228,7 @@ def band_triples(count: int) -> list:
         t = Fraction(rng.randint(-9, 9), rng.choice(dens))
         e = rng.choice([0, Fraction(1, 10 ** 30), Fraction(-1, 10 ** 30)])
         trip = (Point(ax, ay), Point(cx + t * (ax - cx) + e, cy + t * (ay - cy)), Point(cx, cy))
-        (fax, fbx, fcx), (fay, fby, fcy) = zip(*((p.xf, p.yf) for p in trip))
-        det = (fax - fcx) * (fby - fcy) - (fay - fcy) * (fbx - fcx)
-        bound = static_cross_bound(max(abs(f) for p in trip for f in (p.xf, p.yf)))
+        det, bound = first_stage_det(*trip), triple_bound(trip)
         if bound / 64 < abs(det) <= bound and sign(det) != sign(exact_orient(*trip)):
             out.append(trip)
             if len(out) == count:
@@ -249,12 +252,11 @@ def test_orient_lanes_first_stage_bound_is_not_too_small():
 
 @pytest.mark.parametrize("m", [1.0, 3.0, 2.0 ** 500, 1e-100])
 def test_static_bound_at_extreme_triple(m):
-    """The extreme triple a = b = (M, M), c = (-M, -M) nearly attains the
-    bound: its error is 40 U M^2, the bound 48 U M^2."""
-    det, err = cross_filter(m, m, m, m, -m, -m)
+    """The extreme triple a = b = (M, M), c = (-M, -M), whose mirrors
+    make every magnitude of the det largest: det 0, the bound 48 U M^2."""
+    det = first_stage_det(Point(m, m), Point(m, m), Point(-m, -m))
     bound = static_cross_bound(m)
     assert det == 0
-    assert err == pytest.approx(40 * U * m * m, rel=1e-12)
     assert bound == pytest.approx(48 * U * m * m, rel=1e-12)
     assert static_cross_bound(0.0) > 0
     assert static_cross_bound(1e154) == static_cross_bound(1e308) == float("inf")
@@ -321,4 +323,4 @@ def test_delta_lanes_is_exact_delta(pairs, grid):
     lanes = np.arange(len(pts)).reshape(-1, 2).T
     got = delta_lanes(point_table(pts)[0], lanes)
     assert got.shape == (3, len(pairs))
-    assert [tuple(col) for col in got.T.tolist()] == [exact_delta(p, q) for p, q in pairs]
+    assert [tuple(col) for col in got.T.tolist()] == [exact_delta(xyd(p), xyd(q)) for p, q in pairs]

@@ -26,7 +26,7 @@ from ruledpoly import (
 )
 from ruledpoly.exactmath import orient_sign, static_cross_bound
 
-from conftest import point_table
+from conftest import point_table, xyd
 
 L_RING = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
@@ -138,7 +138,8 @@ def test_coordinates_near_float_limit():
 def test_coordinates_below_float_range():
     """A mirror below 2^-1022 is off by more than a relative ulp (1e-400
     rounds to 0.0); the filters' absolute term sends it to the exact path."""
-    assert orient_sign(Point("1e-400", "1e-200"), Point(1, "1e300"), Point(0, 0)) == 1
+    assert orient_sign(xyd(Point("1e-400", "1e-200")), xyd(Point(1, "1e300")),
+                       xyd(Point(0, 0))) == 1
     text = '{"outer":[[0,0],["1e-400","1e-200"],[1,1e300]]}'
     P = load_polygon(text)
     assert P.reflex_indices() == ()

@@ -38,7 +38,7 @@ from ruledpoly.geometry import _corner_signs
 from ruledpoly.oracle import _sweep_cmp
 from ruledpoly.reeb import _height_order
 
-from conftest import point_table
+from conftest import point_table, xyd
 
 PRIMES = [p for p in range(10 ** 6, 10 ** 6 + 2000) if all(p % q for q in range(2, 1002))][:40]
 SCALES = [Fraction(1), Fraction(1, 2 ** 60), Fraction(1, 10 ** 12), Fraction(1, 10 ** 100),
@@ -82,7 +82,8 @@ def test_orient_sign(xys, data):
     pts = [Point(x, y) for x, y in xys]
     for _ in range(6):
         i, j, k = (data.draw(st.integers(0, len(pts) - 1)) for _ in range(3))
-        assert orient_sign(pts[i], pts[j], pts[k]) == sign(cross(xys[i], xys[j], xys[k]))
+        assert (orient_sign(xyd(pts[i]), xyd(pts[j]), xyd(pts[k]))
+                == sign(cross(xys[i], xys[j], xys[k])))
 
 
 @settings(max_examples=200, deadline=None)

@@ -62,11 +62,11 @@ def test_sweeps_make_no_linear_scans():
         name: [] for name in SWEEP_HELPERS}
 
 
-def _orient_sign_names(tree) -> list[int]:
+def _names(tree, name: str) -> list[int]:
     return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and node.id == "orient_sign"
-            or isinstance(node, ast.alias) and node.name == "orient_sign"
-            or isinstance(node, ast.Attribute) and node.attr == "orient_sign"]
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.alias) and node.name == name
+            or isinstance(node, ast.Attribute) and node.attr == name]
 
 
 def _orient_sign_calls(tree) -> list[int]:
@@ -77,7 +77,8 @@ def _orient_sign_calls(tree) -> list[int]:
 
 def test_one_scalar_point_location():
     """Both planar sweeps locate a point through _Status.locate: reeb.py
-    does not name orient_sign, and geometry.py calls it once, there."""
+    does not name orient_sign, and geometry.py calls it once, there, on
+    the table's integers: locate names neither _points nor Point."""
     package = Path(ruledpoly.__file__).parent
     reeb = ast.parse((package / "reeb.py").read_text(encoding="utf-8"))
     geometry = ast.parse((package / "geometry.py").read_text(encoding="utf-8"))
@@ -85,25 +86,15 @@ def test_one_scalar_point_location():
                   if isinstance(node, ast.ClassDef) and node.name == "_Status")
     locate = next(node for node in status.body
                   if isinstance(node, ast.FunctionDef) and node.name == "locate")
-    assert _orient_sign_names(reeb) == []
+    assert _names(reeb, "orient_sign") == []
     assert len(_orient_sign_calls(geometry)) == 1
     assert _orient_sign_calls(geometry) == _orient_sign_calls(locate)
+    assert _names(locate, "_points") == _names(locate, "Point") == []
 
 
 def _trees_outside(module: str):
     return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
             for path in SOURCES if path.name != module]
-
-
-def test_cross_filter_only_in_exactmath():
-    """Every orientation sign comes from orient_sign or orient_lanes: no
-    module but exactmath names cross_filter, their float filter."""
-    found = [f"{name}:{node.lineno}" for name, tree in _trees_outside("exactmath.py")
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and node.id == "cross_filter"
-             or isinstance(node, ast.alias) and node.name == "cross_filter"
-             or isinstance(node, ast.Attribute) and node.attr == "cross_filter"]
-    assert found == []
 
 
 def test_chain_cut_only_in_exactmath():

@@ -27,7 +27,7 @@ from ruledpoly import (
 )
 from ruledpoly.exactmath import orient_sign
 
-from conftest import nudge_generic, recorded_comparisons
+from conftest import nudge_generic, recorded_comparisons, xyd
 
 
 def adjacency(g):
@@ -265,7 +265,7 @@ def reference_reeb(P, v):
         a, b = e, int(nxt[e])
         if ranks[a] > ranks[b]:
             a, b = b, a
-        s = orient_sign(pts[a], pts[b], pt)
+        s = orient_sign(xyd(pts[a]), xyd(pts[b]), xyd(pt))
         if s == 0:
             raise RuntimeError("event vertex lies on an active edge")
         return s
@@ -298,7 +298,7 @@ def reference_reeb(P, v):
         e_out = gid
 
         if up_p and up_n:
-            s = orient_sign(pt, pts[pr], pts[nx])
+            s = orient_sign(xyd(pt), xyd(pts[pr]), xyd(pts[nx]))
             left_e, right_e = (e_in, e_out) if s < 0 else (e_out, e_in)
             idx, inside = locate(pt)
             if not reflex[gid]:

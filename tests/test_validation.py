@@ -3,6 +3,7 @@ sequential sweep it defers checks from, and its cost; the point
 location that validation shares with the Reeb sweep, and its static
 first stage."""
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from functools import partial
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ruledpoly.exactmath as exactmath
@@ -32,7 +34,7 @@ from ruledpoly import (
 from ruledpoly.exactmath import filtered_order, integer_lanes, orient_sign
 from ruledpoly.generators import _find_contact
 
-from conftest import point_table, recorded_comparisons
+from conftest import point_table, recorded_comparisons, xyd
 
 
 def _turn(a, b, c):
@@ -225,7 +227,7 @@ def _reference_sweep(rings):
                 b, i = status.pop(b, i)
             for t, side in ((status.below(b, i), 1), (status.at(b, i), -1)):
                 if t is not None:
-                    o = orient_sign(pts[lo[t]], pts[hi[t]], p)
+                    o = orient_sign(xyd(pts[lo[t]]), xyd(pts[hi[t]]), xyd(p))
                     if o == 0:
                         raise fault(ending[0], t)
                     if o != side:
@@ -237,7 +239,7 @@ def _reference_sweep(rings):
             b, i = (places[-1][0], places[-1][1] + 1) if places else (0, 0)
             for place in places:
                 t = status.at(*place)
-                o = orient_sign(pts[lo[t]], pts[hi[t]], p)
+                o = orient_sign(xyd(pts[lo[t]]), xyd(pts[hi[t]]), xyd(p))
                 if o == 0:  # the lowest edge through v
                     raise fault(e_out, t)
                 if o < 0:
@@ -245,7 +247,7 @@ def _reference_sweep(rings):
                     break
         below, above = status.below(b, i), status.at(b, i)
         if lo[e_in] == v and lo[e_out] == v:
-            s = orient_sign(p, pts[hi[e_in]], pts[hi[e_out]])
+            s = orient_sign(xyd(p), xyd(pts[hi[e_in]]), xyd(pts[hi[e_out]]))
             starting = [e_in, e_out] if s > 0 else [e_out, e_in]
         elif lo[e_in] == v or lo[e_out] == v:
             starting = [e_in if lo[e_in] == v else e_out]
@@ -402,7 +404,7 @@ def first_stage_count(seen) -> int:
     first = 0
     for status, v, t, value in seen:
         a, b, p = geometry._points(status.ints[:, [t, status.nxt[t], v]])
-        o = orient_sign(a, b, p)
+        o = orient_sign(xyd(a), xyd(b), xyd(p))
         assert value == (-o if status.forward[t] else o)
         det = (a.xf - p.xf) * (b.yf - p.yf) - (a.yf - p.yf) * (b.xf - p.xf)
         first += abs(det) > status.bound
@@ -482,3 +484,66 @@ def test_star_sweeps_never_reach_scalar_predicate(monkeypatch):
     assert g.l == res.min_leaves
     assert len({id(status) for status, *_ in seen}) == 2
     assert calls == []
+
+
+def grid_document(coords, t):
+    """A polygon document of the integer pairs coords on the 1e-12 grid,
+    translated by (t, t)."""
+    shift = t * 10 ** 12
+    return json.dumps({"outer": [[f"{x + shift}e-12", f"{y + shift}e-12"] for x, y in coords]})
+
+
+def radial_ring(n, r):
+    """n vertices at equal angles about the origin, at the radii r / 2 and
+    r in turn, rounded to integers: a simple star-shaped ring."""
+    return [(round(s * math.cos(2 * math.pi * k / n)), round(s * math.sin(2 * math.pi * k / n)))
+            for k, s in enumerate([r // 2, r] * (n // 2))]
+
+
+def star_coords():
+    return [(int(p.x * 10 ** 12), int(p.y * 10 ** 12))
+            for p in lower_bound_polygon(FamilyParams(10_000)).outer]
+
+
+@pytest.mark.parametrize("coords, t, dtype", [
+    pytest.param(star_coords, 10 ** 9, object, id="star-20000-at-1e9"),
+    pytest.param(partial(radial_ring, 2000, 10 ** 6), 1000, np.int64, id="ring-2000-at-1000"),
+])
+def test_translated_polygons_locate_by_integers(monkeypatch, coords, t, dtype):
+    """Two polygons far from the origin against their small mirror
+    differences, so that every comparison of point location gets past the
+    static first stage to orient_sign, in validation and in the Reeb
+    sweep: the 20 000-vertex star translated by 10^9 (an object table)
+    and a 2000-vertex radial ring at 1000 plus multiples of 1e-12 (an
+    int64 grid over L = 10^12). Each gives the untranslated polygon's
+    results and l == min_leaves at its witness, and makes no Point."""
+    coords = coords()
+    want = parallel_reeb_complexity(load_polygon(grid_document(coords, 0))).as_dict()
+    text = grid_document(coords, t)
+    calls, made = 0, 0
+
+    def counted(a, b, c):
+        nonlocal calls
+        calls += 1
+        return orient_sign(a, b, c)
+
+    slot = Point.X  # every way of making a Point sets its X once
+
+    def made_one(p, value):
+        nonlocal made
+        made += 1
+        slot.__set__(p, value)
+
+    monkeypatch.setattr(geometry, "orient_sign", counted)
+    monkeypatch.setattr(Point, "X", property(slot.__get__, made_one))
+    with recorded_comparisons() as seen:
+        P = load_polygon(text)
+        res = parallel_reeb_complexity(P)
+        g = reeb_graph(P, res.witness)
+    assert made == 0
+    assert P._ints.dtype == dtype
+    assert dtype == object or set(P._ints[2].tolist()) == {10 ** 12}
+    assert res.as_dict() == want
+    assert g.l == res.min_leaves
+    assert len({id(status) for status, *_ in seen}) == 2
+    assert 0 < calls == len(seen)

@@ -36,6 +36,7 @@ from ruledpoly import (
     reeb_graph,
     reeb_to_dict,
 )
+from conftest import xyd
 from test_complexity import inside_arc
 
 EXACT_FLOAT = 2 ** 53
@@ -137,8 +138,8 @@ def check_public(P: Polygon) -> None:
     for i in P.reflex_indices():
         apex, prev, nxt = (P.vertex(j) for j in (i, *P.neighbors(i)))
         assert P.cone(i).apex == apex
-        assert (P.cone(i)._d1, P.cone(i)._d2) == (geometry.exact_delta(apex, prev),
-                                                   geometry.exact_delta(apex, nxt))
+        assert (P.cone(i)._d1, P.cone(i)._d2) == (geometry.exact_delta(xyd(apex), xyd(prev)),
+                                                   geometry.exact_delta(xyd(apex), xyd(nxt)))
     text = dump_polygon(P)
     Q = load_polygon(text)
     assert dump_polygon(Q) == text
