@@ -37,12 +37,14 @@ the integer sweep representatives of their normals, lane by lane. It
 reads the caller's event vectors as integer rows at a positive scale of
 each: the cones' vectors, or the polygon's edge vectors as
 exactmath.delta_lanes gives them from the polygon's integer vertex
-table, over its common scale where it has one, so that every lane
-subtracts in int64. On a point-symmetric polygon every event ties with
-its antipodal twin, and all such two-lane chains take one gather and
-one lane-wise comparison. The ends of the chosen arc come through the
-same accessor, at the table's own scale, which is the scale the
-witness's perturbation bound reads.
+table, over its common scale where it has one, so that on a grid every
+lane subtracts in int64 and stays there: the slope comparison
+(_cmp_sweep) is exactmath.cross_sign, over int64 limbs. On a
+point-symmetric polygon every event ties with its antipodal twin, and
+all such two-lane chains take one gather and one lane-wise comparison.
+The ends of the chosen arc come through the same accessor, at the
+table's own scale, which is the scale the witness's perturbation bound
+reads, as Python ints.
 
 A witness is built, not searched for (_generic_witness): the simplest
 integer direction of the chosen open arc, checked once for genericity,
@@ -58,6 +60,7 @@ import numpy as np
 
 from .exactmath import (
     angle_filter,
+    cross_sign,
     delta_lanes,
     diff_error_bound,
     filtered_order,
@@ -137,9 +140,9 @@ class _EventSet:
 
 def _cmp_sweep(u, w):
     """Exact sweep order of sweep representatives u, w (x > 0), by slope:
-    negative, zero or positive as u comes before, with or after w. Lane
-    by lane on rows of them, too."""
-    return u[1] * w[0] - w[1] * u[0]
+    -1, 0 or 1 as u comes before, with or after w, the sign of
+    cross(w, u). Lane by lane on rows of them, too."""
+    return cross_sign(w[0], w[1], u[0], u[1])
 
 
 @dataclass(frozen=True)

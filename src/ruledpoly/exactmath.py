@@ -18,8 +18,15 @@ angle_filter (sweep angles) apply it; filtered_sign_array and
 filtered_order let exact values decide the rest. Both take one batch
 accessor, exact(lanes): for an index array of the lanes the floats
 leave undecided, their exact values in one array whose last axis runs
-over those lanes, object arrays of Python ints, so that every operation
-on them stays exact; chain_cuts finds where float order decides alone.
+over those lanes; chain_cuts finds where float order decides alone.
+
+Exact values are integers. Those of a grid table's lanes are int64
+(delta_lanes), below 2^54 in magnitude, and every product of them is
+taken by cross_sign, the one exact sign of a cross product, over 27-bit
+limbs that never leave int64 (the sign of u . w is cross(u, (-wy, wx))).
+The rest, an object table's lanes or lanes whose scales differ, are
+object arrays of Python ints, on which cross_sign multiplies as Python
+does, so that every operation on them stays exact.
 
 Every orientation sign is decided in two stages (Devillers and Pion
 2003): the float determinant against static_cross_bound, one bound
@@ -63,6 +70,40 @@ def exact_cross(ax, ay, bx, by):
     return ax * by - ay * bx
 
 
+_LIMB = 27                      # bits of a low limb
+_LOW = (1 << _LIMB) - 1         # its mask
+_LIMB_RANGE = 1 << 2 * _LIMB    # int64 operands below it in magnitude take the limbs
+
+
+def cross_sign(ax, ay, bx, by):
+    """Exact sign of the cross product ax*by - ay*bx: -1, 0 or 1, lane
+    by lane over arrays of one shape (int64 out), or of one lane's
+    scalars (an int out), numpy int64 scalars among them.
+
+    int64 arrays below 2^54 in magnitude never leave int64 (Knuth,
+    TAOCP Vol. 2, 4.3.1; the middle stage of Shewchuk 1997): each
+    operand splits into the limbs x >> 27, at most 2^27 in magnitude,
+    and x & (2^27 - 1), nonnegative, so that every limb product is at
+    most 2^54. The high, middle and low differences of those products
+    are carried low into middle and middle into high, which leaves the
+    value high 2^54 + middle 2^27 + low with 0 <= middle, low < 2^27:
+    its sign is the high limb's, or else whether a low limb is nonzero.
+    Any other operands, object arrays, larger values and one lane's
+    scalars, which int() turns into Python ints (a numpy int64 scalar
+    multiplied as it is could overflow), are multiplied as Python ints.
+    """
+    if np.ndim(ax) == 0:
+        return sign(exact_cross(int(ax), int(ay), int(bx), int(by)))
+    s = np.stack((ax, ay, bx, by))
+    if s.dtype == np.int64 and -_LIMB_RANGE < s.min(initial=0) and s.max(initial=0) < _LIMB_RANGE:
+        (axh, ayh, bxh, byh), (axl, ayl, bxl, byl) = s >> _LIMB, s & _LOW
+        low = axl * byl - ayl * bxl
+        mid = axh * byl + axl * byh - ayh * bxl - ayl * bxh + (low >> _LIMB)
+        high = axh * byh - ayh * bxh + (mid >> _LIMB)
+        return np.sign(2 * high + ((mid | low) & _LOW != 0))
+    return np.sign(exact_cross(*s.astype(object, copy=False))).astype(np.int64)
+
+
 def exact_delta(p, q) -> tuple[int, int, int]:
     """q - p as integers (x, y, s), s > 0, for points given as their
     integers (X, Y, D), the point (X / D, Y / D): q - p = (x / s, y / s).
@@ -85,17 +126,20 @@ def integer_lanes(ints: np.ndarray, lanes: np.ndarray) -> np.ndarray:
 
 def delta_lanes(ints: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     """exact_delta of the vertices p and q of the table ints for every
-    column (p, q) of lanes, shape (2, m): the rows (x, y, s) of an object
-    array, exact_delta's own integers. Equal scales are subtracted in the
-    table's own type, which cannot overflow below 2^53, and converted
-    once: every lane of a table over one common scale. Distinct ones,
-    which only a table that does not fit one grid has (an object table,
-    one whose grid passes 2^53, or a ring's own table while it is
-    merged), are multiplied as Python ints."""
+    column (p, q) of lanes, shape (2, m): the rows (x, y, s), exact_delta's
+    own integers. Equal scales are subtracted in the table's own type,
+    which cannot overflow below 2^53: on an int64 table, the rows are
+    int64, each x and y below 2^54 in magnitude (the operands of
+    cross_sign's limbs), wherever no lane's scales differ, every lane of
+    a table over one common scale. Distinct ones, which only a table
+    that does not fit one grid has (an object table, one whose grid
+    passes 2^53, or a ring's own table while it is merged), are
+    multiplied as Python ints, and the rows are then an object array."""
     p, q = ints[:, lanes[0]], ints[:, lanes[1]]
-    out = np.concatenate((q[:2] - p[:2], p[2:])).astype(object, copy=False)
+    out = np.concatenate((q[:2] - p[:2], p[2:]))
     apart = np.flatnonzero(p[2] != q[2])
     if len(apart):
+        out = out.astype(object)
         p, q = p[:, apart].astype(object, copy=False), q[:, apart].astype(object, copy=False)
         out[:2, apart] = q[:2] * p[2] - p[:2] * q[2]
         out[2, apart] = p[2] * q[2]
@@ -174,7 +218,7 @@ def orient_lanes(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray,
             a, b, c = block[:, undecided]
             ux, uy, _ = delta_lanes(ints, np.array((c, a)))
             wx, wy, _ = delta_lanes(ints, np.array((c, b)))
-            return exact_cross(ux, uy, wx, wy)
+            return cross_sign(ux, uy, wx, wy)
 
         out[start:start + _LANE_BLOCK] = filtered_sign_array(det, bound, exact)
     return out
@@ -236,8 +280,9 @@ def filtered_sign_array(vals: np.ndarray, errs: np.ndarray,
 
     The float sign decides every lane whose value clears its bound;
     exact(lanes) returns the exact values of the remaining lanes, an
-    index array, as one array (object arrays of Python ints keep them
-    exact), the same batch accessor as filtered_order's.
+    index array, as one array of integers (int64, or Python ints in an
+    object array), or their signs (cross_sign), the same batch accessor
+    as filtered_order's.
     """
     out = (vals > errs).astype(np.int64) - (vals < -errs)
     undecided = np.flatnonzero(~(np.abs(vals) > errs))  # NaN lanes (overflow) too
@@ -261,11 +306,13 @@ def filtered_order(values: np.ndarray, radii: np.ndarray,
     values[i] lies within radii[i] of lane i's exact value (after one
     positive scale common to all lanes). The exact values come from the
     batch accessor exact(lanes): for an index array of lanes, one array
-    whose last axis runs over them, lane lanes[j] at [..., j] (object
-    arrays of Python ints keep them exact). cmp(p, q) is negative, zero
-    or positive as p <, ==, > q exactly; written with operators only, it
-    compares whole arrays of values lane by lane and also one lane's
-    value, vals.T[j], with another's.
+    of integers whose last axis runs over them, lane lanes[j] at
+    [..., j]: int64, or Python ints in an object array. cmp(p, q) is
+    negative, zero or positive as p <, ==, > q exactly; it compares whole
+    arrays of values lane by lane and also one lane's value, vals.T[j],
+    with another's, whose items are numpy scalars on an int64 array: a
+    product of int64 values goes through cross_sign, which never
+    overflows.
 
     Float order decides only across a cut that every interval below
     clears; the lanes between two cuts form a chain. All two-lane chains,

@@ -75,6 +75,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exactmath import (
+    cross_sign,
     delta_lanes,
     exact_cross,
     exact_delta,
@@ -527,7 +528,7 @@ def _merge_ring(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple[np.nd
         zero = np.flatnonzero(signs == 0)
         ux, uy, _ = delta_lanes(ints, np.array(((zero - 1) % n, zero)))
         wx, wy, _ = delta_lanes(ints, np.array((zero, (zero + 1) % n)))
-        drop = (wx == 0) & (wy == 0) | (ux * wx + uy * wy > 0)
+        drop = (wx == 0) & (wy == 0) | (cross_sign(ux, uy, -wy, wx) > 0)  # u . w > 0
         slit = np.flatnonzero(~drop & ((ux != 0) | (uy != 0)))
         if len(slit):
             raise SlitVertexError(
@@ -591,7 +592,8 @@ def _touching(ints: np.ndarray, xs: np.ndarray, ys: np.ndarray, quads: np.ndarra
         a, b, c = lanes[:, zero]
         ux, uy, _ = delta_lanes(ints, np.array((c, a)))
         wx, wy, _ = delta_lanes(ints, np.array((c, b)))
-        touch[zero[(ux * wx <= 0) & (uy * wy <= 0)] % len(touch)] = True
+        opposed = (np.sign(ux) * np.sign(wx) <= 0) & (np.sign(uy) * np.sign(wy) <= 0)
+        touch[zero[opposed] % len(touch)] = True
     return touch
 
 

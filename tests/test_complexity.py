@@ -4,10 +4,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ruledpoly.complexity as complexity
+import ruledpoly.exactmath as exactmath
 from ruledpoly import (
     Direction,
     FamilyParams,
@@ -378,6 +380,87 @@ def test_star_ties_resolve_as_two_lane_chains(monkeypatch):
     assert lanes == [2 * res.k] and gathers == [2 * res.k - 24]
     # then one gather of the arc's ends that are not v0 or its antipode
     assert deltas[:1] == gathers and len(deltas) <= 2 and all(d <= 2 for d in deltas[1:])
+
+
+# a comb of three teeth over a bar, 16 vertices; its 6 reflex corners
+# each have one vertical edge
+COMB16 = [(0, 0), (10, 0), (10, 1), (9, 1), (9, 5), (8, 5), (8, 1), (7, 1), (7, 5), (6, 5),
+          (6, 1), (5, 1), (5, 5), (4, 5), (4, 1), (0, 1)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sheared_comb_chain_of_int64_scalars(monkeypatch):
+    """The comb sheared and scaled by s = 2**48 + 12345 is an int64 grid
+    whose edge vectors are near 2^52: its 6 parallel edges give one
+    6-lane exact chain, which filtered_order re-sorts by comparing single
+    rows, numpy int64 scalars whose products overflow int64. The result
+    is the one pinned before exact lanes were int64, and the oracle's
+    min_leaves agrees. parallel_reeb_complexity ignores numpy overflow
+    (its float lanes may overflow), so every comparison of the chain is
+    made again here, where an overflow raises, against Python ints."""
+    s = 2 ** 48 + 12345
+    P = Polygon([((x + 2 * y) * s + 7, 3 * y * s + 3) for x, y in COMB16])
+    assert P._ints.dtype == np.int64
+    lanes = []
+    cross_sign = complexity.cross_sign
+
+    def recording(ax, ay, bx, by):
+        lanes.append((ax, ay, bx, by))
+        return cross_sign(ax, ay, bx, by)
+
+    monkeypatch.setattr(complexity, "cross_sign", recording)
+    res = parallel_reeb_complexity(P)
+    assert res.as_dict() == {"min_leaves": 5, "c_max": 3, "k": 6, "h": 0,
+                             "witness": [-10696049115474053, 10696049115474052],
+                             "degenerate": True}
+    assert lanes and all(isinstance(x, np.int64) for lane in lanes for x in lane)
+    assert [cross_sign(*lane) for lane in lanes] == [
+        exactmath.sign(int(ax) * int(by) - int(ay) * int(bx)) for ax, ay, bx, by in lanes]
+    assert brute_force_complexity(P).min_leaves == res.min_leaves
+    assert reeb_graph(P, res.witness).l == res.min_leaves
+
+
+def test_exact_lanes_stay_int64_on_a_grid(monkeypatch):
+    """On the 20 000-vertex star, an int64 grid table, every delta_lanes
+    call of parallel_reeb_complexity returns int64 rows, and cross_sign
+    decides every tie by its int64 limbs: it never falls to Python ints
+    (exactmath.exact_cross, which only that route of cross_sign calls).
+    On an object table, the 8-spike star at r1 = 10**7, whose events tie
+    with their antipodal twins, it does, with the result pinned before."""
+    dtypes, lanes, fallbacks = [], [], []
+    delta, cross_sign, exact_cross = (complexity.delta_lanes, complexity.cross_sign,
+                                      exactmath.exact_cross)
+
+    def recording_delta(ints, ends):
+        out = delta(ints, ends)
+        dtypes.append(out.dtype)
+        return out
+
+    def recording_sign(ax, ay, bx, by):
+        lanes.append(np.size(ax))
+        return cross_sign(ax, ay, bx, by)
+
+    def recording_cross(ax, ay, bx, by):
+        fallbacks.append(np.size(ax))
+        return exact_cross(ax, ay, bx, by)
+
+    monkeypatch.setattr(complexity, "delta_lanes", recording_delta)
+    monkeypatch.setattr(complexity, "cross_sign", recording_sign)
+    monkeypatch.setattr(exactmath, "exact_cross", recording_cross)
+    res = parallel_reeb_complexity(lower_bound_polygon(FamilyParams(10_000)))
+    assert (res.min_leaves, res.as_dict()["witness"]) == (9998, [-1, 9550])
+    assert dtypes and all(d == np.int64 for d in dtypes)
+    # one lane-wise comparison of the 9988 two-lane chains
+    assert lanes == [9988] and fallbacks == []
+
+    dtypes.clear()
+    P = lower_bound_polygon(FamilyParams(8, r1=10 ** 7))
+    assert P._ints.dtype == object
+    assert parallel_reeb_complexity(P).as_dict() == {
+        "min_leaves": 6, "c_max": 4, "k": 8, "h": 0, "witness": [-1, 26131257],
+        "degenerate": False}
+    assert dtypes and all(d == object for d in dtypes)
+    assert fallbacks
 
 
 @st.composite

@@ -26,11 +26,11 @@ from test_validation import reference_sweep
 
 def reference_corner_signs(pts):
     """Exact sign of cross(p - prev, next - p) at every corner p, from the
-    integers of every corner, with no float stage."""
+    integers of every corner as Python ints, with no float stage."""
     n, ints = len(pts), point_table(pts)[0]
     lanes = np.arange(n)
-    ux, uy, _ = delta_lanes(ints, np.array(((lanes - 1) % n, lanes)))
-    wx, wy, _ = delta_lanes(ints, np.array((lanes, (lanes + 1) % n)))
+    ux, uy, _ = delta_lanes(ints, np.array(((lanes - 1) % n, lanes))).astype(object)
+    wx, wy, _ = delta_lanes(ints, np.array((lanes, (lanes + 1) % n))).astype(object)
     return np.sign(exact_cross(ux, uy, wx, wy)).astype(np.int64)
 
 

@@ -3,6 +3,7 @@ magnitudes: integers, a 1e-12 grid, values near 1e300 and 1e307, values
 below 2^-1022, and sums of two of them, with repeated and collinear
 points."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -17,6 +18,7 @@ from ruledpoly import Direction, NonGenericDirectionError, Point, exactmath
 from ruledpoly.reeb import _height_order
 from ruledpoly.exactmath import (
     U,
+    cross_sign,
     delta_lanes,
     exact_delta,
     filtered_order,
@@ -317,10 +319,82 @@ def test_filtered_order_matches_stable_sort(lanes):
        st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=4))
 def test_delta_lanes_is_exact_delta(pairs, grid):
     """The lanes of delta_lanes are exact_delta's own integers, also where
-    the two scales are equal and exact_delta does not multiply them."""
+    the two scales are equal and exact_delta does not multiply them. The
+    rows are int64, each x and y below 2^54, just where the table is
+    int64 and no lane's two scales differ."""
     pairs = pairs + [(Point(x, y), Point(y, x)) for x, y in grid]
     pts = [p for pair in pairs for p in pair]
     lanes = np.arange(len(pts)).reshape(-1, 2).T
-    got = delta_lanes(point_table(pts)[0], lanes)
+    ints = point_table(pts)[0]
+    got = delta_lanes(ints, lanes)
     assert got.shape == (3, len(pairs))
+    apart = (ints[2, lanes[0]] != ints[2, lanes[1]]).any()
+    assert (got.dtype == np.int64) == (ints.dtype == np.int64 and not apart)
+    if got.dtype == np.int64:
+        assert np.abs(got[:2]).max() < 2 ** 54
     assert [tuple(col) for col in got.T.tolist()] == [exact_delta(xyd(p), xyd(q)) for p, q in pairs]
+
+
+# the limb edges of cross_sign's int64 route: its largest operand, a power
+# of two on either side of a limb boundary, and a low limb at its ends
+LIMB_EDGES = [2 ** 54 - 1, -(2 ** 54 - 1), 2 ** 53, -2 ** 53, 2 ** 27, -2 ** 27, 2 ** 27 + 1,
+              2 ** 27 - 1, 1, -1, 0]
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+LIMBED = st.integers(-(2 ** 54 - 1), 2 ** 54 - 1)
+
+
+def int_cross_sign(ax, ay, bx, by):
+    """The sign of ax*by - ay*bx in Python ints."""
+    return sign(int(ax) * int(by) - int(ay) * int(bx))
+
+
+def check_cross_sign(lanes):
+    """cross_sign of lanes, shape (4, m), int64, against Python ints: as
+    int64 arrays, object arrays, and lane by lane as numpy int64 scalars
+    and as 0-d arrays."""
+    want = [int_cross_sign(*lane) for lane in lanes.T.tolist()]
+    got = cross_sign(*lanes)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert cross_sign(*lanes.astype(object)).tolist() == want
+    for lane, w in zip(lanes.T[::7], want[::7]):
+        assert cross_sign(*lane) == w
+        assert cross_sign(*(np.asarray(x) for x in lane)) == w
+    return want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cross_sign_at_limb_edges():
+    """Every lane of four operands drawn from the limb edges, 14 641 of
+    them, has the sign of the Python-int cross product, also at 2^54 - 1,
+    where an int64 product would wrap."""
+    lanes = np.array(list(itertools.product(LIMB_EDGES, repeat=4))).T
+    want = check_cross_sign(lanes)
+    assert set(want) == {-1, 0, 1}
+
+
+def int64_lanes(operand):
+    return st.lists(st.tuples(operand, operand, operand, operand), min_size=1, max_size=12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(int64_lanes(st.one_of(LIMBED, st.sampled_from(LIMB_EDGES))), int64_lanes(INT64))
+def test_cross_sign_is_exact(limbed, wide):
+    """cross_sign against Python ints on int64 lanes: below 2^54, where
+    the limbs decide, and over the whole int64 range, where it falls to
+    Python ints."""
+    check_cross_sign(np.array(limbed, dtype=np.int64).T)
+    check_cross_sign(np.array(wide, dtype=np.int64).T)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2 ** 20, 2 ** 20), st.integers(-2 ** 20, 2 ** 20),
+                          st.integers(-2 ** 33, 2 ** 33), st.integers(-2 ** 33, 2 ** 33)),
+                min_size=1, max_size=12))
+def test_cross_sign_of_parallel_vectors_is_zero(lanes):
+    """Exactly parallel vectors k (p, q) and j (p, q), up to 2^53 in
+    magnitude, give 0 on every route."""
+    lanes = lanes + [(1, 1, 2 ** 53 - 1, -(2 ** 53 - 1)), (1, -1, 2 ** 27 + 1, 2 ** 27 - 1)]
+    rows = np.array([(k * p, k * q, j * p, j * q) for p, q, k, j in lanes], dtype=np.int64).T
+    assert check_cross_sign(rows) == [0] * len(lanes)

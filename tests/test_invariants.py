@@ -118,3 +118,56 @@ def test_one_corner_sign_pass():
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                       and node.func.id == "_corner_signs"})
     assert callers == ["_merge_ring"]
+
+
+# the limb width of exactmath.cross_sign, its mask, its limit, and their names
+LIMB_CONSTANTS = {27, 1 << 27, (1 << 27) - 1, 1 << 54}
+LIMB_NAMES = {"_LIMB", "_LOW", "_LIMB_RANGE"}
+
+
+def _limb_split(tree) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is int
+            and node.value in LIMB_CONSTANTS
+            or isinstance(node, ast.Name) and node.id in LIMB_NAMES
+            or isinstance(node, ast.alias) and node.name in LIMB_NAMES
+            or isinstance(node, ast.Attribute) and node.attr in LIMB_NAMES]
+
+
+def test_limb_split_only_in_exactmath():
+    """The 27-bit split of int64 operands is written once, in
+    exactmath.cross_sign: no other module names a limb width, mask or
+    limit, or exactmath's names for them."""
+    exactmath = ast.parse((Path(ruledpoly.__file__).parent / "exactmath.py").read_text(
+        encoding="utf-8"))
+    assert _limb_split(exactmath)
+    assert [f"{name}:{line}" for name, tree in _trees_outside("exactmath.py")
+            for line in _limb_split(tree)] == []
+
+
+def _is_delta_lanes(node) -> bool:
+    """A call of delta_lanes, or an item or a slice of one."""
+    call = node.value if isinstance(node, ast.Subscript) else node
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "delta_lanes")
+
+
+def test_delta_rows_multiplied_only_in_exactmath():
+    """Rows of delta_lanes, int64 on a grid table, where numpy would wrap
+    a product past 2^63 without a word, are multiplied only in exactmath:
+    every other module decides them through cross_sign or by their signs.
+    A row is a delta_lanes call, an item of one, or a name bound to one."""
+    found = []
+    for name, tree in _trees_outside("exactmath.py"):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            rows = {t.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Assign) and _is_delta_lanes(node.value)
+                    for target in node.targets for t in ast.walk(target)
+                    if isinstance(t, ast.Name)}
+            found += [f"{name}:{node.lineno}" for node in ast.walk(fn)
+                      if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                      and any(isinstance(side, ast.Name) and side.id in rows
+                              or _is_delta_lanes(side) for side in (node.left, node.right))]
+    assert found == []
