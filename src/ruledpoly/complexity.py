@@ -346,7 +346,6 @@ def max_cone_coverage(cones: Sequence[DoubleCone]) -> tuple[int, Direction]:
     return prof.closed_max, Direction(*vec)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # filtered_sign_array signs inf lanes exactly
 def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     """Reeb complexity of P over parallel rulings: min_leaves with witness.
 
@@ -368,10 +367,11 @@ def parallel_reeb_complexity(P: Polygon) -> ComplexityResult:
     neighbor = np.concatenate((P._prev[r], P._next[r]))  # entries, then exits
     X = P._coords[:, 0]
     Y = P._coords[:, 1]
-    dx = X[neighbor] - X[apex]
-    dy = Y[neighbor] - Y[apex]
-    ex = diff_error_bound(dx, X[neighbor], X[apex])
-    ey = diff_error_bound(dy, Y[neighbor], Y[apex])
+    with np.errstate(over="ignore", invalid="ignore"):  # filtered_sign_array signs inf lanes exactly
+        dx = X[neighbor] - X[apex]
+        dy = Y[neighbor] - Y[apex]
+        ex = diff_error_bound(dx, X[neighbor], X[apex])
+        ey = diff_error_bound(dy, Y[neighbor], Y[apex])
     ends = np.array((apex, neighbor))
     ev = _event_set(dx, dy, ex, ey, lambda events: delta_lanes(P._ints, ends[:, events]))
     prof = _sweep_select(ev)

@@ -20,7 +20,9 @@ the interval.
 The representatives of one polygon are swept as one batch
 (reeb._reeb_graphs): their height orders come a block of directions at a
 time, one float pass and one row-wise sort per block with exact
-fallbacks, and then one Reeb sweep per representative.
+fallbacks, and then one Reeb sweep per representative, with every
+consistency check of the sweep, of which only the leaf count is read:
+no Reeb node object is made.
 """
 
 from __future__ import annotations

@@ -22,9 +22,12 @@ it runs up or down the ring, so an interval needs no object of its own.
 The sweep needs only the order of the heights, which exact integer
 heights refine only where float heights cannot decide it. It reads
 vertices by index from the polygon's vertex table and mirrors and makes
-no Point: a node holds its vertex's index and works its witness Point
-and exact Fraction height out on access, and the export writes from the
-table, rounding each height once from integers.
+no Point, and it makes no per-node object: a graph is three flat integer
+columns, a leaf flag and a vertex index per node and the two node ids of
+each edge. ReebGraph.nodes makes a ReebNode, which works its witness
+Point and exact Fraction height out from its vertex index, only on
+access; the oracle reads the leaf count alone, and the export writes
+from the columns and the table, rounding each height once from integers.
 
 Many directions of one polygon, the oracle's interval representatives,
 are swept as a batch (_reeb_graphs): their float heights are one
@@ -38,9 +41,10 @@ direction.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -106,18 +110,58 @@ class ReebGraph:
 
     Edges are (lower node id, upper node id) pairs and form a multiset:
     a polygon with holes can have two arcs between the same node pair.
+    The graph is held as columns: a leaf flag and a vertex index per
+    node, and the two node ids of each edge in turn. nodes and edges
+    make each item on access, and their lens build none. Two graphs
+    are equal when their nodes' kinds, vertices and direction, their
+    edges and their counts are.
     """
 
-    nodes: tuple[ReebNode, ...]
-    edges: tuple[tuple[int, int], ...]
+    direction: Direction
+    _leaf: bytearray = field(repr=False, hash=False)
+    _vertex: array = field(repr=False, hash=False)
+    _edges: array = field(repr=False, hash=False)
     l: int
     b: int
     h: int
+    _polygon: Polygon = field(compare=False, repr=False)
+
+    @property
+    def nodes(self) -> Sequence[ReebNode]:
+        """The nodes in id order, each ReebNode made on access."""
+        return _View(len(self._vertex), lambda k: ReebNode(
+            "leaf" if self._leaf[k] else "branch", self._vertex[k], self.direction, self._polygon))
+
+    @property
+    def edges(self) -> Sequence[tuple[int, int]]:
+        """The (lower node id, upper node id) pairs in order, made on access."""
+        return _View(len(self._edges) // 2, lambda k: (self._edges[2 * k], self._edges[2 * k + 1]))
 
     @property
     def cycle_rank(self) -> int:
         """|E| - |V| + 1 of the (connected) graph; equals h."""
-        return len(self.edges) - len(self.nodes) + 1
+        return len(self._edges) // 2 - len(self._vertex) + 1
+
+
+class _View(Sequence):
+    """n items, item(k) made on each access; equal to any sequence of equal items."""
+
+    def __init__(self, n: int, item):
+        self._n = n
+        self._item = item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        ks = range(self._n)[i]
+        return tuple(map(self._item, ks)) if isinstance(ks, range) else self._item(ks)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def _height_orders(P: Polygon, directions: Sequence[Direction]) -> Iterator[np.ndarray]:
@@ -240,8 +284,9 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
         for order, forward in zip(orders, forwards):
             v = directions[done]
             done += 1
-            nodes: list[ReebNode] = []
-            edges: list[tuple[int, int]] = []
+            leaf = bytearray()  # per node: 1 for a leaf, 0 for a branch
+            vertex = array("q")  # per node: its vertex
+            edges = array("q")  # per edge: its lower node id, then its upper one
             status = _Status(P._ints, xs, ys, nxt, forward, P._bound)
             arc = [0] * n  # for a left edge: the node at the bottom of its interval's arc
 
@@ -265,15 +310,17 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
                     if not reflex[gid]:
                         if inside:
                             raise RuntimeError("opening vertex inside an existing interval")
-                        nodes.append(ReebNode("leaf", gid, v, P))
+                        arc[pr] = len(vertex)
+                        leaf.append(1)
+                        vertex.append(gid)
                         status.insert(b, i, [gid, pr])
-                        arc[pr] = len(nodes) - 1
                     else:
                         if not inside:
                             raise RuntimeError("splitting vertex outside every interval")
-                        nodes.append(ReebNode("branch", gid, v, P))
-                        nid = len(nodes) - 1
-                        edges.append((arc[left], nid))
+                        nid = len(vertex)
+                        leaf.append(0)
+                        vertex.append(gid)
+                        edges.extend((arc[left], nid))
                         status.insert(b, i, [pr, gid])
                         arc[left] = arc[pr] = nid
                 elif not reflex[gid]:
@@ -281,8 +328,9 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
                     b, i = status.place(pr)
                     if status.at(b, i + 1) != gid:
                         raise RuntimeError("closing edges span two intervals")
-                    nodes.append(ReebNode("leaf", gid, v, P))
-                    edges.append((arc[gid], len(nodes) - 1))
+                    edges.extend((arc[gid], len(vertex)))
+                    leaf.append(1)
+                    vertex.append(gid)
                     status.pop(*status.pop(b, i))
                 else:
                     # local maximum merging two intervals: gid the left edge of the
@@ -294,17 +342,16 @@ def _reeb_graphs(P: Polygon, directions: Sequence[Direction]) -> Iterator[ReebGr
                             raise RuntimeError("merging vertex closes a single interval")
                         raise RuntimeError("merging intervals are not adjacent")
                     left = status.at(*status.pop(*status.pop(b, i)))
-                    nodes.append(ReebNode("branch", gid, v, P))
-                    nid = len(nodes) - 1
-                    edges.append((arc[left], nid))
-                    edges.append((arc[gid], nid))
+                    nid = len(vertex)
+                    leaf.append(0)
+                    vertex.append(gid)
+                    edges.extend((arc[left], nid, arc[gid], nid))
                     arc[left] = nid
 
             if status.blocks:
                 raise RuntimeError("sweep ended with open intervals")
-            l = sum(1 for nd in nodes if nd.kind == "leaf")
-            b = len(nodes) - l
-            yield ReebGraph(tuple(nodes), tuple(edges), l, b, P.h)
+            l = leaf.count(1)
+            yield ReebGraph(v, leaf, vertex, edges, l, len(leaf) - l, P.h, P)
 
 
 def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
@@ -315,30 +362,30 @@ def reeb_graph(P: Polygon, v: Direction) -> ReebGraph:
 def reeb_to_dict(g: ReebGraph) -> dict:
     """JSON-ready export: nodes (kind, height, witness), edges, counts.
 
-    Written from the vertex table of the graph's polygon, one gather per
-    exactmath._LANE_BLOCK nodes, so that its lists of fresh Python ints
-    and floats stay small. A height (a X + b Y) / (m D), for v = (a, b) / m and the
+    Written from the graph's columns and its polygon's vertex table, one
+    gather at the vertex column per exactmath._LANE_BLOCK nodes, so that
+    its lists of fresh Python ints and floats stay small; no ReebNode is
+    made. A height (a X + b Y) / (m D), for v = (a, b) / m and the
     witness (X, Y) / D, is written as one integer quotient: int/int true
     division rounds correctly, as float(Fraction) does. A height beyond
     the float range is written exactly, as "p/q" text. The witness is its
     mirrors.
     """
     nodes = []
-    P = g.nodes[0]._polygon  # a graph has two leaves at least, and one polygon
-    for start in range(0, len(g.nodes), exactmath._LANE_BLOCK):
-        block = g.nodes[start:start + exactmath._LANE_BLOCK]
-        idx = [nd.vertex for nd in block]
-        for nd, X, Y, D, xf, yf in zip(block, *P._ints[:, idx].tolist(),
-                                       *P._coords[idx].T.tolist()):
-            a, b, m = nd.direction._ints
+    P = g._polygon
+    a, b, m = g.direction._ints
+    for start in range(0, len(g._vertex), exactmath._LANE_BLOCK):
+        idx = g._vertex[start:start + exactmath._LANE_BLOCK]
+        for leaf, X, Y, D, xf, yf in zip(g._leaf[start:start + exactmath._LANE_BLOCK],
+                                         *P._ints[:, idx].tolist(), *P._coords[idx].T.tolist()):
             try:
                 height = (a * X + b * Y) / (m * D)
             except OverflowError:
-                height = str(nd.height)
-            nodes.append({"kind": nd.kind, "height": height, "witness": [xf, yf]})
+                height = str(Fraction(a * X + b * Y, m * D))
+            nodes.append({"kind": "leaf" if leaf else "branch", "height": height, "witness": [xf, yf]})
     return {
         "nodes": nodes,
-        "edges": [[a, b] for a, b in g.edges],
+        "edges": np.asarray(g._edges).reshape(-1, 2).tolist(),
         "l": g.l,
         "b": g.b,
         "h": g.h,

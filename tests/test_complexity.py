@@ -395,9 +395,8 @@ def test_sheared_comb_chain_of_int64_scalars(monkeypatch):
     6-lane exact chain, which filtered_order re-sorts by comparing single
     rows, numpy int64 scalars whose products overflow int64. The result
     is the one pinned before exact lanes were int64, and the oracle's
-    min_leaves agrees. parallel_reeb_complexity ignores numpy overflow
-    (its float lanes may overflow), so every comparison of the chain is
-    made again here, where an overflow raises, against Python ints."""
+    min_leaves agrees. Every comparison of the chain is made again here
+    against Python ints."""
     s = 2 ** 48 + 12345
     P = Polygon([((x + 2 * y) * s + 7, 3 * y * s + 3) for x, y in COMB16])
     assert P._ints.dtype == np.int64
@@ -461,6 +460,38 @@ def test_exact_lanes_stay_int64_on_a_grid(monkeypatch):
         "degenerate": False}
     assert dtypes and all(d == object for d in dtypes)
     assert fallbacks
+
+
+@pytest.mark.parametrize("P", [
+    pytest.param(Polygon([((x + 2 * y) * (2 ** 48 + 12345) + 7, 3 * y * (2 ** 48 + 12345) + 3)
+                          for x, y in COMB16]), id="sheared-comb"),
+    pytest.param(lower_bound_polygon(FamilyParams(10_000)), id="star20000"),
+])
+def test_exact_stage_runs_under_the_callers_errstate(monkeypatch, P):
+    """parallel_reeb_complexity ignores float overflow only in its float
+    stage: every call of its exact stage (delta_lanes, cross_sign,
+    _cmp_sweep, _generic_witness) sees the caller's np.geterr(), here one
+    where an integer-scalar overflow raises, and the result is the one
+    found without the spies."""
+    want = parallel_reeb_complexity(P).as_dict()
+    seen = []
+
+    def spy(name):
+        real = getattr(complexity, name)
+
+        def call(*args):
+            seen.append((name, np.geterr()))
+            return real(*args)
+        monkeypatch.setattr(complexity, name, call)
+
+    for name in ("delta_lanes", "cross_sign", "_cmp_sweep", "_generic_witness"):
+        spy(name)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        caller = np.geterr()
+        assert parallel_reeb_complexity(P).as_dict() == want
+    assert {name for name, _ in seen} == {"delta_lanes", "cross_sign", "_cmp_sweep",
+                                          "_generic_witness"}
+    assert all(state == caller for _, state in seen)
 
 
 @st.composite

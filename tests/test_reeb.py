@@ -1,12 +1,14 @@
 """Reeb graph construction, genericity, and the structural identities."""
 
+import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ruledpoly.geometry as geometry
 import ruledpoly.reeb as reeb
@@ -16,8 +18,11 @@ from ruledpoly import (
     NonGenericDirectionError,
     Polygon,
     PolygonError,
+    ReebNode,
     annulus_polygon,
     branch_witnesses,
+    brute_force_complexity,
+    dump_polygon,
     is_generic,
     lower_bound_polygon,
     parallel_reeb_complexity,
@@ -25,9 +30,11 @@ from ruledpoly import (
     reeb_graph,
     reeb_to_dict,
 )
+from ruledpoly.cli import run_cli
 from ruledpoly.exactmath import orient_sign
 
 from conftest import nudge_generic, recorded_comparisons, xyd
+from test_reeb_batch import polygons
 
 
 def adjacency(g):
@@ -207,22 +214,99 @@ def test_reeb_to_dict_shape(l_poly):
         assert isinstance(nd["height"], float)
 
 
+def dict_from_nodes(g):
+    """reeb_to_dict's document, written from the public nodes and edges."""
+    nodes = []
+    for nd in g.nodes:
+        try:
+            height = float(nd.height)
+        except OverflowError:
+            height = str(nd.height)
+        nodes.append({"kind": nd.kind, "height": height,
+                      "witness": [float(nd.witness.x), float(nd.witness.y)]})
+    return {"nodes": nodes, "edges": [[a, b] for a, b in g.edges], "l": g.l, "b": g.b, "h": g.h}
+
+
+PENTAGON = Polygon([(0, 0), (Fraction(7, 3), Fraction(-1, 9)), (Fraction(13, 5), 2), (1, 1),
+                    (Fraction(-1, 7), Fraction(19, 6))])
+
+
 @pytest.mark.parametrize("v", [Direction(Fraction(-7, 3), Fraction(5, 11)),
                                Direction(Fraction(3, 10 ** 320), Fraction(1, 10 ** 315)),
                                Direction(10 ** 400, 1)])
-def test_reeb_to_dict_heights_are_the_exact_heights_rounded(v):
-    """Each exported height is float(height), the correctly rounded exact
-    value, or its "p/q" text where that overflows a float."""
-    P = Polygon([(0, 0), (Fraction(7, 3), Fraction(-1, 9)), (Fraction(13, 5), 2), (1, 1),
-                 (Fraction(-1, 7), Fraction(19, 6))])
+@settings(max_examples=40, deadline=None)
+@given(P=polygons())
+@example(P=PENTAGON)
+def test_reeb_to_dict_heights_are_the_exact_heights_rounded(P, v):
+    """reeb_to_dict, written from the graph's columns, is the document
+    written from its public ReebNodes: each height float(height), the
+    correctly rounded exact value, or its "p/q" text where that
+    overflows a float, each witness its coordinates rounded, and the
+    edges as lists, byte for byte once dumped."""
+    assume(is_generic(P, v))
     g = reeb_graph(P, v)
-    for nd, out in zip(g.nodes, reeb_to_dict(g)["nodes"]):
-        try:
-            want = float(nd.height)
-        except OverflowError:
-            want = str(nd.height)
-        assert out["height"] == want and type(out["height"]) is type(want)
-        assert out["witness"] == [float(nd.witness.x), float(nd.witness.y)]
+    got, want = reeb_to_dict(g), dict_from_nodes(g)
+    assert got == want and json.dumps(got) == json.dumps(want)
+    assert [type(nd["height"]) for nd in got["nodes"]] == [type(nd["height"]) for nd in want["nodes"]]
+
+
+@pytest.fixture
+def counted_nodes(monkeypatch):
+    """The list of ReebNodes made while the test runs."""
+    made = []
+    init = ReebNode.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(ReebNode, "__init__", counting)
+    return made
+
+
+def test_no_node_is_made_unless_asked(counted_nodes, tmp_path, capsys):
+    """The oracle, the export, len(g.nodes), len(g.edges) and the CLI's
+    reeb make no ReebNode; indexing or iterating g.nodes makes the nodes
+    of the list-based sweep, one per item."""
+    P = lower_bound_polygon(FamilyParams(9))
+    brute_force_complexity(P)
+    w = parallel_reeb_complexity(P).witness
+    g = reeb_graph(P, w)
+    reeb_to_dict(g)
+    assert (len(g.nodes), len(g.edges)) == (g.l + g.b, g.l + g.b - 1)
+    path = tmp_path / "star.json"
+    path.write_text(dump_polygon(P))
+    assert run_cli(["reeb", str(path), "--direction", "%d,%d" % w.canonical_pair()]) == 0
+    assert f"nodes={len(g.nodes)} edges={len(g.edges)}" in capsys.readouterr().err
+    assert counted_nodes == []
+
+    v = nudge_generic(P, 3, 7)
+    g = reeb_graph(P, v)
+    nodes, edges, l, b = reference_reeb(P, v)
+    want = [ReebNode(kind, vertex, v, P) for kind, vertex in nodes]
+    counted_nodes.clear()
+    assert list(g.nodes) == want and len(counted_nodes) == len(want)
+    assert g.nodes[-1] == want[-1] and g.nodes[1:4] == tuple(want[1:4]) and g.nodes == tuple(want)
+    assert [nd.witness for nd in g.nodes] == [P.vertex(vertex) for _, vertex in nodes]
+    assert Counter(g.edges) == Counter(edges) and g.edges == tuple(g.edges)
+    assert g == reeb_graph(P, v) and hash(g) == hash(reeb_graph(P, v)) and g != reeb_graph(P, w)
+
+
+def test_graph_retains_its_columns(counted_nodes):
+    """At the witness of the 20 000-vertex star, a graph retains at most
+    120 bytes per node (tracemalloc), and no ReebNode is made."""
+    P = lower_bound_polygon(FamilyParams(10_000))
+    w = parallel_reeb_complexity(P).witness
+    reeb_graph(P, w)  # what P takes on at its first sweep is not the graph's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = reeb_graph(P, w)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.l == 9998 and retained <= 120 * len(g.nodes)
+    assert counted_nodes == []
 
 
 # -- the list-based sweep, kept as a reference for the handle sweep ---------
