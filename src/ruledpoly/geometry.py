@@ -45,9 +45,11 @@ Validation is one exact Shamos-Hoey sweep over the edges of all rings,
 O(n log n) work in total: two edges may share only the vertex between
 them on one ring, and every hole must lie inside the outer ring and
 outside every other hole. Only locating a new vertex in the sweep
-status calls a scalar predicate; the contact and order checks wait
-until the sweep ends and are then decided together, as the lanes of
-one filtered predicate, the first failing check in sweep order winning.
+status calls a scalar predicate; the contact and order checks are kept
+in one list in sweep order and decided a block of
+exactmath._LANE_BLOCK checks at a time, as the lanes of one filtered
+predicate, while the sweep goes on: it stops at the first block that
+fails, and the first failing check in sweep order wins.
 
 The sweep status (_Status) is shared with the Reeb sweep of reeb.py,
 in one frame, and its point location (_Status.locate) is the only one
@@ -74,6 +76,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import exactmath
 from .exactmath import (
     cross_sign,
     delta_lanes,
@@ -797,13 +800,15 @@ def _validate_rings(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.n
     is that vertex's corner sign. What only checks the sweep is deferred:
     the contact test of every pair of edges that becomes adjacent in the
     status, and the test that a vertex whose edges ended lies between
-    the two edges they leave. These checks become lanes of one filtered
-    predicate (_failed_check) when the sweep ends or raises, and the
-    first failing check in sweep order is reported, so the result is
-    that of testing each check as it comes. Hole placement comes from
-    the same sweep: at a hole's leftmost vertex the edge just below
-    decides whether that vertex lies in the interior of the rings swept
-    so far.
+    the two edges they leave. These checks are kept in one list in sweep
+    order, which becomes the lanes of one filtered predicate
+    (_failed_check) each time it holds exactmath._LANE_BLOCK checks, and
+    when the sweep ends or raises. The sweep stops at the first block
+    that fails, and the first failing check in sweep order is reported,
+    so the result is that of testing each check as it comes. Hole
+    placement comes from the same sweep: at a hole's leftmost vertex the
+    edge just below decides whether that vertex lies in the interior of
+    the rings swept so far.
 
     When several faults are present, a self-intersection is reported
     before any hole placement fault.
@@ -822,54 +827,50 @@ def _validate_rings(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.n
 _LOST_ORDER = "sweep status lost the order of its edges"
 
 
-def _failed_check(touches: list[int], sides: list[int], ints: np.ndarray, xs: np.ndarray,
-                  ys: np.ndarray, bound: float) -> tuple[int, int, bool] | None:
-    """The first check of the validation sweep that fails, or None.
+def _failed_check(checks: list[int], nxt: np.ndarray, ints: np.ndarray,
+                  xs: np.ndarray, ys: np.ndarray, bound: float) -> tuple[int, int, bool] | None:
+    """The first check of a block of the validation sweep that fails, or
+    None.
 
-    touches holds four vertex indices per contact check, (e, nxt[e], f,
-    nxt[f]): edges e and f must not touch. sides holds seven integers
-    per order check, (lo[t], hi[t], v, side, e, t, c): vertex v, where
-    edge e ended, must lie strictly on side `side` (+1 left, -1 right)
-    of edge t, directed from lo[t] to hi[t]; c contact checks came
-    before it; the indices are into the vertex table ints and its
-    mirrors xs, ys. _touching decides the contact checks, and the order
-    checks are one orient_lanes call, both at the static bound bound. A failed check is returned as (e,
-    f, touch): touch is True if edges e and f share a point (a vertex of
-    e on t counts), and False if v lies strictly on the wrong side of t.
+    checks holds the block's checks in sweep order, four integers (e, f,
+    v, side) each, indices into the vertex table ints and its mirrors
+    xs, ys; edge e runs from vertex e to vertex nxt[e]. side 0 is a
+    contact check: edges e and f must not touch. Otherwise it is an
+    order check: vertex v, where edge e ended, must lie strictly on side
+    `side` (+1 left, -1 right) of edge f, directed from f to nxt[f].
+    _touching decides the contact checks, and the order checks are one
+    orient_lanes call, both at the static bound bound. A failed check is
+    returned as (e, f, touch): touch is True if edges e and f share a
+    point (a vertex of e on f counts), and False if v lies strictly on
+    the wrong side of f.
     """
-    if not touches and not sides:
+    if not checks:
         return None
-    quads = np.array(touches, dtype=np.intp).reshape(-1, 4).T
-    rows = np.array(sides, dtype=np.intp).reshape(-1, 7).T
-    touch = np.flatnonzero(_touching(ints, xs, ys, quads, bound))
-    o = orient_lanes(ints, xs, ys, rows[:3], bound)
-    wrong = np.flatnonzero(o != rows[3])
-    if len(wrong) and (not len(touch) or rows[6, wrong[0]] <= touch[0]):
-        j = wrong[0]
-        return int(rows[4, j]), int(rows[5, j]), bool(o[j] == 0)
-    if len(touch):
-        return int(quads[0, touch[0]]), int(quads[2, touch[0]]), True
-    return None
+    e, f, v, side = np.array(checks, dtype=np.intp).reshape(-1, 4).T
+    contact = side == 0
+    sign = np.zeros(len(side), dtype=np.int64)  # a contact check's 0: a touch
+    sign[~contact] = orient_lanes(ints, xs, ys, np.array((f, nxt[f], v))[:, ~contact], bound)
+    failed = sign != side
+    failed[contact] = _touching(ints, xs, ys, np.array((e, nxt[e], f, nxt[f]))[:, contact], bound)
+    j = np.argmax(failed)
+    return (int(e[j]), int(f[j]), bool(sign[j] == 0)) if failed[j] else None
 
 
 def _sweep(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
            sizes: list[int], bound: float) -> None:
-    n = len(turn)
-    nxt, prv = _links(sizes)
+    links, prv = _links(sizes)
     ring_of = np.repeat(np.arange(len(sizes)), sizes).tolist()
     turn = turn.tolist()
 
     # exact lexicographic order, equal points by index; x mirrors decide unless they tie
-    events, repeat = filtered_order(xf, np.zeros(n), partial(integer_lanes, ints), _lex_cmp)
-    # edge e runs from vertex e to nxt[e]; lo/hi are its first/last endpoints
-    # in event order. The interior lies left of every edge, so above an
-    # edge that runs forward in event order, and the status runs upward.
-    forward = _forward(events, nxt)
-    nxt, prv = nxt.tolist(), prv.tolist()
+    events, repeat = filtered_order(xf, np.zeros(len(xf)), partial(integer_lanes, ints), _lex_cmp)
+    # edge e runs from vertex e to nxt[e], forward iff e comes first in
+    # event order. The interior lies left of every edge, so above an edge
+    # that runs forward, and the status runs upward.
+    forward = _forward(events, links)
+    nxt, prv = links.tolist(), prv.tolist()
     events = events.tolist()
     repeat = repeat.tolist()
-    lo = [e if forward[e] else nxt[e] for e in range(n)]
-    hi = [nxt[e] if forward[e] else e for e in range(n)]
     status = _Status(ints, xf.tolist(), yf.tolist(), nxt, forward, bound)
 
     def fault(e: int, f: int) -> PolygonError:
@@ -884,41 +885,56 @@ def _sweep(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
             return HolePlacementError(f"hole {b - 1} touches the outer boundary")
         return HolePlacementError(f"holes {a - 1} and {b - 1} touch")
 
-    touches: list[int] = []  # the checks, in _failed_check's form
-    sides: list[int] = []
+    checks: list[int] = []  # undecided, in sweep order, in _failed_check's form
+
+    def decide() -> None:
+        """Decide the checks so far; raise the fault of the first that fails."""
+        failed = _failed_check(checks, links, ints, xf, yf, bound)
+        checks.clear()
+        if failed is not None:
+            e, f, touch = failed
+            raise fault(e, f) if touch else RuntimeError(_LOST_ORDER)
 
     def check(e: int | None, f: int | None) -> None:
         """Check later that edges e and f, new neighbours in the status, do not touch."""
-        if e is None or f is None or nxt[e] == f or nxt[f] == e:
-            return
-        touches.extend((e, nxt[e], f, nxt[f]))
+        if e is not None and f is not None and nxt[e] != f and nxt[f] != e:
+            checks.extend((e, f, v, 0))
 
-    raised = None
     try:
         seen = [False] * len(sizes)
         for k, v in enumerate(events):
+            if len(checks) >= 4 * exactmath._LANE_BLOCK:
+                decide()  # in sweep order: a failing block ends the sweep
             if repeat[k]:
                 raise fault(v, events[k - 1])  # a repeated point: both edges leaving it touch
+            # edge e_in, from prv[v], ends at v iff it runs forward, and
+            # edge e_out, to nxt[v], ends at v iff it runs backward
             e_in, e_out = prv[v], v
+            up_in, up_out = forward[e_in], forward[e_out]
 
-            if hi[e_in] == v or hi[e_out] == v:
+            if up_in == up_out:  # regular: one edge ends, the other starts
+                ending, starting = ([e_in], [e_out]) if up_in else ([e_out], [e_in])
+            elif up_out:  # a leftmost vertex: both edges start here
+                # the edge to the next vertex runs below the one to the
+                # previous iff the corner at v turns right
+                ending, starting = [], [e_in, e_out] if turn[v] < 0 else [e_out, e_in]
+            else:  # both edges end here
+                ending, starting = sorted((e_in, e_out), key=status.place), []
+
+            if ending:
                 # remove the edges ending at v, found by handle, lower first
-                if hi[e_in] == v and hi[e_out] == v:
-                    ending = sorted((e_in, e_out), key=status.place)
-                else:
-                    ending = [e_in if hi[e_in] == v else e_out]
                 b, i = status.place(ending[0])
                 if len(ending) == 2 and status.at(b, i + 1) != ending[1]:
                     raise RuntimeError(_LOST_ORDER)
                 for e in ending:
                     b, i = status.pop(b, i)
                 # the edges found by handle must have held v's place: v lies
-                # above the edge below the gap and below the edge above it
+                # above the edge below the gap and below the edge above it,
+                # each directed in event order
                 for t, side in ((status.below(b, i), 1), (status.at(b, i), -1)):
                     if t is not None:
-                        sides.extend((lo[t], hi[t], v, side, ending[0], t, len(touches) // 4))
-            else:
-                # a leftmost vertex: both edges start here; locate v itself
+                        checks.extend((ending[0], t, v, side if forward[t] else -side))
+            else:  # locate v itself
                 b, i, on = status.locate(v)
                 if on:  # v lies on the edge at its place, the lowest through v
                     raise fault(e_out, status.at(b, i))
@@ -926,15 +942,8 @@ def _sweep(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
             # (b, i) is v's place in the status. An edge through v would have
             # touched a neighbour of the edges ending at v already, so the
             # edges starting at v go into the gap those leave.
-            below = status.below(b, i)
-            above = status.at(b, i)
-            if lo[e_in] == v and lo[e_out] == v:
-                # the edge to the next vertex runs below the one to the
-                # previous iff the corner at v turns right
-                starting = [e_in, e_out] if turn[v] < 0 else [e_out, e_in]
-            elif lo[e_in] == v or lo[e_out] == v:
-                starting = [e_in if lo[e_in] == v else e_out]
-            else:
+            below, above = status.below(b, i), status.at(b, i)
+            if not starting:
                 check(below, above)
                 continue
             check(below, starting[0])
@@ -948,15 +957,10 @@ def _sweep(ints: np.ndarray, xf: np.ndarray, yf: np.ndarray, turn: np.ndarray,
                     where = "lies outside the outer ring" if below is None or not ring_of[below] \
                         else f"is nested inside hole {ring_of[below] - 1}"
                     raise HolePlacementError(f"hole {g - 1} {where}")
-    except Exception as exc:  # past a failed check the status may be out of order
-        raised = exc
-    # a check that failed before the sweep raised is the fault to report
-    failed = _failed_check(touches, sides, ints, xf, yf, bound)
-    if failed is not None:
-        e, f, touch = failed
-        raise fault(e, f) if touch else RuntimeError(_LOST_ORDER)
-    if raised is not None:
-        raise raised
+    except Exception:  # past a failed check the status may be out of order
+        decide()  # a check that failed before the sweep raised is the fault to report
+        raise
+    decide()
 
 
 class Polygon:

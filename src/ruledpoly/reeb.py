@@ -50,7 +50,7 @@ import numpy as np
 
 from . import exactmath
 from .exactmath import chain_cuts, dot_filter, filtered_order, integer_lanes
-from .geometry import Direction, Point, Polygon, _forward, _Status
+from .geometry import _MAX_DIGITS, Direction, Point, Polygon, PolygonError, _forward, _Status
 
 __all__ = [
     "NonGenericDirectionError",
@@ -368,8 +368,10 @@ def reeb_to_dict(g: ReebGraph) -> dict:
     made. A height (a X + b Y) / (m D), for v = (a, b) / m and the
     witness (X, Y) / D, is written as one integer quotient: int/int true
     division rounds correctly, as float(Fraction) does. A height beyond
-    the float range is written exactly, as "p/q" text. The witness is its
-    mirrors.
+    the float range is written exactly, as "p/q" text, and one whose
+    numerator or denominator has more than _MAX_DIGITS digits is a
+    PolygonError, whatever the interpreter's digit limit. The witness is
+    its mirrors.
     """
     nodes = []
     P = g._polygon
@@ -381,7 +383,11 @@ def reeb_to_dict(g: ReebGraph) -> dict:
             try:
                 height = (a * X + b * Y) / (m * D)
             except OverflowError:
-                height = str(Fraction(a * X + b * Y, m * D))
+                height = Fraction(a * X + b * Y, m * D)
+                if max(abs(height.numerator), height.denominator) >= 10 ** _MAX_DIGITS:
+                    raise PolygonError(
+                        f"Reeb node height of more than {_MAX_DIGITS} digits") from None
+                height = str(height)
             nodes.append({"kind": "leaf" if leaf else "branch", "height": height, "witness": [xf, yf]})
     return {
         "nodes": nodes,

@@ -261,6 +261,26 @@ def test_extreme_direction_refused_at_once(capsys, l_file, direction, message):
     assert len(captured.err) < 200 and "Exceeds the limit" not in captured.err
 
 
+def test_height_beyond_digit_limit_refused(capsys, l_file):
+    """At 1e4400 a Reeb node's exact height has more than 4300 digits: it
+    is refused with one error line that names the limit, at the
+    interpreter's default digit limit and with no limit (0), where there
+    is one to set."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    old = get() if get else None
+    try:
+        for limit in (old, 0) if get else (None,):
+            if get:
+                sys.set_int_max_str_digits(limit)
+            assert run_cli(["reeb", l_file, "--direction", "1e4400,1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: Reeb node height of more than 4300 digits\n"
+    finally:
+        if get:
+            sys.set_int_max_str_digits(old)
+
+
 def test_tiny_direction_answered(capsys, l_file):
     """1e-4400 lies above the 1e-5000 floor: answered, at that exact direction."""
     code, doc = run_json(capsys, ["reeb", l_file, "--direction", "1e-4400,1"])

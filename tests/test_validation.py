@@ -308,6 +308,39 @@ def test_deferred_checks_match_sequential_sweep(outer, holes, scale):
     # status blocks of one or two edges, and lanes decided five at a time
     with patch.object(geometry, "_BLOCK", 1), patch.object(exactmath, "_LANE_BLOCK", 5):
         assert validation_outcome(outer, holes) == expected
+    # every event's checks decided before the next event
+    with patch.object(exactmath, "_LANE_BLOCK", 1):
+        assert validation_outcome(outer, holes) == expected
+
+
+def test_sweep_stops_at_first_failing_block(monkeypatch):
+    """Two crossing holes near the leftmost side of a 40 000-vertex ring:
+    the checks are decided a block at a time as the sweep goes, so the
+    sweep over all rings decides no block after the one that holds the
+    failing contact check, and no block holds more than
+    exactmath._LANE_BLOCK checks and the (at most 3) more of its last
+    event."""
+    n = 40_000
+    ring = [(round(s * math.cos(2 * math.pi * k / n) * 10 ** 6),
+             round(s * math.sin(2 * math.pi * k / n) * 10 ** 6))
+            for k, s in enumerate([900, 1000] * (n // 2))]
+    holes = [[(-800, 0), (-800, 10), (-770, 10), (-770, 0)],
+             [(-795, -5), (-795, 5), (-775, 5), (-775, -5)]]
+    text = json.dumps({"outer": [[f"{x}e-6", f"{y}e-6"] for x, y in ring], "holes": holes})
+    blocks = []  # per block: the sweep's vertex count, its contact checks, whether one touched
+    touching = geometry._touching
+
+    def counted(ints, xs, ys, quads, bound):
+        touch = touching(ints, xs, ys, quads, bound)
+        blocks.append((ints.shape[1], quads.shape[1], bool(touch.any())))
+        return touch
+
+    monkeypatch.setattr(geometry, "_touching", counted)
+    with pytest.raises(HolePlacementError, match="^holes 0 and 1 touch$"):
+        load_polygon(text)
+    full = [touched for size, _, touched in blocks if size == n + 8]
+    assert len(full) > 1 and full == [False] * (len(full) - 1) + [True]
+    assert max(checks for _, checks, _ in blocks) <= exactmath._LANE_BLOCK + 3
 
 
 @given(pts=st.lists(grid, min_size=3, max_size=12, unique=True))
